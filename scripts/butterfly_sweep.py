@@ -16,11 +16,10 @@ def main():
     ap.add_argument("--qmax", type=int, default=25)
     ap.add_argument("--lambda", type=float, dest="lam", default=2.0)
     ap.add_argument("--omega", type=float, default=0.0)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="butterfly.csv")
     args = ap.parse_args()
 
-    rows = butterfly(args.lam, args.qmax, args.omega, threads=args.threads)
+    rows = butterfly(args.lam, args.qmax, args.omega)
     n_bands = 0
     with open(args.out, "w") as fh:
         fh.write("flux,band_lo,band_hi\n")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .ids import IdsCurve, bisect_eigenvalues, count_below_periodic
 from .potentials import PeriodicPotential
-from .transfer import propagate
+from .transfer import product_grid, propagate
 
 # Gaps narrower than this are reported as closed and merged.
 CLOSED_GAP_TOL = 1e-9
@@ -67,20 +67,23 @@ def band_spectrum(p: PeriodicPotential, tol: float = CLOSED_GAP_TOL) -> BandSet:
     e_per = bisect_eigenvalues(lambda E: count_below_periodic(vals, E, +1.0), L, lo0, hi0)
     e_anti = bisect_eigenvalues(lambda E: count_below_periodic(vals, E, -1.0), L, lo0, hi0)
     edges = np.sort(np.concatenate([e_per, e_anti]))
-    raw = [(float(edges[2 * i]), float(edges[2 * i + 1])) for i in range(L)]
+    lo, hi = edges[0::2], edges[1::2]
+    # Gap k lies between raw bands k and k+1; the merge decides each gap on its own.
+    closed = lo[1:] - hi[:-1] <= CLOSED_GAP_TOL
+    check = np.flatnonzero(~closed)
+    a, _, _, d, logs = product_grid(vals, 0.5 * (lo[1:][check] + hi[:-1][check]))
+    # |tr| <= 2 + tol in the log domain, which cannot overflow.
+    with np.errstate(divide="ignore"):
+        closed[check] = np.log(np.abs(a + d)) + logs <= math.log(2.0 + tol)
+    return _join(lo, hi, closed)
 
-    merged: list[list[float]] = [list(raw[0])]
-    for lo, hi in raw[1:]:
-        gap = lo - merged[-1][1]
-        if gap <= CLOSED_GAP_TOL:
-            merged[-1][1] = hi
-            continue
-        mid = 0.5 * (lo + merged[-1][1])
-        if abs(propagate(mid, vals).trace) <= 2.0 + tol:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    return BandSet(tuple((lo, hi) for lo, hi in merged))
+
+def _join(lo: np.ndarray, hi: np.ndarray, closed: np.ndarray) -> BandSet:
+    """Bands [lo[k], hi[k]] joined across every gap k (after band k) marked closed."""
+    open_gaps = np.flatnonzero(~closed)
+    starts = np.concatenate(([0], open_gaps + 1))
+    ends = np.concatenate((open_gaps, [len(lo) - 1]))
+    return BandSet(tuple(zip(lo[starts].tolist(), hi[ends].tolist())))
 
 
 def gap_labels(bands: BandSet, L: int) -> BandSet:
@@ -97,7 +100,10 @@ def total_bandwidth(bands: BandSet) -> float:
 def butterfly(lam: float, q_max: int, omega: float = 0.0,
               threads: int = 1) -> list[tuple[int, int, BandSet]]:
     """Band sets of the cosine chain at every reduced fraction alpha = p/q with
-    q <= q_max, ordered by (q, p). q = 1 contributes the single row (0, 1)."""
+    q <= q_max, ordered by (q, p). q = 1 contributes the single row (0, 1).
+
+    ``threads`` is accepted and ignored: the rows run serially.
+    """
     if q_max < 1:
         raise DomainError("q_max must be at least 1")
     fractions = [(0, 1)]
@@ -110,11 +116,6 @@ def butterfly(lam: float, q_max: int, omega: float = 0.0,
                        for n in range(1, q + 1))
         return p, q, band_spectrum(PeriodicPotential(values))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row, fractions))
     return [row(pq) for pq in fractions]
 
 
@@ -143,21 +144,20 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
     quarter = 1.0 / (4.0 * q)
     grid = np.linspace(-abs(lam) - 2.5, abs(lam) + 2.5, 8 * q + 5)
     v_quarter = values(quarter)
-    signs = [math.copysign(1.0, propagate(float(e), v_quarter).trace) for e in grid]
-    z = None
-    for i in range(len(grid) - 1):
-        if signs[i] != signs[i + 1]:
-            a, b = float(grid[i]), float(grid[i + 1])
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if math.copysign(1.0, propagate(mid, v_quarter).trace) == signs[i]:
-                    a = mid
-                else:
-                    b = mid
-            z = 0.5 * (a + b)
-            break
-    if z is None:
+    ta, _, _, td, _ = product_grid(v_quarter, grid)
+    signs = np.where(ta + td < 0.0, -1.0, 1.0)
+    changes = np.flatnonzero(signs[:-1] != signs[1:])
+    if not changes.size:
         raise DomainError("could not locate a zero of the phase-free trace part")
+    i = int(changes[0])
+    a, b = float(grid[i]), float(grid[i + 1])
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if math.copysign(1.0, propagate(mid, v_quarter).trace) == signs[i]:
+            a = mid
+        else:
+            b = mid
+    z = 0.5 * (a + b)
     s = math.copysign(1.0, propagate(z, values(0.0)).trace)
 
     omega_plus = 0.0 if s > 0 else 1.0 / (2.0 * q)   # modulation +c here
@@ -171,14 +171,8 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
     e_lo = bisect_eigenvalues(lambda E: count_below_periodic(v_plus, E, -1.0), q, lo0, hi0)
     e_hi = bisect_eigenvalues(lambda E: count_below_periodic(v_minus, E, +1.0), q, lo0, hi0)
     edges = np.sort(np.concatenate([e_lo, e_hi]))
-    raw = [(float(edges[2 * i]), float(edges[2 * i + 1])) for i in range(q)]
-    merged: list[list[float]] = [list(raw[0])]
-    for lo, hi in raw[1:]:
-        if lo - merged[-1][1] <= CLOSED_GAP_TOL:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    return BandSet(tuple((lo, hi) for lo, hi in merged))
+    lo, hi = edges[0::2], edges[1::2]
+    return _join(lo, hi, lo[1:] - hi[:-1] <= CLOSED_GAP_TOL)
 
 
 @dataclass(frozen=True)

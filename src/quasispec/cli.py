@@ -2,7 +2,7 @@
 
 Every subcommand is a thin adapter over one library operation family. Output
 floats are fixed at 12 significant digits so repeated runs (and golden-file
-tests) are byte-identical; ordering never depends on the thread count. An
+tests) are byte-identical; ``--threads`` is accepted and ignored. An
 optional config file holds ``key = value`` lines; command-line flags override
 file entries. Exit codes: 0 success, 2 bad flags or domain errors, 3 I/O
 failure.
@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +49,7 @@ _DEFAULTS = {
     "energy": 0.0, "lengths": "1:100", "leads": "pi-half",
     "kmax": 13, "labels": "k-over-q", "tol": 0.02,
     "what": "function", "xmin": 0.0, "xmax": 1.0, "tmax": 50.0, "factors": 60,
-    "out": None, "format": "csv", "threads": max(1, os.cpu_count() or 1),
+    "out": None, "format": "csv", "threads": 1,
     "dump_config": False, "config": None,
 }
 
@@ -176,7 +174,10 @@ def build_spec(cfg: RunConfig) -> PotentialSpec:
     if model == "explicit":
         if not cfg.values:
             raise DomainError("explicit model needs --values v1,v2,...")
-        return PotentialSpec.explicit([float(v) for v in cfg.values.split(",")])
+        values = [float(v) for v in cfg.values.split(",")]
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError("explicit --values must be finite")
+        return PotentialSpec.explicit(values)
     if model == "substitution":
         if not cfg.rule_file:
             raise DomainError("substitution model needs --rule-file")
@@ -204,16 +205,6 @@ def _grid(cfg: RunConfig) -> np.ndarray:
     if cfg.grid < 2 or cfg.emax <= cfg.emin:
         raise DomainError("need emax > emin and at least 2 grid points")
     return np.linspace(cfg.emin, cfg.emax, cfg.grid)
-
-
-def _chunked(fn, grid: np.ndarray, threads: int) -> np.ndarray:
-    """Apply fn to grid chunks in parallel; assembly order is fixed."""
-    if threads <= 1 or len(grid) < 32:
-        return np.asarray(fn(grid))
-    chunks = np.array_split(grid, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(fn, chunks))
-    return np.concatenate(parts)
 
 
 # -- subcommand bodies (each returns CSV lines and a JSON object) -------------
@@ -271,7 +262,7 @@ def _run_ids(cfg: RunConfig):
 def _run_lyapunov(cfg: RunConfig):
     spec = build_spec(cfg)
     grid = _grid(cfg)
-    gam = _chunked(lambda g: lyapunov_grid(spec, g, cfg.n), grid, cfg.threads)
+    gam = lyapunov_grid(spec, grid, cfg.n)
     lines = ["E,gamma"]
     lines += [f"{_fmt(e)},{_fmt(g)}" for e, g in zip(grid, gam)]
     return lines, {"energies": [_jround(e) for e in grid],
@@ -283,8 +274,10 @@ def _run_resistance(cfg: RunConfig):
     leads = {"pi-half": "at-energy", "zero": "zero"}.get(cfg.leads)
     if leads is None:
         raise DomainError("leads must be 'pi-half' or 'zero'")
-    profile = scat_mod.resistance_profile(spec, cfg.energy,
-                                          _parse_lengths(cfg.lengths), leads)
+    lengths = _parse_lengths(cfg.lengths)
+    if not lengths:
+        raise DomainError(f"--lengths {cfg.lengths} gives no lengths")
+    profile = scat_mod.resistance_profile(spec, cfg.energy, lengths, leads)
     lines = ["L,log10R"]
     lines += [f"{p.length},{_fmt(p.log10_resistance)}" for p in profile]
     return lines, {"profile": [[p.length, _jround(p.log10_resistance)]
@@ -354,14 +347,16 @@ def _run_gaps(cfg: RunConfig):
 
 
 def _run_cantor(cfg: RunConfig):
+    if cfg.what in ("function", "fourier") and cfg.grid < 2:
+        raise DomainError("need at least 2 grid points")
     if cfg.what == "function":
-        xs = np.linspace(cfg.xmin, cfg.xmax, max(cfg.grid, 2))
+        xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
         lines = ["x,alpha"]
         lines += [f"{_fmt(x)},{_fmt(cantor_mod.cantor_alpha(float(x)))}" for x in xs]
         return lines, {"x": [_jround(x) for x in xs],
                        "alpha": [_jround(cantor_mod.cantor_alpha(float(x))) for x in xs]}
     if cfg.what == "fourier":
-        ts = np.linspace(0.0, cfg.tmax, max(cfg.grid, 2))
+        ts = np.linspace(0.0, cfg.tmax, cfg.grid)
         lines = ["t,re,im,abs"]
         rows = []
         for t in ts:

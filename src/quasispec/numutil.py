@@ -51,7 +51,3 @@ def as_float(x: BigValue) -> float:
 
 def log_abs(x: BigValue) -> float:
     return signed_log(x)[1]
-
-
-def is_huge(x: BigValue) -> bool:
-    return isinstance(x, tuple) or abs(x) > HUGE

@@ -255,12 +255,20 @@ def _retreat(state: StateVec, E: float, v: float) -> StateVec:
     return StateVec(cur / m, prev / m, state.log_scale + math.log(m))
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where math.exp would raise OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def gordon_ratio(values, E: float, L: int, tol: float = 1e-9) -> GordonResult:
     """Norm ratios behind the three-block and two-block repetition bounds.
 
     ``values`` must supply V_n for n = -L+1 .. 2L (length 3L) and repeat the
     same block three times; the solution with (psi_1, psi_0) = (1, 0) is
-    propagated to sites -L, L and 2L.
+    propagated to sites -L, L and 2L. Ratios past float range come back as inf.
     """
     vals = np.asarray(values, dtype=float)
     if L < 1 or len(vals) != 3 * L:
@@ -283,9 +291,9 @@ def gordon_ratio(values, E: float, L: int, tol: float = 1e-9) -> GordonResult:
     norms["-L"] = state.norm_log()
 
     base = psi0.norm_log()
-    three = math.exp(max(norms["-L"], norms["L"], norms["2L"]) - base)
+    three = _exp_or_inf(max(norms["-L"], norms["L"], norms["2L"]) - base)
     tr = propagate(E, vals[L:2 * L]).trace
     tr_log = math.log(abs(tr)) if 0.0 < abs(tr) < math.inf else (
         -math.inf if tr == 0.0 else math.inf)
-    two = math.exp(max(tr_log + norms["L"], norms["2L"]) - base)
+    two = _exp_or_inf(max(tr_log + norms["L"], norms["2L"]) - base)
     return GordonResult(three, two, tr)

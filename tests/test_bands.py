@@ -21,9 +21,30 @@ from quasispec import (
     total_bandwidth,
     trace_poly,
 )
-from quasispec.bands import phase_union_spectrum
+from quasispec.bands import CLOSED_GAP_TOL, phase_union_spectrum
+from quasispec.ids import bisect_eigenvalues, count_below_periodic
 
 SQ5 = math.sqrt(5.0)
+
+
+def scalar_merge_bands(pot, tol=CLOSED_GAP_TOL):
+    """Reference band set: the same wrap-around edges, merged gap by gap with
+    one scalar propagate trace per surviving gap midpoint."""
+    vals = np.asarray(pot.values, dtype=float)
+    L = len(vals)
+    lo0, hi0 = float(vals.min()) - 4.0, float(vals.max()) + 4.0
+    edges = np.sort(np.concatenate([
+        bisect_eigenvalues(lambda E: count_below_periodic(vals, E, corner), L, lo0, hi0)
+        for corner in (+1.0, -1.0)]))
+    merged = [[float(edges[0]), float(edges[1])]]
+    for lo, hi in edges[2:].reshape(-1, 2).tolist():
+        mid = 0.5 * (lo + merged[-1][1])
+        if (lo - merged[-1][1] <= CLOSED_GAP_TOL
+                or abs(propagate(mid, vals).trace) <= 2.0 + tol):
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
 
 
 class TestBandSpectrum:
@@ -94,6 +115,21 @@ class TestBandSpectrum:
         flat = [x for band in bs.bands for x in band]
         assert len(edges) == len(flat)
         np.testing.assert_allclose(sorted(flat), edges, atol=1e-8)
+
+    @pytest.mark.parametrize("pot", [
+        *(pytest.param(PeriodicPotential(tuple(np.random.default_rng(L).uniform(-2, 2, L))),
+                       id=f"random-{L}") for L in (5, 9, 17, 40)),
+        pytest.param(PeriodicPotential((1.0,) * 6), id="constant"),
+        pytest.param(PeriodicPotential((0.0, 2.0) * 4), id="two-valued"),
+        pytest.param(PeriodicPotential((1.5, -0.5, -0.5) * 3), id="two-valued-3"),
+        pytest.param(approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 8.0), 233),
+                     id="sturmian-8-233"),
+        # One gap midpoint trace is ~e^912 here, past float range.
+        pytest.param(approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 100.0), 233),
+                     id="sturmian-100-233"),
+    ])
+    def test_merge_matches_scalar_trace_reference(self, pot):
+        assert band_spectrum(pot).bands == scalar_merge_bands(pot)
 
     def test_sturmian_approximant_gaps_all_open(self):
         for lam in (1.0, 2.0):

@@ -192,6 +192,7 @@ class TestConfigHandling:
                 "--emin", "-2.5", "--emax", "2.5"]
         code, dump1, _ = run_cli(argv + ["--dump-config"], capsys)
         assert code == 0
+        assert "threads = 1" in dump1.splitlines()
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(dump1)
         code, dump2, _ = run_cli(["ids", "--config", str(cfg_file),
@@ -233,6 +234,18 @@ class TestErrors:
                                 "--out", "/nonexistent-dir/x.csv"], capsys)
         assert code == 3
         assert "i/o" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["resistance", "--model", "fibonacci", "--lengths", "10:1"],
+        ["spectrum", "--model", "explicit", "--values", "1,nan", "--format", "json"],
+        ["cantor", "--what", "function", "--grid", "-5"],
+    ])
+    def test_bad_input_exits_2_with_one_error_line(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

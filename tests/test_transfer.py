@@ -11,6 +11,7 @@ from quasispec import (
     MatClass,
     PeriodicPotential,
     PotentialSpec,
+    approximant_by_denominator,
     band_spectrum,
     classify,
     gordon_ratio,
@@ -194,6 +195,13 @@ class TestGordon:
         g = gordon_ratio([1.0, 0.0] * 9, 0.5, 6)
         assert g.three_block >= 0.5
         assert g.two_block >= 0.5
+
+    def test_ratios_past_float_range_are_inf(self):
+        spec = PotentialSpec.almost_mathieu(GOLDEN_MEAN, 3.0, 0.0)
+        block = approximant_by_denominator(spec, 610).values
+        g = gordon_ratio(np.tile(block, 3), 1.7, 610)
+        assert g.three_block == math.inf
+        assert g.two_block == math.inf
 
     def test_repetition_checked(self):
         vals = [0.0] * 8 + [1.0]
