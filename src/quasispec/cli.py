@@ -2,10 +2,10 @@
 
 Every subcommand is a thin adapter over one library operation family. Output
 floats are fixed at 12 significant digits so repeated runs (and golden-file
-tests) are byte-identical; ``--threads`` is accepted and ignored. An
-optional config file holds ``key = value`` lines; command-line flags override
-file entries. Exit codes: 0 success, 2 bad flags or domain errors, 3 I/O
-failure.
+tests) are byte-identical; ``--threads`` is accepted and ignored. An optional
+config file holds ``key = value`` lines, keyed and checked like the flags;
+flags override file entries. Exit codes: 0 success, 2 bad flags, config
+values or domain errors, 3 an unreadable input file or unwritable output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -40,46 +40,29 @@ from .tracemap import fibonacci_trace_orbit, fricke_invariant
 COMMANDS = ("spectrum", "butterfly", "ids", "lyapunov", "resistance",
             "tracemap", "gaps", "cantor")
 
-_DEFAULTS = {
-    "model": "free", "alpha": "golden", "omega": 0.0, "lam": 1.0,
-    "value": 0.0, "values": None, "letter_values": None, "rule_file": None,
-    "rounding": "floor", "approx_q": None, "order": None, "method": "floquet",
-    "size": 1000, "grid": 200, "emin": -3.0, "emax": 3.0,
-    "qmax": 5, "depth": 10, "nmax": 20, "steps": 10, "n": 10000,
-    "energy": 0.0, "lengths": "1:100", "leads": "pi-half",
-    "kmax": 13, "labels": "k-over-q", "tol": 0.02,
-    "what": "function", "xmin": 0.0, "xmax": 1.0, "tmax": 50.0, "factors": 60,
-    "out": None, "format": "csv", "threads": 1,
-    "dump_config": False, "config": None,
-}
-
-_FIELD_TYPES = {
-    "model": str, "alpha": str, "omega": float, "lam": float, "value": float,
-    "values": str, "letter_values": str, "rule_file": str, "rounding": str,
-    "approx_q": int, "order": int, "method": str, "size": int, "grid": int,
-    "emin": float,
-    "emax": float, "qmax": int, "depth": int, "nmax": int, "steps": int,
-    "n": int, "energy": float, "lengths": str, "leads": str, "kmax": int,
-    "labels": str, "tol": float, "what": str, "xmin": float, "xmax": float,
-    "tmax": float, "factors": int, "out": str, "format": str, "threads": int,
-}
-
 
 @dataclass
 class RunConfig:
+    """One run of a subcommand, and the one declaration of every option.
+
+    Each field after ``command`` is the flag ``--name`` (``_`` as ``-``, or
+    ``metadata["flag"]``) and, but for the store-true ``dump_config``, the
+    config-file key ``name``; values must be among ``metadata["choices"]``.
+    """
+
     command: str
     model: str = "free"
     alpha: str = "golden"
     omega: float = 0.0
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"flag": "--lambda"})
     value: float = 0.0
     values: str | None = None
     letter_values: str | None = None
     rule_file: str | None = None
-    rounding: str = "floor"
+    rounding: str = field(default="floor", metadata={"choices": ("floor", "ceil")})
     approx_q: int | None = None
     order: int | None = None
-    method: str = "floquet"
+    method: str = field(default="floquet", metadata={"choices": ("floquet", "bounded")})
     size: int = 1000
     grid: int = 200
     emin: float = -3.0
@@ -101,9 +84,46 @@ class RunConfig:
     tmax: float = 50.0
     factors: int = 60
     out: str | None = None
-    format: str = "csv"
+    format: str = field(default="csv", metadata={"choices": ("csv", "json")})
     threads: int = 1
     dump_config: bool = False
+
+
+class FileAccessError(Exception):
+    """An input file cannot be read or the output cannot be written (exit 3)."""
+
+
+def _flag(f) -> str:
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
+def _scalar(text: str, kind, what: str, choices=()):
+    """``text`` as an int, float or str; DomainError if it is malformed, a
+    non-finite float, or not one of ``choices``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise DomainError(f"{what}: {text!r} is not a valid {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise DomainError(f"{what}: {text!r} is not finite")
+    if choices and value not in choices:
+        raise DomainError(f"{what}: {text!r} is not one of {', '.join(choices)}")
+    return value
+
+
+_OPTIONS = fields(RunConfig)[1:]
+# Config-file key -> the ``_scalar`` arguments of every option that takes a value.
+_KEYS = {f.name: ({"int": int, "float": float, "str": str}[f.type.split(" |")[0]],
+                  _flag(f), f.metadata.get("choices", ()))
+         for f in _OPTIONS if f.type != "bool"}
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileAccessError(exc) from None
 
 
 def _fmt(x) -> str:
@@ -125,28 +145,21 @@ def _jround(x) -> float:
 
 
 def _parse_lengths(text: str) -> list[int]:
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            a, b = parts
-            return list(range(a, b + 1))
-        a, b, step = parts
-        return list(range(a, b + 1, step))
-    return [int(p) for p in text.split(",")]
+    if ":" not in text:
+        return [_scalar(p, int, "--lengths") for p in text.split(",")]
+    parts = [_scalar(p, int, "--lengths") for p in text.split(":")]
+    if len(parts) not in (2, 3) or parts[2:] == [0]:
+        raise DomainError(f"--lengths {text}: want a:b, a:b:step (step != 0) or a,b,...")
+    return list(range(parts[0], parts[1] + 1, *parts[2:]))
 
 
 def _parse_letter_values(text: str) -> dict[str, float]:
-    out = {}
-    for item in text.split(","):
-        k, _, v = item.partition("=")
-        out[k.strip()] = float(v)
-    return out
+    pairs = [item.partition("=") for item in text.split(",")]
+    return {k.strip(): _scalar(v, float, f"--letter-values {k}={v}") for k, _, v in pairs}
 
 
 def _resolve_alpha(text: str) -> float:
-    if text == "golden":
-        return GOLDEN_MEAN
-    return float(text)
+    return GOLDEN_MEAN if text == "golden" else _scalar(text, float, "--alpha")
 
 
 def build_spec(cfg: RunConfig) -> PotentialSpec:
@@ -174,18 +187,20 @@ def build_spec(cfg: RunConfig) -> PotentialSpec:
     if model == "explicit":
         if not cfg.values:
             raise DomainError("explicit model needs --values v1,v2,...")
-        values = [float(v) for v in cfg.values.split(",")]
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError("explicit --values must be finite")
-        return PotentialSpec.explicit(values)
+        return PotentialSpec.explicit([_scalar(v, float, "--values")
+                                       for v in cfg.values.split(",")])
     if model == "substitution":
         if not cfg.rule_file:
             raise DomainError("substitution model needs --rule-file")
-        with open(cfg.rule_file) as fh:
-            data = json.load(fh)
-        rule = SubstitutionRule(tuple(data["alphabet"]), dict(data["images"]))
-        return PotentialSpec.substitution(
-            rule, {k: float(v) for k, v in data["letter_values"].items()})
+        try:
+            data = json.loads(_read(cfg.rule_file))
+            rule = SubstitutionRule(tuple(data["alphabet"]), dict(data["images"]))
+            lv = {k: _scalar(v, float, f"{cfg.rule_file}: letter value {k}")
+                  for k, v in data["letter_values"].items()}
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
+            raise DomainError(f"{cfg.rule_file} is not a JSON object with alphabet, "
+                              "images and letter_values") from None
+        return PotentialSpec.substitution(rule, lv)
     raise DomainError(f"unknown model {model!r}")
 
 
@@ -395,105 +410,58 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--dump-config", action="store_true", dest="dump_config")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--model", default=None)
-        p.add_argument("--alpha", default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--lambda", type=float, dest="lam", default=None)
-        p.add_argument("--value", type=float, default=None)
-        p.add_argument("--values", default=None)
-        p.add_argument("--letter-values", dest="letter_values", default=None)
-        p.add_argument("--rule-file", dest="rule_file", default=None)
-        p.add_argument("--rounding", choices=["floor", "ceil"], default=None)
-        p.add_argument("--approx-q", type=int, dest="approx_q", default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--method", choices=["floquet", "bounded"], default=None)
-        p.add_argument("--size", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--emin", type=float, default=None)
-        p.add_argument("--emax", type=float, default=None)
-        p.add_argument("--qmax", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--energy", type=float, default=None)
-        p.add_argument("--lengths", default=None)
-        p.add_argument("--leads", default=None)
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--labels", default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--what", default=None)
-        p.add_argument("--xmin", type=float, default=None)
-        p.add_argument("--xmax", type=float, default=None)
-        p.add_argument("--tmax", type=float, default=None)
-        p.add_argument("--factors", type=int, default=None)
+        # SUPPRESS keeps flags that were not given out of the namespace, so
+        # the file and RunConfig defaults show through.
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config")
+        for f in _OPTIONS:
+            p.add_argument(_flag(f), dest=f.name,
+                           action="store_true" if f.type == "bool" else "store")
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str) -> dict[str, str]:
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DomainError(f"bad config line: {raw.rstrip()}")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key == "command":
-                continue
-            if key not in _FIELD_TYPES:
-                raise DomainError(f"unknown config key {key!r}")
-            out[key] = _FIELD_TYPES[key](value)
+    for raw in _read(path).splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DomainError(f"bad config line: {raw.rstrip()}")
+        key = key.strip().replace("-", "_")
+        if key == "command":
+            continue
+        if key not in _KEYS:
+            raise DomainError(f"unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 
 def parse_config(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    file_vals = _load_config_file(ns.config) if ns.config else {}
-    merged = {"command": ns.command}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        cli_val = getattr(ns, f.name, None)
-        if cli_val is not None and cli_val is not False:
-            merged[f.name] = cli_val
-        elif f.name in file_vals:
-            merged[f.name] = file_vals[f.name]
-        else:
-            merged[f.name] = _DEFAULTS[f.name]
-    return RunConfig(**merged)
+    given = vars(_build_parser().parse_args(argv))
+    command, path = given.pop("command"), given.pop("config", None)
+    dump = given.pop("dump_config", False)
+    raw = {**(_load_config_file(path) if path else {}), **given}
+    return RunConfig(command, dump_config=dump,
+                     **{name: _scalar(text, *_KEYS[name]) for name, text in raw.items()})
 
 
 def dump_config(cfg: RunConfig) -> str:
     lines = [f"command = {cfg.command}"]
-    for f in fields(RunConfig):
-        if f.name in ("command", "dump_config"):
-            continue
-        val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        lines.append(f"{f.name} = {val}")
+    for name in _KEYS:
+        val = getattr(cfg, name)
+        if val is not None:
+            lines.append(f"{name} = {val}")
     return "\n".join(lines) + "\n"
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a parsed configuration; returns the process exit code."""
-    try:
-        lines, obj = _RUNNERS[cfg.command](cfg)
-        text = "\n".join(lines) + "\n" if cfg.format == "csv" else \
-            json.dumps(obj, separators=(",", ":")) + "\n"
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def run(cfg: RunConfig) -> None:
+    """Execute a parsed configuration and write its output. Raises DomainError
+    on bad input and FileAccessError when a file cannot be read or written."""
+    lines, obj = _RUNNERS[cfg.command](cfg)
+    text = "\n".join(lines) + "\n" if cfg.format == "csv" else \
+        json.dumps(obj, separators=(",", ":")) + "\n"
     try:
         if cfg.out:
             with open(cfg.out, "w") as fh:
@@ -501,21 +469,23 @@ def run(cfg: RunConfig) -> int:
         else:
             sys.stdout.write(text)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        raise FileAccessError(exc) from None
 
 
 def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        if cfg.dump_config:
+            sys.stdout.write(dump_config(cfg))
+        else:
+            run(cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.dump_config:
-        sys.stdout.write(dump_config(cfg))
-        return 0
-    return run(cfg)
+    except FileAccessError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -31,6 +31,11 @@ _CF_MAX_TERMS = 64
 # Largest substitution power tried when searching for a two-sided fixed point.
 TWO_SIDED_POWER_CAP = 6
 
+# Most letters a substitution approximant may write. Each rule application
+# rewrites the whole word, so the budget counts the letters of every step:
+# that bounds the time as well as the memory, also for rules that grow slowly.
+MAX_SUBSTITUTION_LETTERS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class SubstitutionRule:
@@ -361,7 +366,9 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
     For the alpha-based kinds, order k selects the k-th continued-fraction
     convergent of alpha (counting from 1 and skipping the trivial 0/1) and
     re-evaluates the formula over one period q. For the substitution kind the
-    rule is applied ``order`` times to its right-prolongable seed letter.
+    rule is applied ``order`` times to its right-prolongable seed letter, and
+    DomainError is raised if the steps would write more than
+    MAX_SUBSTITUTION_LETTERS letters.
     """
     if order < 1:
         raise DomainError("order must be at least 1")
@@ -374,6 +381,9 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
                  if spec.rule.images[x].startswith(x)]
         if not seeds:
             raise DomainError("rule has no right-prolongable letter")
+        if _letters_written(spec.rule, seeds[0], order) > MAX_SUBSTITUTION_LETTERS:
+            raise DomainError(f"order {order} writes more than "
+                              f"{MAX_SUBSTITUTION_LETTERS} letters")
         word = spec.rule.iterate(seeds[0], order)
         return PeriodicPotential(tuple(float(spec.letter_values[ch]) for ch in word))
     convs = _cf_convergents(spec.alpha)[1:]  # skip 0/1
@@ -382,6 +392,20 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
             f"order {order} exceeds the {len(convs)} available convergents")
     p, q = convs[order - 1]
     return PeriodicPotential(_rational_values(spec, p, q))
+
+
+def _letters_written(rule: SubstitutionRule, seed: str, n: int) -> int:
+    """Summed lengths of the first n images of ``seed``, exact in Python ints
+    from the occurrence matrix; counting stops once past the budget."""
+    m = rule.matrix().tolist()
+    counts = [int(a == seed) for a in rule.alphabet]
+    written = 0
+    for _ in range(n):
+        counts = [sum(x * c for x, c in zip(row, counts)) for row in m]
+        written += sum(counts)
+        if written > MAX_SUBSTITUTION_LETTERS:
+            break
+    return written
 
 
 def approximant_by_denominator(spec: PotentialSpec, q_max: int) -> PeriodicPotential:

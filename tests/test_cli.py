@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -239,13 +240,49 @@ class TestErrors:
         ["resistance", "--model", "fibonacci", "--lengths", "10:1"],
         ["spectrum", "--model", "explicit", "--values", "1,nan", "--format", "json"],
         ["cantor", "--what", "function", "--grid", "-5"],
+        ["spectrum", "--model", "fibonacci", "--lambda", "nan", "--approx-q", "13",
+         "--format", "json"],
+        ["lyapunov", "--model", "free", "--emin", "nan", "--grid", "3", "--format", "json"],
+        ["butterfly", "--omega", "abc"],
+        ["butterfly", "--format", "xml"],
+        ["spectrum", "--config", "omega = abc\n"],
+        ["spectrum", "--config", "method = nonsense\n"],
+        ["spectrum", "--config", "format = xml\n"],
+        ["resistance", "--lengths", "foo"],
+        ["resistance", "--lengths", "1:10:0"],
+        ["resistance", "--lengths", "1:2:3:4"],
+        ["spectrum", "--model", "explicit", "--values", "1,abc"],
+        ["lyapunov", "--model", "sturmian", "--alpha", "foo"],
+        ["spectrum", "--model", "thue-morse", "--letter-values", "a", "--order", "3"],
+        ["spectrum", "--model", "thue-morse", "--order", "40"],
+        ["spectrum", "--model", "substitution", "--rule-file", "{not json", "--order", "3"],
+        ["spectrum", "--model", "substitution", "--rule-file", '{"alphabet": ["a"]}',
+         "--order", "3"],
     ])
-    def test_bad_input_exits_2_with_one_error_line(self, argv, capsys):
+    def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
+        for flag in ("--config", "--rule-file"):
+            if flag in argv:  # the argument after the flag is the file's text
+                i = argv.index(flag) + 1
+                path = tmp_path / flag.lstrip("-")
+                path.write_text(argv[i])
+                argv = argv[:i] + [str(path)] + argv[i + 1:]
+        start = time.perf_counter()
         code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_unreadable_input_exits_3_with_one_line(self, tmp_path, capsys):
+        for argv in (["ids", "--config", str(tmp_path / "missing.cfg")],
+                     ["spectrum", "--model", "substitution", "--rule-file",
+                      str(tmp_path / "missing.json"), "--order", "3"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 3
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("i/o error:")
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

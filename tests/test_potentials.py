@@ -156,6 +156,18 @@ class TestApproximants:
     def test_constant(self):
         assert periodic_approximant(PotentialSpec.constant(2.5), 7).values == (2.5,)
 
+    def test_substitution_letter_budget(self):
+        # Thue-Morse order k writes 2^(k+1) - 2 letters over its k steps.
+        spec = PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": 0.0})
+        assert periodic_approximant(spec, 19).period == 2 ** 19
+        with pytest.raises(DomainError):
+            periodic_approximant(spec, 20)
+        # At order 10^6 this word has 10^6 + 1 letters, but the steps write ~5e11.
+        slow = SubstitutionRule(("a", "b"), {"a": "ab", "b": "b"})
+        with pytest.raises(DomainError):
+            periodic_approximant(PotentialSpec.substitution(slow, {"a": 1.0, "b": 0.0}),
+                                 10 ** 6)
+
     def test_rational_alpha_exhausts(self):
         spec = PotentialSpec.sturmian(0.4, 1.0)
         with pytest.raises(DomainError):
