@@ -5,7 +5,10 @@ band edges are the roots of tr = +-2, i.e. the eigenvalues of the L-site
 restriction with wrap-around boundary phase 0 and pi. Both restrictions are
 real symmetric, and their eigenvalues are extracted by bisection with the
 bordered pivot counter, which stays robust for periods in the thousands
-where root-finding on the trace polynomial would not.
+where root-finding on the trace polynomial would not. Every edge comes from
+one stacked bisection: both restrictions of a band set, and in a butterfly
+all rows of one denominator q, are counted together, each with the
+arithmetic it would get alone.
 """
 
 from __future__ import annotations
@@ -60,13 +63,38 @@ def band_spectrum(p: PeriodicPotential, tol: float = CLOSED_GAP_TOL) -> BandSet:
     merged, when it is narrower than CLOSED_GAP_TOL or when the trace at its
     midpoint exceeds 2 in absolute value by less than ``tol``.
     """
-    vals = np.asarray(p.values, dtype=float)
-    L = len(vals)
-    lo0 = float(vals.min()) - 4.0
-    hi0 = float(vals.max()) + 4.0
-    e_per = bisect_eigenvalues(lambda E: count_below_periodic(vals, E, +1.0), L, lo0, hi0)
-    e_anti = bisect_eigenvalues(lambda E: count_below_periodic(vals, E, -1.0), L, lo0, hi0)
-    edges = np.sort(np.concatenate([e_per, e_anti]))
+    return _band_sets(np.asarray(p.values, dtype=float)[None, :], tol)[0]
+
+
+def _band_sets(rows: np.ndarray, tol: float) -> list[BandSet]:
+    """``band_spectrum`` of every row of ``rows`` (R periods of one length),
+    with the edges of all 2R restrictions from one stacked bisection."""
+    R = len(rows)
+    edges = _wraparound_edges(np.repeat(rows, 2, axis=0), np.tile([1.0, -1.0], R),
+                              np.repeat(rows.min(axis=1) - 4.0, 2),
+                              np.repeat(rows.max(axis=1) + 4.0, 2))
+    return [_merge(vals, row_edges, tol) for vals, row_edges in zip(rows, edges)]
+
+
+def _wraparound_edges(vals: np.ndarray, corners: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """Sorted edges of R band sets from one stacked bisection.
+
+    Rows 2r and 2r+1 of ``vals`` (2R, L) are the two wrap-around restrictions
+    of band set r, with corner entries ``corners`` and brackets [lo, hi]
+    (each of shape (2R,)); row r of the (R, 2L) result holds their 2L
+    eigenvalues in ascending order.
+    """
+    B, L = vals.shape
+    diag = np.ascontiguousarray(vals.T)
+    e = bisect_eigenvalues(lambda E: count_below_periodic(diag, E, corners), L, lo, hi)
+    return np.sort(e.reshape(B // 2, 2 * L), axis=1)
+
+
+def _merge(vals: np.ndarray, edges: np.ndarray, tol: float) -> BandSet:
+    """Bands between consecutive sorted ``edges`` of the period ``vals``,
+    joined across every gap that is narrower than CLOSED_GAP_TOL or whose
+    midpoint trace is at most 2 + tol in absolute value."""
     lo, hi = edges[0::2], edges[1::2]
     # Gap k lies between raw bands k and k+1; the merge decides each gap on its own.
     closed = lo[1:] - hi[:-1] <= CLOSED_GAP_TOL
@@ -102,21 +130,18 @@ def butterfly(lam: float, q_max: int, omega: float = 0.0,
     """Band sets of the cosine chain at every reduced fraction alpha = p/q with
     q <= q_max, ordered by (q, p). q = 1 contributes the single row (0, 1).
 
-    ``threads`` is accepted and ignored: the rows run serially.
+    The rows of one q share one stacked bisection. ``threads`` is accepted
+    and ignored.
     """
     if q_max < 1:
         raise DomainError("q_max must be at least 1")
-    fractions = [(0, 1)]
-    for q in range(2, q_max + 1):
-        fractions.extend((p, q) for p in range(1, q) if gcd(p, q) == 1)
-
-    def row(pq):
-        p, q = pq
-        values = tuple(lam * math.cos(2.0 * math.pi * (n * p / q + omega))
-                       for n in range(1, q + 1))
-        return p, q, band_spectrum(PeriodicPotential(values))
-
-    return [row(pq) for pq in fractions]
+    out = []
+    for q in range(1, q_max + 1):
+        ps = [p for p in range(1, q) if gcd(p, q) == 1] or [0]
+        rows = np.array([[lam * math.cos(2.0 * math.pi * (n * p / q + omega))
+                          for n in range(1, q + 1)] for p in ps])
+        out.extend(zip(ps, [q] * len(ps), _band_sets(rows, CLOSED_GAP_TOL)))
+    return out
 
 
 def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
@@ -168,9 +193,8 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
     hi0 = float(max(v_plus.max(), v_minus.max())) + 4.0
     # D = -(2+c)  <=>  tr at omega_plus = -2 (antiperiodic eigenvalues);
     # D = +(2+c)  <=>  tr at omega_minus = +2 (periodic eigenvalues).
-    e_lo = bisect_eigenvalues(lambda E: count_below_periodic(v_plus, E, -1.0), q, lo0, hi0)
-    e_hi = bisect_eigenvalues(lambda E: count_below_periodic(v_minus, E, +1.0), q, lo0, hi0)
-    edges = np.sort(np.concatenate([e_lo, e_hi]))
+    edges = _wraparound_edges(np.stack([v_plus, v_minus]), np.array([-1.0, 1.0]),
+                              np.full(2, lo0), np.full(2, hi0))[0]
     lo, hi = edges[0::2], edges[1::2]
     return _join(lo, hi, lo[1:] - hi[:-1] <= CLOSED_GAP_TOL)
 

@@ -28,6 +28,7 @@ from .errors import DomainError
 from .numutil import as_float
 from .potentials import (
     GOLDEN_MEAN,
+    MAX_SITES,
     NAMED_RULES,
     PotentialSpec,
     SubstitutionRule,
@@ -150,6 +151,8 @@ def _parse_lengths(text: str) -> list[int]:
     parts = [_scalar(p, int, "--lengths") for p in text.split(":")]
     if len(parts) not in (2, 3) or parts[2:] == [0]:
         raise DomainError(f"--lengths {text}: want a:b, a:b:step (step != 0) or a,b,...")
+    if max(abs(parts[0]), abs(parts[1])) > MAX_SITES:
+        raise DomainError(f"--lengths {text}: lengths above {MAX_SITES} sites")
     return list(range(parts[0], parts[1] + 1, *parts[2:]))
 
 
@@ -405,9 +408,16 @@ _RUNNERS = {
 # -- argument handling ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a DomainError (one ``error:`` line, exit 2)
+    instead of printing the usage text; subparsers inherit the class."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="quasispec",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="quasispec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         # SUPPRESS keeps flags that were not given out of the namespace, so

@@ -67,16 +67,30 @@ def count_below(diag, energies) -> np.ndarray:
     return counts
 
 
-def count_below_periodic(diag, energies, corner: float) -> np.ndarray:
+def count_below_periodic(diag, energies, corner) -> np.ndarray:
     """Eigenvalue counts for the restriction with wrap-around boundary phase.
 
     ``corner`` is +1 for phase 0 and -1 for phase pi; the matrix equals the
     Dirichlet one plus ``corner`` in the (1, L) and (L, 1) entries (with the
     usual degenerate forms for L = 1, 2). The factorization is the bordered
     (arrowhead) elimination, still O(L) per energy.
+
+    Stacked form: B problems of one length L at once, with ``diag`` site-major
+    of shape (L, B), ``corner`` of shape (B,) and ``energies`` of shape (B, M);
+    the counts have shape (B, M). Each problem sees exactly the arithmetic of
+    its own 1-D call.
     """
     vals = np.asarray(diag, dtype=float)
-    E = np.atleast_1d(np.asarray(energies, dtype=float))
+    if vals.ndim == 1:
+        E = np.atleast_1d(np.asarray(energies, dtype=float))
+        return _count_periodic(vals[:, None, None], E[None, :],
+                               np.array([[corner]], dtype=float))[0]
+    return _count_periodic(vals[:, :, None], np.asarray(energies, dtype=float),
+                           np.asarray(corner, dtype=float)[:, None])
+
+
+def _count_periodic(vals, E, corner):
+    """``count_below_periodic`` on vals (L, B, 1), E (B, M), corner (B, 1)."""
     L = len(vals)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if L == 1:
@@ -89,15 +103,15 @@ def count_below_periodic(diag, energies, corner: float) -> np.ndarray:
             return (d1 < 0).astype(np.int64) + (d2 < 0)
         d = _fix_pivots(vals[0] - E)
         counts = (d < 0).astype(np.int64)
-        f = np.full_like(E, corner)   # fill-in of the last column
-        s = vals[L - 1] - E           # running Schur complement of the corner
+        f = np.broadcast_to(corner, E.shape)  # fill-in of the last column
+        s = vals[L - 1] - E                   # running Schur complement of the corner
         for k in range(L - 2):
             s = s - f * f / d
             f = (1.0 if k + 1 == L - 2 else 0.0) - f / d
             # Saturate to keep inf/inf out of the next division; only the
             # pivot signs matter for the count.
-            f = np.clip(f, -1e150, 1e150)
-            s = np.clip(s, -1e150, 1e150)
+            f = np.minimum(np.maximum(f, -1e150), 1e150)
+            s = np.minimum(np.maximum(s, -1e150), 1e150)
             d = _fix_pivots((vals[k + 1] - E) - 1.0 / d)
             counts += d < 0
         d_last = _fix_pivots(s - f * f / d)
@@ -115,16 +129,19 @@ def eigen_count(values, E: float) -> int:
     return int(count_below(vals, np.array([E]))[0])
 
 
-def bisect_eigenvalues(count_fn, how_many: int, lo: float, hi: float,
+def bisect_eigenvalues(count_fn, how_many: int, lo, hi,
                        iters: int = 60) -> np.ndarray:
     """All ``how_many`` eigenvalues of a counting function by parallel bisection.
 
     ``count_fn`` maps an energy array to strict-below counts; eigenvalue k is
-    the infimum of {E : count(E) >= k}.
+    the infimum of {E : count(E) >= k}. With (B,) brackets ``lo`` and ``hi``,
+    B problems are solved at once: ``count_fn`` then maps a (B, how_many)
+    array to counts of that shape, and so does the result.
     """
     ks = np.arange(1, how_many + 1)
-    lo_a = np.full(how_many, lo, dtype=float)
-    hi_a = np.full(how_many, hi, dtype=float)
+    shape = np.shape(lo) + (how_many,)
+    lo_a = np.broadcast_to(np.asarray(lo, dtype=float)[..., None], shape)
+    hi_a = np.broadcast_to(np.asarray(hi, dtype=float)[..., None], shape)
     for _ in range(iters):
         mid = 0.5 * (lo_a + hi_a)
         ge = count_fn(mid) >= ks

@@ -36,6 +36,9 @@ TWO_SIDED_POWER_CAP = 6
 # that bounds the time as well as the memory, also for rules that grow slowly.
 MAX_SUBSTITUTION_LETTERS = 2 ** 20
 
+# Most sites a sample or an approximant period may have: 32 MB of float64.
+MAX_SITES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class SubstitutionRule:
@@ -278,10 +281,16 @@ def _circle_indicator(x: np.ndarray, intervals) -> np.ndarray:
     return hit.astype(float)
 
 
+def _check_sites(n: int) -> None:
+    if n > MAX_SITES:
+        raise DomainError(f"{n} sites exceed the budget of {MAX_SITES}")
+
+
 def sample_potential(spec: PotentialSpec, first: int, last: int) -> np.ndarray:
     """Values V_n for n = first..last inclusive."""
     if first > last:
         raise DomainError("empty sampling range: first > last")
+    _check_sites(last - first + 1)
     n = np.arange(first, last + 1, dtype=float)
     if spec.kind == "almost-mathieu":
         return spec.lam * np.cos(2.0 * math.pi * (n * spec.alpha + spec.omega))
@@ -391,6 +400,7 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
         raise DomainError(
             f"order {order} exceeds the {len(convs)} available convergents")
     p, q = convs[order - 1]
+    _check_sites(q)
     return PeriodicPotential(_rational_values(spec, p, q))
 
 
@@ -414,6 +424,7 @@ def approximant_by_denominator(spec: PotentialSpec, q_max: int) -> PeriodicPoten
     if not convs:
         raise DomainError(f"no convergent with denominator <= {q_max}")
     p, q = convs[-1]
+    _check_sites(q)
     return PeriodicPotential(_rational_values(spec, p, q))
 
 

@@ -47,6 +47,40 @@ def scalar_merge_bands(pot, tol=CLOSED_GAP_TOL):
     return tuple((lo, hi) for lo, hi in merged)
 
 
+def two_call_phase_union(lam, p, q):
+    """Reference phase-union spectrum: the sign of the phase modulation from a
+    scalar propagate search, then one bisection per restriction."""
+    def values(omega):
+        return lam * np.cos(2.0 * math.pi * (np.arange(1, q + 1) * p / q + omega))
+
+    v_quarter = values(1.0 / (4.0 * q))
+    grid = np.linspace(-abs(lam) - 2.5, abs(lam) + 2.5, 8 * q + 5).tolist()
+    signs = [math.copysign(1.0, propagate(e, v_quarter).trace) for e in grid]
+    i = next(k for k in range(len(grid) - 1) if signs[k] != signs[k + 1])
+    a, b = grid[i], grid[i + 1]
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if math.copysign(1.0, propagate(mid, v_quarter).trace) == signs[i]:
+            a = mid
+        else:
+            b = mid
+    s = math.copysign(1.0, propagate(0.5 * (a + b), values(0.0)).trace)
+    v_plus = values(0.0 if s > 0 else 1.0 / (2.0 * q))
+    v_minus = values(1.0 / (2.0 * q) if s > 0 else 0.0)
+    lo0 = float(min(v_plus.min(), v_minus.min())) - 4.0
+    hi0 = float(max(v_plus.max(), v_minus.max())) + 4.0
+    edges = np.sort(np.concatenate([
+        bisect_eigenvalues(lambda E: count_below_periodic(v, E, corner), q, lo0, hi0)
+        for v, corner in ((v_plus, -1.0), (v_minus, +1.0))]))
+    merged = [[float(edges[0]), float(edges[1])]]
+    for lo, hi in edges[2:].reshape(-1, 2).tolist():
+        if lo - merged[-1][1] <= CLOSED_GAP_TOL:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
 class TestBandSpectrum:
     def test_free_chain(self):
         bs = band_spectrum(PeriodicPotential((0.0,)))
@@ -201,8 +235,21 @@ class TestButterfly:
         assert [(p, q, bs.bands) for p, q, bs in a] == \
             [(p, q, bs.bands) for p, q, bs in b]
 
+    @pytest.mark.parametrize("lam, omega", [(2.0, 0.0), (1.3, 0.21), (0.4, 0.37)])
+    def test_rows_equal_band_spectrum(self, lam, omega):
+        for p, q, bs in butterfly(lam, 11, omega=omega):
+            vals = tuple(lam * math.cos(2.0 * math.pi * (n * p / q + omega))
+                         for n in range(1, q + 1))
+            assert bs == band_spectrum(PeriodicPotential(vals))
+
 
 class TestPhaseUnion:
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.7, 2.0, 3.0])
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 2), (1, 3), (2, 5), (3, 7), (3, 8),
+                                      (5, 13), (13, 21), (21, 34)])
+    def test_equals_two_call_reference(self, lam, p, q):
+        assert phase_union_spectrum(lam, p, q).bands == two_call_phase_union(lam, p, q)
+
     def test_trivial_denominator(self):
         bs = phase_union_spectrum(3.0, 0, 1)
         np.testing.assert_allclose(bs.bands, [(-5.0, 5.0)], atol=1e-9)

@@ -219,10 +219,19 @@ class TestConfigHandling:
 
 
 class TestErrors:
-    def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["ids", "--bogus", "1"])
-        assert exc.value.code == 2
+    def test_unknown_flag_exits_2(self, capsys):
+        code, out, err = run_cli(["ids", "--bogus", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["ids", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert "usage:" in capsys.readouterr().out
 
     def test_domain_error_exits_2(self, capsys):
         code, _, err = run_cli(["spectrum", "--model", "fibonacci",
@@ -258,6 +267,11 @@ class TestErrors:
         ["spectrum", "--model", "substitution", "--rule-file", "{not json", "--order", "3"],
         ["spectrum", "--model", "substitution", "--rule-file", '{"alphabet": ["a"]}',
          "--order", "3"],
+        ["spectrum", "--model", "fibonacci", "--approx-q", "1000000000"],
+        ["lyapunov", "--n", "10000000000"],
+        ["resistance", "--lengths", "1:10000000000"],
+        ["ids", "--size"],
+        [],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         for flag in ("--config", "--rule-file"):

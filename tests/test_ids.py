@@ -16,6 +16,7 @@ from quasispec import (
     ids_curve,
     thouless_gamma,
 )
+from quasispec.ids import bisect_eigenvalues
 
 
 def _dense_tridiag(diag):
@@ -73,6 +74,48 @@ class TestPeriodicCounter:
                 ref = np.array([int(np.sum(ev < e)) for e in E])
                 np.testing.assert_array_equal(
                     count_below_periodic(vals, E, corner), ref)
+
+
+@st.composite
+def wraparound_stacks(draw):
+    """B wrap-around problems of one length L: diag (L, B), corners (B,),
+    per-problem brackets (B,) and energies (B, M) inside them, some of them
+    exactly at a diagonal entry so that zero pivots occur."""
+    L = draw(st.sampled_from([1, 2, 3]) | st.integers(4, 60))
+    B = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # two-valued periods
+        diag = rng.choice([0.0, float(rng.uniform(0.5, 4.0))], size=(L, B))
+    else:
+        diag = rng.uniform(-3.0, 3.0, size=(L, B)).round(int(rng.integers(1, 17)))
+    corners = rng.choice([1.0, -1.0], size=B)
+    lo, hi = diag.min(axis=0) - 4.0, diag.max(axis=0) + 4.0
+    E = rng.uniform(lo[:, None], hi[:, None], size=(B, draw(st.integers(1, 12))))
+    E[:, 0] = diag[0]
+    return diag, corners, lo, hi, E
+
+
+class TestStackedWraparound:
+    """The stacked forms run each problem with the arithmetic of its own call."""
+
+    @given(wraparound_stacks())
+    def test_counts_equal_per_problem_calls(self, stack):
+        diag, corners, _, _, E = stack
+        ref = np.array([count_below_periodic(diag[:, b], E[b], corners[b])
+                        for b in range(len(corners))])
+        np.testing.assert_array_equal(count_below_periodic(diag, E, corners), ref)
+
+    @given(wraparound_stacks())
+    def test_bisection_equals_per_problem_calls(self, stack):
+        diag, corners, lo, hi, _ = stack
+        L = len(diag)
+        stacked = bisect_eigenvalues(
+            lambda E: count_below_periodic(diag, E, corners), L, lo, hi)
+        ref = np.array([
+            bisect_eigenvalues(lambda E: count_below_periodic(diag[:, b], E, corners[b]),
+                               L, lo[b], hi[b])
+            for b in range(len(corners))])
+        np.testing.assert_array_equal(stacked, ref)
 
 
 class TestIdsCurve:
