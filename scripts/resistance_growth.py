@@ -31,9 +31,7 @@ def main():
     for text in args.energies.split(","):
         E = float(text)
         prof = resistance_profile(spec, E, lengths)
-        Ls = np.array([p.length for p in prof], dtype=float)
-        ln_R = np.array([p.log10_resistance for p in prof]) * math.log(10.0)
-        slope = np.polyfit(2 * Ls, ln_R, 1)[0]
+        slope = np.polyfit(2 * prof.lengths, prof.log10_resistance * math.log(10.0), 1)[0]
         gamma = lyapunov_estimate(spec, E, 10_000)
         print(f"{E:>7.3f}  {slope:>10.6f}  {gamma:>10.6f}")
 

@@ -46,6 +46,7 @@ from .potentials import (
 )
 from .scattering import (
     ProfilePoint,
+    ResistanceProfile,
     ScatterResult,
     landauer_trace_norm,
     min_resistance,
@@ -65,7 +66,6 @@ from .transfer import (
     GordonResult,
     Mat2,
     MatClass,
-    StateVec,
     classify,
     gordon_ratio,
     lyapunov_estimate,

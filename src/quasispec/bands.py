@@ -73,7 +73,8 @@ def _band_sets(rows: np.ndarray, tol: float) -> list[BandSet]:
     edges = _wraparound_edges(np.repeat(rows, 2, axis=0), np.tile([1.0, -1.0], R),
                               np.repeat(rows.min(axis=1) - 4.0, 2),
                               np.repeat(rows.max(axis=1) + 4.0, 2))
-    return [_merge(vals, row_edges, tol) for vals, row_edges in zip(rows, edges)]
+    return [_merge(vals, row_edges, math.log(2.0 + tol))
+            for vals, row_edges in zip(rows, edges)]
 
 
 def _wraparound_edges(vals: np.ndarray, corners: np.ndarray, lo: np.ndarray,
@@ -91,18 +92,18 @@ def _wraparound_edges(vals: np.ndarray, corners: np.ndarray, lo: np.ndarray,
     return np.sort(e.reshape(B // 2, 2 * L), axis=1)
 
 
-def _merge(vals: np.ndarray, edges: np.ndarray, tol: float) -> BandSet:
-    """Bands between consecutive sorted ``edges`` of the period ``vals``,
-    joined across every gap that is narrower than CLOSED_GAP_TOL or whose
-    midpoint trace is at most 2 + tol in absolute value."""
+def _merge(vals: np.ndarray, edges: np.ndarray, log_bound: float) -> BandSet:
+    """Bands between consecutive sorted ``edges``, joined across every gap
+    that is narrower than CLOSED_GAP_TOL or at whose midpoint the trace over
+    the period ``vals`` is at most e^log_bound in absolute value."""
     lo, hi = edges[0::2], edges[1::2]
     # Gap k lies between raw bands k and k+1; the merge decides each gap on its own.
     closed = lo[1:] - hi[:-1] <= CLOSED_GAP_TOL
     check = np.flatnonzero(~closed)
     a, _, _, d, logs = product_grid(vals, 0.5 * (lo[1:][check] + hi[:-1][check]))
-    # |tr| <= 2 + tol in the log domain, which cannot overflow.
+    # Compared in the log domain, which cannot overflow.
     with np.errstate(divide="ignore"):
-        closed[check] = np.log(np.abs(a + d)) + logs <= math.log(2.0 + tol)
+        closed[check] = np.log(np.abs(a + d)) + logs <= log_bound
     return _join(lo, hi, closed)
 
 
@@ -152,20 +153,24 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
     with c = 2 (|lam|/2)^q and s = +-1, so the union is {E : |D(E)| <= 2 + c}.
     Its 2q edges are the antiperiodic eigenvalues at the phase where the
     modulation is +c and the periodic eigenvalues at the phase where it is -c.
+    A gap is joined when it is narrower than CLOSED_GAP_TOL or when
+    |D| <= (2 + c)(1 + CLOSED_GAP_TOL) at its midpoint: at even q two bands
+    touch at E = 0 (van Mouche, CMP 1989), where the bisection can leave a
+    spurious gap of about 1e-9.
     (Fixed-phase approximant bands shrink to measure zero whenever the
     Lyapunov exponent is positive on the spectrum; the family spectrum is the
     object whose measure converges.)
     """
     if q < 1 or not 0 <= p <= q or (q > 1 and gcd(p, q) != 1):
         raise DomainError("need a reduced fraction p/q with q >= 1")
-    c = 2.0 * (abs(lam) / 2.0) ** q
 
     def values(omega: float) -> np.ndarray:
         n = np.arange(1, q + 1)
         return lam * np.cos(2.0 * math.pi * (n * p / q + omega))
 
-    # Sign of the modulation at omega = 0, read off at a zero of D where the
-    # trace equals s c exactly (no cancellation).
+    # D is the trace at the quarter phase, where the modulation vanishes. The
+    # sign of the modulation at omega = 0 is read off at a zero of D, where
+    # the trace equals s c exactly (no cancellation).
     quarter = 1.0 / (4.0 * q)
     grid = np.linspace(-abs(lam) - 2.5, abs(lam) + 2.5, 8 * q + 5)
     v_quarter = values(quarter)
@@ -195,8 +200,9 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
     # D = +(2+c)  <=>  tr at omega_minus = +2 (periodic eigenvalues).
     edges = _wraparound_edges(np.stack([v_plus, v_minus]), np.array([-1.0, 1.0]),
                               np.full(2, lo0), np.full(2, hi0))[0]
-    lo, hi = edges[0::2], edges[1::2]
-    return _join(lo, hi, lo[1:] - hi[:-1] <= CLOSED_GAP_TOL)
+    log_c = math.log(2.0) + q * math.log(abs(lam) / 2.0) if lam else -math.inf
+    return _merge(v_quarter, edges, float(np.logaddexp(math.log(2.0), log_c))
+                  + math.log1p(CLOSED_GAP_TOL))
 
 
 @dataclass(frozen=True)

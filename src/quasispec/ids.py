@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .numutil import BigValue, wrap
 from .potentials import PotentialSpec, sample_potential
+from .transfer import product_grid
 
 # Zero pivots are nudged to this tiny positive value. Tie-breaking rule: an
 # eigenvalue lying exactly at E is not counted, keeping the strict-below
@@ -192,24 +193,14 @@ def thouless_gamma(curve: IdsCurve, E: float) -> float:
 
 
 def char_poly_value(values, E: float) -> BigValue:
-    """det(E - H) for the Dirichlet restriction to sites 1..L, computed as
-    psi_{L+1} of the forward recursion with psi_0 = 0, psi_1 = 1.
+    """det(E - H) for the Dirichlet restriction to sites 1..L: psi_{L+1} of
+    the forward recursion with psi_0 = 0, psi_1 = 1, which is the ``a``
+    entry of the transfer product.
 
     Returns a float, or a (sign, log_abs) pair once the value leaves float
     range.
     """
-    vals = np.asarray(values, dtype=float)
-    if len(vals) == 0:
-        raise DomainError("char_poly_value needs at least one site")
-    p_prev, p_cur = 0.0, 1.0
-    log_s = 0.0
-    for v in vals:
-        p_prev, p_cur = p_cur, (E - v) * p_cur - p_prev
-        m = max(abs(p_prev), abs(p_cur))
-        if m > 1e100:
-            p_prev /= m
-            p_cur /= m
-            log_s += math.log(m)
-    if p_cur == 0.0:
+    a, _, _, _, logs = (float(x) for x in product_grid(values, E))
+    if a == 0.0:
         return 0.0
-    return wrap(1 if p_cur > 0 else -1, math.log(abs(p_cur)) + log_s)
+    return wrap(1 if a > 0 else -1, math.log(abs(a)) + logs)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .potentials import PotentialSpec, sample_potential
-from .transfer import Mat2, step_matrix
+from .transfer import Mat2, product_grid, propagate
 
 LOG10_E = math.log10(math.e)
 
@@ -35,50 +35,44 @@ class ScatterResult:
     omega2: float
 
 
-def _scatter_from_matrix(m: Mat2, E: float, omega1: float, omega2: float,
-                         L: int) -> ScatterResult:
+def _lead_terms(a, b, c, d, s, E: float, omega1: float, omega2: float):
+    """Lead wave numbers k1, k2, their phases e1, e2, the reflection
+    numerator and ln R for the sample product e^s [[a, b], [c, d]], whose
+    entries may be floats or arrays."""
     if not abs(E - omega1) < 2.0 or not abs(E - omega2) < 2.0:
         raise DomainError("evanescent lead: need |E - omega_i| < 2 on both sides")
     k1 = math.acos((E - omega1) / 2.0)
     k2 = math.acos((E - omega2) / 2.0)
-    a, b, c, d, s = m.a, m.b, m.c, m.d, m.log_scale
     e1 = complex(math.cos(k1), math.sin(k1))
     e2 = complex(math.cos(k2), math.sin(k2))
-    denom = a / e1 + b - e2 * (c / e1 + d)
     num = a * e1 + b - e2 * (c * e1 + d)
-    r = -num / denom
-    scale = math.exp(-s) if s < 700.0 else 0.0
-    t = -2j * math.sin(k1) * e2 ** (-L) / denom * scale
     # R = |num|^2 e^{2s} / (4 sin^2 k1), kept in logs so huge samples survive.
-    log_R = 2.0 * math.log(abs(num)) + 2.0 * s - math.log(4.0 * math.sin(k1) ** 2) \
-        if abs(num) > 0.0 else -math.inf
-    resistance_direct = math.exp(log_R) if log_R < 700.0 else math.inf
-    tt = abs(t) ** 2
-    resistance = abs(r) ** 2 / tt if tt > 0.0 else math.inf
-    return ScatterResult(t, r, resistance, resistance_direct,
-                         log_R * LOG10_E if log_R > -math.inf else -math.inf,
-                         k1, k2, omega1, omega2)
+    with np.errstate(divide="ignore"):
+        log_R = 2.0 * np.log(np.abs(num)) + 2.0 * s - math.log(4.0 * math.sin(k1) ** 2)
+    return k1, k2, e1, e2, num, log_R
 
 
 def scatter(values, E: float, omega1: float = 0.0, omega2: float = 0.0) -> ScatterResult:
     """Solve the scattering problem for the sample V_1..V_L at energy E."""
-    vals = np.asarray(values, dtype=float)
-    if len(vals) < 1:
-        raise DomainError("sample must contain at least one site")
-    m = step_matrix(E, vals[0])
-    for v in vals[1:]:
-        m = step_matrix(E, v).matmul(m)
-    return _scatter_from_matrix(m, E, omega1, omega2, len(vals))
+    m = propagate(E, values)
+    a, b, c, d, s = m.a, m.b, m.c, m.d, m.log_scale
+    k1, k2, e1, e2, num, log_R = _lead_terms(a, b, c, d, s, E, omega1, omega2)
+    denom = a / e1 + b - e2 * (c / e1 + d)
+    r = -num / denom
+    scale = math.exp(-s) if s < 700.0 else 0.0
+    t = -2j * math.sin(k1) * e2 ** (-len(values)) / denom * scale
+    log_R = float(log_R)
+    resistance_direct = math.exp(log_R) if log_R < 700.0 else math.inf
+    tt = abs(t) ** 2
+    resistance = abs(r) ** 2 / tt if tt > 0.0 else math.inf
+    return ScatterResult(t, r, resistance, resistance_direct, log_R * LOG10_E,
+                         k1, k2, omega1, omega2)
 
 
 def landauer_trace_norm(values, E: float) -> float:
     """Resistance at k1 = k2 = pi/2 (leads at the sample energy):
     (||T_{1..L}||_2^2 - 2) / 4."""
-    vals = np.asarray(values, dtype=float)
-    m = step_matrix(E, vals[0])
-    for v in vals[1:]:
-        m = step_matrix(E, v).matmul(m)
-    u = m.trace_norm_sq_log()
+    u = propagate(E, values).trace_norm_sq_log()
     if u > 700.0:
         return math.inf
     return (math.exp(u) - 2.0) / 4.0
@@ -86,12 +80,8 @@ def landauer_trace_norm(values, E: float) -> float:
 
 def min_resistance(values, E: float) -> float:
     """min over k2 of R at k1 = pi/2: (sqrt(a^2+b^2) - sqrt(c^2+d^2))^2 / 4."""
-    vals = np.asarray(values, dtype=float)
-    m = step_matrix(E, vals[0])
-    for v in vals[1:]:
-        m = step_matrix(E, v).matmul(m)
-    top = math.hypot(m.a, m.b)
-    bot = math.hypot(m.c, m.d)
+    m = propagate(E, values)
+    top, bot = math.hypot(m.a, m.b), math.hypot(m.c, m.d)
     scale = math.exp(2.0 * m.log_scale) if m.log_scale < 350.0 else math.inf
     return 0.25 * (top - bot) ** 2 * scale
 
@@ -100,45 +90,48 @@ def min_resistance(values, E: float) -> float:
 class ProfilePoint:
     length: int
     resistance: float        # may overflow to inf
-    log10_resistance: float  # always finite
+    log10_resistance: float  # finite, or -inf where R = 0
+
+
+@dataclass(frozen=True, eq=False)
+class ResistanceProfile:
+    """R_L at increasing sample lengths, held as columns; ``len``, indexing
+    and iteration (which stops at the IndexError past the end) give one
+    ProfilePoint per length."""
+
+    lengths: np.ndarray           # int64
+    resistance: np.ndarray        # may hold inf
+    log10_resistance: np.ndarray  # finite, or -inf where R = 0
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> ProfilePoint:
+        return ProfilePoint(int(self.lengths[i]), float(self.resistance[i]),
+                            float(self.log10_resistance[i]))
 
 
 def resistance_profile(spec: PotentialSpec, E: float, lengths,
-                       leads: str | tuple[float, float] = "at-energy") -> list[ProfilePoint]:
-    """R_L for each requested sample length, in one pass over the potential.
+                       leads: str | tuple[float, float] = "at-energy") -> ResistanceProfile:
+    """R_L for each requested sample length, from one transfer product with
+    a mark at every length.
 
     ``leads`` is "at-energy" (omega1 = omega2 = E, the k = pi/2 testing mode,
     valid at every energy), "zero" (omega1 = omega2 = 0), or an explicit
     (omega1, omega2) pair.
     """
-    ls = [int(x) for x in lengths]
-    if any(l < 1 for l in ls) or any(b <= a for a, b in zip(ls, ls[1:])):
-        raise DomainError("lengths must be increasing positive integers")
-    if leads == "at-energy":
-        w1 = w2 = E
-    elif leads == "zero":
-        w1 = w2 = 0.0
-    else:
-        w1, w2 = leads
-    values = sample_potential(spec, 1, ls[-1])
-    wanted = set(ls)
-    out = []
-    m = None
-    for n, v in enumerate(values, start=1):
-        m = step_matrix(E, v) if m is None else step_matrix(E, v).matmul(m)
-        if n in wanted:
-            if w1 == E and w2 == E:
-                u = m.trace_norm_sq_log()
-                R = (math.exp(u) - 2.0) / 4.0 if u < 700.0 else math.inf
-                # log10 of (e^u - 2)/4; the -2 is negligible once u is large
-                if R > 0.0 and R < math.inf:
-                    l10 = math.log10(R)
-                elif R == math.inf:
-                    l10 = (u - math.log(4.0)) * LOG10_E
-                else:
-                    l10 = -math.inf
-                out.append(ProfilePoint(n, R, l10))
-            else:
-                res = _scatter_from_matrix(m, E, w1, w2, n)
-                out.append(ProfilePoint(n, res.resistance_direct, res.log10_resistance))
-    return out
+    w1, w2 = (E, E) if leads == "at-energy" else (0.0, 0.0) if leads == "zero" else leads
+    ls = np.array(list(lengths), dtype=np.int64)
+    a, b, c, d, s = product_grid(sample_potential(spec, 1, int(ls.max(initial=1))), E, ls)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if w1 == E and w2 == E:
+            u = Mat2(a, b, c, d, s).trace_norm_sq_log()
+            R = np.where(u < 700.0, (np.exp(u) - 2.0) / 4.0, np.inf)
+            # log10 of (e^u - 2)/4; the -2 is negligible once u is large
+            l10 = np.where(R == np.inf, (u - math.log(4.0)) * LOG10_E,
+                           np.where(R > 0.0, np.log10(R), -np.inf))
+        else:
+            log_R = _lead_terms(a, b, c, d, s, E, w1, w2)[-1]
+            R = np.where(log_R < 700.0, np.exp(log_R), np.inf)
+            l10 = log_R * LOG10_E
+    return ResistanceProfile(ls, R, l10)

@@ -3,9 +3,12 @@
 A single site contributes the unimodular step matrix [[E-V, -1], [1, 0]];
 products of these encode all solutions of the chain equation
 psi_{n-1} + psi_{n+1} + V_n psi_n = E psi_n. Long products in hyperbolic
-regimes grow exponentially, so matrices carry a separate natural-log
-prefactor and their normalized entries are rescaled after every
-multiplication.
+regimes grow exponentially, so a product keeps its entries normalized and
+carries the scale as a separate prefactor. ``product_grid`` is the one kernel
+that forms products, over an energy grid and at optional prefix lengths; it
+rescales by exact powers of two, and only as often as overflow requires.
+``Mat2.matmul`` and ``step_matrix`` remain for the per-letter products of
+``tracemap.letter_matrix_orbit``.
 """
 
 from __future__ import annotations
@@ -20,21 +23,28 @@ from .errors import DomainError
 from .potentials import PotentialSpec, PeriodicPotential, sample_potential
 
 TRACE_POLY_DEGREE_CAP = 64
+# A grid of M <= _LANES / 2 energies steps J = _LANES // M chain segments of
+# _SEGMENT sites side by side, as one (J, M) array (both sizes measured on a
+# 2-core x86 machine; see CHANGES.md).
+_LANES = 512
+_SEGMENT = 256
+# Sites between rescalings grow the entries by at most e^_LOG_GROWTH, far
+# below the float limit e^709; _CHUNK bounds the energy-site block built at once.
+_LOG_GROWTH = 600.0
+_CHUNK = 1 << 18
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class Mat2:
-    """Real 2x2 matrix stored as e^log_scale * [[a, b], [c, d]]."""
+    """Real 2x2 matrix stored as e^log_scale * [[a, b], [c, d]]. The norm
+    methods also take arrays of entries, a stack of such matrices."""
 
     a: float
     b: float
     c: float
     d: float
     log_scale: float = 0.0
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1.0, 0.0, 0.0, 1.0, 0.0)
 
     def matmul(self, other: "Mat2") -> "Mat2":
         """self @ other, rescaled so the largest entry has magnitude 1."""
@@ -79,17 +89,17 @@ class Mat2:
             return dn * math.exp(2.0 * self.log_scale)
         return math.copysign(math.exp(la), dn)
 
-    def trace_norm_sq_log(self) -> float:
+    def trace_norm_sq_log(self):
         """ln of the true squared trace norm a^2+b^2+c^2+d^2."""
-        s = self.a**2 + self.b**2 + self.c**2 + self.d**2
-        return math.log(s) + 2.0 * self.log_scale
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return np.log(a * a + b * b + c * c + d * d) + 2.0 * self.log_scale
 
-    def op_norm_log(self) -> float:
+    def op_norm_log(self):
         """ln of the true operator norm, from the trace-norm closed form."""
         u = self.trace_norm_sq_log()
         # ||A||^2 = S/2 * (1 + sqrt(1 - 4/S^2)) with S the squared trace norm
-        rad = 1.0 - 4.0 * math.exp(min(700.0, -2.0 * u))
-        return 0.5 * (u - math.log(2.0) + math.log1p(math.sqrt(max(0.0, rad))))
+        rad = 1.0 - 4.0 * np.exp(np.minimum(700.0, -2.0 * u))
+        return 0.5 * (u - math.log(2.0) + np.log1p(np.sqrt(np.maximum(0.0, rad))))
 
     def entries(self) -> np.ndarray:
         """Normalized entries (without the scale factor)."""
@@ -107,25 +117,6 @@ class MatClass(enum.Enum):
     MINUS_IDENTITY = "-identity"
 
 
-@dataclass(frozen=True)
-class StateVec:
-    """Solution vector (psi_{n+1}, psi_n) with a log prefactor."""
-
-    psi_next: float
-    psi: float
-    log_scale: float = 0.0
-
-    def norm_log(self) -> float:
-        m = math.hypot(self.psi_next, self.psi)
-        if m == 0.0:
-            return -math.inf
-        return math.log(m) + self.log_scale
-
-    def norm(self) -> float:
-        nl = self.norm_log()
-        return math.exp(nl) if nl < 709.0 else math.inf
-
-
 def step_matrix(E: float, v: float) -> Mat2:
     """One-site transfer matrix [[E-v, -1], [1, 0]]."""
     return Mat2(E - v, -1.0, 1.0, 0.0, 0.0)
@@ -133,36 +124,97 @@ def step_matrix(E: float, v: float) -> Mat2:
 
 def propagate(E: float, values) -> Mat2:
     """Scaled product T_L ... T_1 over the sample V_1..V_L (left to right)."""
-    vals = list(values)
-    if not vals:
-        raise DomainError("propagate needs at least one potential value")
-    m = step_matrix(E, vals[0])
-    for v in vals[1:]:
-        m = step_matrix(E, v).matmul(m)
-    return m
+    return Mat2(*(float(x) for x in product_grid(values, E)))
 
 
-def product_grid(values, energies):
-    """Vectorized scaled products over an energy grid.
+def product_grid(values, energies, marks=None):
+    """Scaled products T_n ... T_1 over the chain ``values`` at every energy.
 
-    Returns normalized entry arrays (a, b, c, d) and the per-energy log scale
-    for the product T_L ... T_1 evaluated at every energy simultaneously.
+    Returns normalized entry arrays (a, b, c, d) and the log scale ``logs``,
+    all of the energies' shape: the true product is e^logs [[a, b], [c, d]],
+    with the largest |entry| equal to 1. With ``marks``, increasing prefix
+    lengths (K,), each array gains a leading (K,) axis holding the product
+    over the first marks[k] sites.
+
+    A site grows the entries by at most max|E| + max|V| + 2, so they are
+    rescaled only every k sites, by powers of two whose exponents are summed
+    as integers; the schedule therefore changes no bit of the result outside
+    the subnormal range. A narrow grid steps several chain segments side by
+    side and joins their products in one prefix pass; segments start at
+    multiples of _SEGMENT, so a mark row equals the call on that prefix bit
+    for bit.
     """
+    vals = np.asarray(values, dtype=float).ravel()
     E = np.asarray(energies, dtype=float)
-    a = np.ones_like(E)
-    b = np.zeros_like(E)
-    c = np.zeros_like(E)
-    d = np.ones_like(E)
-    logs = np.zeros_like(E)
-    for v in np.asarray(values, dtype=float):
-        ev = E - v
-        a, b, c, d = ev * a - c, ev * b - d, a, b
-        m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                       np.maximum(np.abs(c), np.abs(d)))
-        m = np.where(m == 0.0, 1.0, m)
-        a, b, c, d = a / m, b / m, c / m, d / m
-        logs += np.log(m)
-    return a, b, c, d, logs
+    ends = np.asarray([len(vals)] if marks is None else marks, dtype=np.int64).ravel()
+    if not (len(vals) and ends.size and 1 <= ends[0] and ends[-1] <= len(vals)
+            and np.all(ends[1:] > ends[:-1])):
+        raise DomainError("a product needs at least one site, and lengths must be "
+                          "increasing positive integers within the chain")
+    e, n, K, M = E.ravel(), int(ends[-1]), ends.size, E.size
+    J = _LANES // M if 0 < M < _LANES else 1
+    s = _SEGMENT if J > 1 else n
+    k = _LOG_GROWTH / math.log(np.abs(e).max(initial=0.0) + np.abs(vals[:n]).max() + 2.0)
+    chunk = max(1, int(min(_CHUNK // (J * M or 1), k)))  # k is nan for nan inputs
+    vals = np.concatenate([vals[:n], np.zeros(-n % s)])  # whole segments
+    seg, nseg = (ends - 1) // s, len(vals) // s  # the segment holding each end
+    off = (ends - seg * s).tolist()
+    # Rows a, b, c, d and the exponent (an integer, exact in a float) of the
+    # raw product at each end, and of the segments before the end's own.
+    cap, pre = np.empty((5, K, M)), np.empty((5, K, M))
+    run = np.zeros((5, M))
+    run[0] = run[3] = 1.0
+    for g0 in range(0, nseg, J):
+        Jb = min(J, nseg - g0)
+        V = vals[g0 * s:(g0 + Jb) * s].reshape(Jb, s).T
+        bounds = np.searchsorted(seg, np.arange(g0, g0 + Jb + 1))
+        hits = {}  # step -> the ends reached after it
+        for i in range(bounds[0], bounds[-1]):
+            hits.setdefault(off[i], []).append(i)
+        x, y = np.zeros((2, Jb, M)), np.zeros((2, Jb, M))  # rows (a, b) and (c, d)
+        x[0] = y[1] = 1.0
+        z, x_exp = np.empty_like(x), np.zeros((Jb, M))
+        steps = min(s, n - g0 * s)
+        for t0 in range(0, steps, chunk):
+            if t0:
+                _rescale(x, y, x_exp)
+            for t, ev in enumerate(e - V[t0:min(t0 + chunk, steps), :, None], t0 + 1):
+                np.multiply(ev, x, out=z)
+                np.subtract(z, y, out=z)
+                x, y, z = z, x, y
+                if t in hits:
+                    js = seg[hits[t]] - g0
+                    cap[:, hits[t]] = np.concatenate([x[:, js], y[:, js], x_exp[None, js]])
+        for j in range(Jb):  # the prefix pass over this block's segments
+            pre[:, bounds[j]:bounds[j + 1]] = run[:, None]
+            if g0 + j + 1 < nseg:
+                run = np.concatenate([x[0, j] * run[:2] + x[1, j] * run[2:4],
+                                      y[0, j] * run[:2] + y[1, j] * run[2:4],
+                                      [run[4] + x_exp[j]]])
+                _rescale(run[:2], run[2:4], run[4])
+    ab = cap[0] * pre[:2] + cap[1] * pre[2:4]
+    cd = cap[2] * pre[:2] + cap[3] * pre[2:4]
+    # Power-of-two scaling first, so that the exponent does not depend on the
+    # schedule; then the largest entry is divided to exactly 1.
+    exps = cap[4] + pre[4]
+    _rescale(ab, cd, exps)
+    m = np.maximum(np.abs(ab).max(axis=0), np.abs(cd).max(axis=0))
+    m[m == 0.0] = 1.0
+    ab /= m
+    cd /= m
+    shape = ((K,) if marks is not None else ()) + E.shape
+    return tuple(r.reshape(shape) for r in (*ab, *cd, exps * _LN2 + np.log(m)))
+
+
+def _rescale(x, y, exps):
+    """Scale the row pairs ``x`` and ``y`` in place by one power of two per
+    lane so that their largest |entry| lies in [1/2, 1); add its exponent to
+    ``exps``."""
+    m = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
+    e = np.frexp(m)[1]
+    np.ldexp(x, -e, out=x)
+    np.ldexp(y, -e, out=y)
+    exps += e
 
 
 def classify(m: Mat2, tol: float = 1e-9) -> MatClass:
@@ -185,11 +237,7 @@ def lyapunov_grid(spec: PotentialSpec, energies, n: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    values = sample_potential(spec, 1, n)
-    a, b, c, d, logs = product_grid(values, energies)
-    u = np.log(a * a + b * b + c * c + d * d) + 2.0 * logs
-    rad = 1.0 - 4.0 * np.exp(np.minimum(700.0, -2.0 * u))
-    norm_log = 0.5 * (u - math.log(2.0) + np.log1p(np.sqrt(np.maximum(0.0, rad))))
+    norm_log = Mat2(*product_grid(sample_potential(spec, 1, n), energies)).op_norm_log()
     return np.maximum(0.0, norm_log) / n
 
 
@@ -236,33 +284,6 @@ class GordonResult:
     trace: float        # tr T_{1..L}
 
 
-def _advance(state: StateVec, E: float, v: float) -> StateVec:
-    nxt = (E - v) * state.psi_next - state.psi
-    cur = state.psi_next
-    m = max(abs(nxt), abs(cur))
-    if m == 0.0 or m < 1e100:
-        return StateVec(nxt, cur, state.log_scale)
-    return StateVec(nxt / m, cur / m, state.log_scale + math.log(m))
-
-
-def _retreat(state: StateVec, E: float, v: float) -> StateVec:
-    # Inverse step: (psi_n, psi_{n-1}) from (psi_{n+1}, psi_n).
-    cur = state.psi
-    prev = (E - v) * state.psi - state.psi_next
-    m = max(abs(cur), abs(prev))
-    if m == 0.0 or m < 1e100:
-        return StateVec(cur, prev, state.log_scale)
-    return StateVec(cur / m, prev / m, state.log_scale + math.log(m))
-
-
-def _exp_or_inf(x: float) -> float:
-    """e^x, or inf where math.exp would raise OverflowError."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def gordon_ratio(values, E: float, L: int, tol: float = 1e-9) -> GordonResult:
     """Norm ratios behind the three-block and two-block repetition bounds.
 
@@ -277,23 +298,16 @@ def gordon_ratio(values, E: float, L: int, tol: float = 1e-9) -> GordonResult:
             and np.allclose(vals[L:2 * L], vals[2 * L:], atol=tol)):
         raise DomainError("three-block repetition violated beyond tolerance")
 
-    psi0 = StateVec(1.0, 0.0)
-    state = psi0
-    norms = {}
-    for n in range(1, 2 * L + 1):  # forward through V_1 .. V_2L
-        state = _advance(state, E, vals[L - 1 + n])
-        if n == L:
-            norms["L"] = state.norm_log()
-    norms["2L"] = state.norm_log()
-    state = psi0
-    for n in range(0, -L, -1):  # backward through V_0 .. V_{-L+1}
-        state = _retreat(state, E, vals[L - 1 + n])
-    norms["-L"] = state.norm_log()
-
-    base = psi0.norm_log()
-    three = _exp_or_inf(max(norms["-L"], norms["L"], norms["2L"]) - base)
-    tr = propagate(E, vals[L:2 * L]).trace
-    tr_log = math.log(abs(tr)) if 0.0 < abs(tr) < math.inf else (
-        -math.inf if tr == 0.0 else math.inf)
-    two = _exp_or_inf(max(tr_log + norms["L"], norms["2L"]) - base)
+    # (psi_{n+1}, psi_n) = P_n (1, 0), the first column of the product over
+    # V_1..V_n; backwards, (psi_{-L+1}, psi_{-L}) = P^-1 (1, 0) = e^s (d, -c)
+    # for the product P = e^s [[a, b], [c, d]] over the first block.
+    a, b, c, d, logs = product_grid(vals[L:], E, [L, 2 * L])
+    _, _, c0, d0, s0 = product_grid(vals[:L], E)
+    with np.errstate(divide="ignore", over="ignore"):
+        fwd = np.log(np.hypot(a, c)) + logs
+        back = np.log(np.hypot(d0, c0)) + s0
+        tr_log = np.log(np.abs(a[0] + d[0])) + logs[0]
+        three = float(np.exp(max(back, fwd[0], fwd[1])))
+        two = float(np.exp(max(tr_log + fwd[0], fwd[1])))
+    tr = Mat2(*(float(x[0]) for x in (a, b, c, d, logs))).trace
     return GordonResult(three, two, tr)

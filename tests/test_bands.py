@@ -49,7 +49,8 @@ def scalar_merge_bands(pot, tol=CLOSED_GAP_TOL):
 
 def two_call_phase_union(lam, p, q):
     """Reference phase-union spectrum: the sign of the phase modulation from a
-    scalar propagate search, then one bisection per restriction."""
+    scalar propagate search, then one bisection per restriction, merged gap by
+    gap with one scalar trace at the quarter phase per surviving midpoint."""
     def values(omega):
         return lam * np.cos(2.0 * math.pi * (np.arange(1, q + 1) * p / q + omega))
 
@@ -72,9 +73,12 @@ def two_call_phase_union(lam, p, q):
     edges = np.sort(np.concatenate([
         bisect_eigenvalues(lambda E: count_below_periodic(v, E, corner), q, lo0, hi0)
         for v, corner in ((v_plus, -1.0), (v_minus, +1.0))]))
+    bound = (2.0 + 2.0 * (abs(lam) / 2.0) ** q) * (1.0 + CLOSED_GAP_TOL)
     merged = [[float(edges[0]), float(edges[1])]]
     for lo, hi in edges[2:].reshape(-1, 2).tolist():
-        if lo - merged[-1][1] <= CLOSED_GAP_TOL:
+        mid = 0.5 * (lo + merged[-1][1])
+        if (lo - merged[-1][1] <= CLOSED_GAP_TOL
+                or abs(propagate(mid, v_quarter).trace) <= bound):
             merged[-1][1] = hi
         else:
             merged.append([lo, hi])
@@ -249,6 +253,14 @@ class TestPhaseUnion:
                                       (5, 13), (13, 21), (21, 34)])
     def test_equals_two_call_reference(self, lam, p, q):
         assert phase_union_spectrum(lam, p, q).bands == two_call_phase_union(lam, p, q)
+
+    @pytest.mark.parametrize("lam", np.linspace(0.5, 3.0, 11).tolist())
+    @pytest.mark.parametrize("p, q", [(3, 8), (5, 8), (13, 34), (21, 34)])
+    def test_even_q_has_no_gap_at_zero(self, lam, p, q):
+        # The bands touch at E = 0 for even q (van Mouche 1989), where the
+        # bisection edges can be 1e-9 to 1e-8 apart.
+        gaps = phase_union_spectrum(lam, p, q).gaps()
+        assert not any(lo <= 0.0 <= hi for lo, hi in gaps)
 
     def test_trivial_denominator(self):
         bs = phase_union_spectrum(3.0, 0, 1)

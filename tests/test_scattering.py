@@ -7,6 +7,7 @@ from quasispec import (
     DomainError,
     GOLDEN_MEAN,
     PotentialSpec,
+    ResistanceProfile,
     approximant_by_denominator,
     band_spectrum,
     landauer_trace_norm,
@@ -151,3 +152,36 @@ class TestResistanceProfile:
         assert [p.length for p in prof] == [1, 2, 3]
         with pytest.raises(DomainError):
             resistance_profile(PotentialSpec.constant(0.0), 0.3, [3, 2])
+
+    def test_points_match_columns(self):
+        prof = resistance_profile(PotentialSpec.sturmian(GOLDEN_MEAN, 1.0), 0.4,
+                                  range(5, 301, 5), leads="zero")
+        assert isinstance(prof, ResistanceProfile) and len(prof) == 60
+        points = list(prof)
+        assert all(type(p.length) is int for p in points)
+        assert [p.length for p in points] == prof.lengths.tolist()
+        assert [p.resistance for p in points] == prof.resistance.tolist()
+        assert [p.log10_resistance for p in points] == prof.log10_resistance.tolist()
+        assert prof[-1] == points[-1] and prof[0].length == 5
+
+    @pytest.mark.parametrize("leads", ["at-energy", "zero"])
+    def test_matches_per_length_calls(self, leads):
+        spec = PotentialSpec.almost_mathieu(GOLDEN_MEAN, 1.2, 0.1)
+        lengths = [1, 2, 3, 255, 256, 257, 700, 1500]
+        prof = resistance_profile(spec, 0.35, lengths, leads=leads)
+        values = sample_potential(spec, 1, lengths[-1])
+        for p in prof:
+            want = (landauer_trace_norm(values[:p.length], 0.35) if leads == "at-energy"
+                    else scatter(values[:p.length], 0.35).resistance_direct)
+            assert p.resistance == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: landauer_trace_norm([], 0.3),
+    lambda: min_resistance([], 0.3),
+    lambda: resistance_profile(PotentialSpec.constant(0.0), 0.3, []),
+    lambda: scatter([], 0.3),
+], ids=["landauer_trace_norm", "min_resistance", "resistance_profile", "scatter"])
+def test_empty_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

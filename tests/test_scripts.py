@@ -1,0 +1,33 @@
+"""Smoke runs of the scripts in scripts/ at tiny sizes, in this process."""
+
+import pathlib
+import runpy
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_resistance_growth(monkeypatch, capsys):
+    lines = run_script("resistance_growth.py", ["--lmax", "80"], monkeypatch, capsys)
+    assert lines[0].split() == ["E", "slope", "lyapunov"]
+    rows = [[float(x) for x in line.split()] for line in lines[1:]]
+    assert [row[0] for row in rows] == [3.0, 4.0, 5.0]
+    # Away from the band edge at E = 3 the growth rate is the Lyapunov exponent.
+    for _, slope, gamma in rows[1:]:
+        assert slope == pytest.approx(gamma, rel=1e-3)
+
+
+def test_bandwidth_shrinkage(monkeypatch, capsys):
+    lines = run_script("bandwidth_shrinkage.py", ["--qmax", "13"], monkeypatch, capsys)
+    rows = [line.split() for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == [2, 3, 5, 8, 13]
+    fixed = [float(row[1]) for row in rows]
+    assert all(a > b for a, b in zip(fixed, fixed[1:]))
