@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .ids import IdsCurve, bisect_eigenvalues, count_below_periodic
 from .potentials import PeriodicPotential
-from .transfer import product_grid, propagate
+from .transfer import product_grid
 
 # Gaps narrower than this are reported as closed and merged.
 CLOSED_GAP_TOL = 1e-9
@@ -168,27 +168,20 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
         n = np.arange(1, q + 1)
         return lam * np.cos(2.0 * math.pi * (n * p / q + omega))
 
-    # D is the trace at the quarter phase, where the modulation vanishes. The
-    # sign of the modulation at omega = 0 is read off at a zero of D, where
-    # the trace equals s c exactly (no cancellation).
+    # D is the trace at the quarter phase, where the modulation vanishes, and
+    # tr(E, 0) - D(E) = s c at every E. s is read where |D| is smallest on the
+    # grid, where the two traces cancel least; both are compared at a common
+    # scale, which cannot overflow.
     quarter = 1.0 / (4.0 * q)
     grid = np.linspace(-abs(lam) - 2.5, abs(lam) + 2.5, 8 * q + 5)
     v_quarter = values(quarter)
-    ta, _, _, td, _ = product_grid(v_quarter, grid)
-    signs = np.where(ta + td < 0.0, -1.0, 1.0)
-    changes = np.flatnonzero(signs[:-1] != signs[1:])
-    if not changes.size:
-        raise DomainError("could not locate a zero of the phase-free trace part")
-    i = int(changes[0])
-    a, b = float(grid[i]), float(grid[i + 1])
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if math.copysign(1.0, propagate(mid, v_quarter).trace) == signs[i]:
-            a = mid
-        else:
-            b = mid
-    z = 0.5 * (a + b)
-    s = math.copysign(1.0, propagate(z, values(0.0)).trace)
+    da, _, _, dd, dlog = product_grid(v_quarter, grid)
+    ta, _, _, td, tlog = product_grid(values(0.0), grid)
+    with np.errstate(divide="ignore"):
+        i = int(np.argmin(np.log(np.abs(da + dd)) + dlog))
+    top = max(dlog[i], tlog[i])
+    s = 1.0 if ((ta[i] + td[i]) * math.exp(tlog[i] - top)
+                >= (da[i] + dd[i]) * math.exp(dlog[i] - top)) else -1.0
 
     omega_plus = 0.0 if s > 0 else 1.0 / (2.0 * q)   # modulation +c here
     omega_minus = 1.0 / (2.0 * q) if s > 0 else 0.0  # modulation -c here

@@ -270,6 +270,59 @@ def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int,
     return "".join(out)
 
 
+def fixed_point_blocks(rule: SubstitutionRule, n: int) -> list[tuple[int, str]]:
+    """Sites 1..n of the right fixed point that ``generate_two_sided`` builds,
+    as whole level blocks rule^k(x), left to right.
+
+    With the (right letter, power p) of ``generate_two_sided``, the sites are
+    a prefix of rule^(pK)(letter). It splits top level down: rule^(k+1)(x) is
+    the level-k blocks of the letters of rule(x), the blocks that fit whole
+    are taken, and the first that does not is split at the next level (the
+    Dumont-Thomas expansion; Zeckendorf digits for Fibonacci). Block lengths
+    are exact Python ints.
+    """
+    if n < 1:
+        raise DomainError("a prefix needs at least one site")
+    _check_sites(n)
+    if not rule.is_primitive():
+        raise DomainError("substitution rule is not primitive")
+    _, x, p = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+    lengths = [dict.fromkeys(rule.alphabet, 1)]  # lengths[k][y] = |rule^k(y)|
+    while lengths[-1][x] < n:
+        start = lengths[-1][x]
+        for _ in range(p):
+            lengths.append({y: sum(lengths[-1][z] for z in rule.images[y])
+                            for y in rule.alphabet})
+        if lengths[-1][x] == start:
+            raise DomainError("substitution does not grow from its seed")
+    blocks, k, rest = [], len(lengths) - 1, n
+    while rest:
+        if lengths[k][x] == rest:
+            blocks.append((k, x))
+            break
+        k -= 1
+        for y in rule.images[x]:
+            if lengths[k][y] > rest:
+                x = y
+                break
+            blocks.append((k, y))
+            rest -= lengths[k][y]
+    return blocks
+
+
+def fixed_point_of(spec: PotentialSpec) -> tuple[SubstitutionRule, dict[str, float]] | None:
+    """The (rule, letter values) whose fixed point ``sample_potential`` samples
+    on sites 1..n for every n, or None. That holds for the substitution kind
+    and for the golden-mean Sturmian at omega = 0, which is the Fibonacci
+    fixed point with a -> lam, b -> 0: with either rounding, since n alpha is
+    never an integer (pinned in the tests over MAX_SITES sites)."""
+    if spec.kind == "substitution":
+        return spec.rule, spec.letter_values
+    if spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN and spec.omega == 0.0:
+        return FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}
+    return None
+
+
 # -- sampling ----------------------------------------------------------------
 
 

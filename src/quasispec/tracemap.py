@@ -28,7 +28,7 @@ from .bands import BandSet
 from .errors import DomainError
 from .numutil import BigValue, HUGE, as_float, signed_log, wrap
 from .potentials import SubstitutionRule
-from .transfer import step_matrix
+from .transfer import Mat2, level_matrices
 
 
 @dataclass(frozen=True)
@@ -98,26 +98,17 @@ def letter_matrix_orbit(rule: SubstitutionRule, letter_values: dict[str, float],
 
     Level 0 holds the single-site step matrices; level k+1 replaces each
     letter's matrix by the product of the level-k matrices of its image word
-    in reversed order. Returns, per letter, the true traces at levels
-    0..n_max (floats, or (sign, log) pairs once huge).
+    in reversed order (``transfer.level_matrices``). Returns, per letter, the
+    true traces at levels 0..n_max (floats, or (sign, log) pairs once huge).
     """
     if not rule.is_primitive():
         raise DomainError("substitution rule is not primitive")
     if set(letter_values) != set(rule.alphabet):
         raise DomainError("letter values must cover the alphabet")
-    mats = {x: step_matrix(E, letter_values[x]) for x in rule.alphabet}
-    traces = {x: [wrap(*mats[x].trace_signed_log())] for x in rule.alphabet}
-    for _ in range(n_max):
-        new = {}
-        for x in rule.alphabet:
-            prod = None
-            for y in rule.images[x]:
-                prod = mats[y] if prod is None else mats[y].matmul(prod)
-            new[x] = prod
-        mats = new
-        for x in rule.alphabet:
-            traces[x].append(wrap(*mats[x].trace_signed_log()))
-    return traces
+    levels = level_matrices(rule, letter_values, float(E), max(n_max, 0)).astype(float).tolist()
+    return {x: [wrap(*Mat2(a[i], b[i], c[i], d[i], e[i] * math.log(2.0)).trace_signed_log())
+                for a, b, c, d, e in levels]
+            for i, x in enumerate(rule.alphabet)}
 
 
 def identity_residual(lhs: BigValue, rhs: BigValue) -> float:

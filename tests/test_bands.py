@@ -48,24 +48,20 @@ def scalar_merge_bands(pot, tol=CLOSED_GAP_TOL):
 
 
 def two_call_phase_union(lam, p, q):
-    """Reference phase-union spectrum: the sign of the phase modulation from a
-    scalar propagate search, then one bisection per restriction, merged gap by
+    """Reference phase-union spectrum: the sign of the phase modulation from
+    scalar propagate traces, then one bisection per restriction, merged gap by
     gap with one scalar trace at the quarter phase per surviving midpoint."""
     def values(omega):
         return lam * np.cos(2.0 * math.pi * (np.arange(1, q + 1) * p / q + omega))
 
     v_quarter = values(1.0 / (4.0 * q))
     grid = np.linspace(-abs(lam) - 2.5, abs(lam) + 2.5, 8 * q + 5).tolist()
-    signs = [math.copysign(1.0, propagate(e, v_quarter).trace) for e in grid]
-    i = next(k for k in range(len(grid) - 1) if signs[k] != signs[k + 1])
-    a, b = grid[i], grid[i + 1]
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if math.copysign(1.0, propagate(mid, v_quarter).trace) == signs[i]:
-            a = mid
-        else:
-            b = mid
-    s = math.copysign(1.0, propagate(0.5 * (a + b), values(0.0)).trace)
+    # s = sign(tr(E, 0) - D(E)), read where |D| is smallest on the grid.
+    quarter = [propagate(e, v_quarter).trace_signed_log() for e in grid]
+    i = min(range(len(grid)), key=lambda k: quarter[k][1])
+    (sd, ld), (st, lt) = quarter[i], propagate(grid[i], values(0.0)).trace_signed_log()
+    top = max(ld, lt)
+    s = 1.0 if st * math.exp(lt - top) >= sd * math.exp(ld - top) else -1.0
     v_plus = values(0.0 if s > 0 else 1.0 / (2.0 * q))
     v_minus = values(1.0 / (2.0 * q) if s > 0 else 0.0)
     lo0 = float(min(v_plus.min(), v_minus.min())) - 4.0
@@ -261,6 +257,17 @@ class TestPhaseUnion:
         # bisection edges can be 1e-9 to 1e-8 apart.
         gaps = phase_union_spectrum(lam, p, q).gaps()
         assert not any(lo <= 0.0 <= hi for lo, hi in gaps)
+
+    @pytest.mark.parametrize("lam", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("p, q", [(1, 34), (13, 21), (21, 34)])
+    def test_contains_band_spectra_at_every_phase(self, lam, p, q):
+        # At lambda >= 2 the phase modulation's sign can no longer be read at a
+        # zero of D, which lies in a band narrower than one ulp.
+        union = phase_union_spectrum(lam, p, q).bands
+        for omega in np.arange(16) / (16 * q):
+            vals = lam * np.cos(2.0 * math.pi * (np.arange(1, q + 1) * p / q + omega))
+            for lo, hi in band_spectrum(PeriodicPotential(tuple(vals))).bands:
+                assert any(a - 1e-9 <= lo and hi <= b + 1e-9 for a, b in union)
 
     def test_trivial_denominator(self):
         bs = phase_union_spectrum(3.0, 0, 1)

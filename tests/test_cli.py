@@ -82,6 +82,19 @@ class TestSchemas:
         # Strong coupling keeps the exponent at least ln(lambda/2) everywhere.
         assert min(gammas) >= math.log(1.5) - 0.05
 
+    def test_lyapunov_fixed_point_beyond_a_million_sites(self, capsys):
+        # F_31 = 2,178,309 sites of the Fibonacci chain, from O(log n) level
+        # products rather than one product per site.
+        start = time.perf_counter()
+        code, out, _ = run_cli(["lyapunov", "--model", "fibonacci", "--lambda", "2",
+                                "--n", "2178309", "--emin", "-3", "--emax", "4",
+                                "--grid", "400"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "E,gamma"
+        assert len(lines) == 401
+
     def test_gaps_report(self, capsys):
         code, out, _ = run_cli(["gaps", "--model", "fibonacci", "--lambda", "4",
                                 "--approx-q", "13", "--size", "1500",
@@ -272,6 +285,7 @@ class TestErrors:
         ["resistance", "--lengths", "1:10000000000"],
         ["ids", "--size"],
         [],
+        ["lyapunov", "--model", "fibonacci", "--n", "10000000000"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         for flag in ("--config", "--rule-file"):

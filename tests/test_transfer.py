@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -6,35 +7,62 @@ from hypothesis import given, strategies as st
 
 from quasispec import (
     DomainError,
+    FIBONACCI_RULE,
     GOLDEN_MEAN,
     Mat2,
     MatClass,
     PeriodicPotential,
     PotentialSpec,
+    SubstitutionRule,
     approximant_by_denominator,
     band_spectrum,
     classify,
+    fibonacci_trace_orbit,
     gordon_ratio,
     lyapunov_estimate,
+    lyapunov_grid,
     propagate,
     sample_potential,
     step_matrix,
     trace_poly,
 )
-from quasispec.transfer import product_grid
+from quasispec.numutil import wrap
+from quasispec.potentials import (MAX_SITES, NAMED_RULES, fixed_point_blocks,
+                                  fixed_point_of)
+from quasispec.tracemap import identity_residual
+from quasispec.transfer import fixed_point_product, product_grid
+
+# The named rules, a rule-file-style rule with unequal image lengths, and one
+# whose fixed point needs the square of the rule (no image starts with its letter).
+RULES = {**NAMED_RULES, "aab-ba": SubstitutionRule(("a", "b"), {"a": "aab", "b": "ba"}),
+         "ba-ab": SubstitutionRule(("a", "b"), {"a": "ba", "b": "ab"})}
+
+
+def matmul(p, q):
+    """p @ q for scalar Mat2s, rescaled so the largest entry has magnitude 1."""
+    a = p.a * q.a + p.b * q.c
+    b = p.a * q.b + p.b * q.d
+    c = p.c * q.a + p.d * q.c
+    d = p.c * q.b + p.d * q.d
+    m = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
+    return Mat2(a / m, b / m, c / m, d / m, p.log_scale + q.log_scale + math.log(m))
 
 
 def scalar_product(values, E):
     """Reference product: one Mat2 step per site, rescaled after every site."""
     m = Mat2(1.0, 0.0, 0.0, 1.0)
     for v in values:
-        m = step_matrix(E, v).matmul(m)
+        m = matmul(step_matrix(E, v), m)
     return m
 
 
 def kernel_log_norms(values, energies):
     """ln of the Frobenius norm of each product from the kernel."""
-    a, b, c, d, logs = product_grid(values, energies)
+    return log_norms(product_grid(values, energies))
+
+
+def log_norms(product):
+    a, b, c, d, logs = product
     return 0.5 * np.log(a * a + b * b + c * c + d * d) + logs
 
 
@@ -260,6 +288,176 @@ class TestLyapunov:
             m = propagate(rng.uniform(-3, 3), rng.uniform(-2, 2, size=23))
             assert m.op_norm_log() >= -1e-12
             assert m.trace_norm_sq_log() >= math.log(2.0) - 1e-12
+
+
+def assert_renormalized_matches_direct(rule, lv, n, E):
+    """The renormalized product over sites 1..n against ``product_grid`` over
+    the sampled chain: at the same energies to the benchmark's bound
+    |dgamma| <= 1e-9 max(1, gamma), and off the spectrum (gamma > 1e-3) to
+    1e-11 relative in log-norm against the kernel's sequential path.
+
+    That path steps one chain over more than 256 energies. On narrower grids
+    the kernel joins separately formed 256-site segment products, which in a
+    spectral gap can lose up to about 1e-9 relative in log-norm, so the
+    tighter comparison pads the grid to 300 energies.
+    """
+    values = sample_potential(PotentialSpec.substitution(rule, lv), 1, n)
+    renormalized, direct = fixed_point_product(rule, lv, E, n), product_grid(values, E)
+    got, want = log_norms(renormalized), log_norms(direct)
+    bound = 1e-9 * np.maximum(1.0, want / n)
+    assert np.all(np.abs(got - want) / n <= bound)
+    # The entries too: a product in reversed order has the same norm and trace.
+    a, b, c, d, logs = renormalized
+    scale = np.exp(logs - direct[4])
+    delta = np.sqrt(sum((x * scale - y) ** 2 for x, y in zip((a, b, c, d), direct)))
+    assert np.all(delta * np.exp(direct[4] - want) / n <= bound)
+    pad = np.linspace(-6.0, 6.0, max(0, 300 - len(E)))
+    want = kernel_log_norms(values, np.concatenate([E, pad]))[:len(E)]
+    off = want / n > 1e-3
+    assert np.all(np.abs(got - want)[off] <= 1e-11 * np.abs(want[off]))
+
+
+def letter_values(rng):
+    return {"a": float(rng.uniform(-3.0, 3.0)), "b": float(rng.uniform(-3.0, 3.0))}
+
+
+def energies(rng, lv, M):
+    lo, hi = min(lv.values()) - 2.5, max(lv.values()) + 2.5
+    return np.sort(rng.uniform(lo, hi, M))
+
+
+def long_double_log_norms(values, E):
+    """ln of the Frobenius norm of the product, stepped site by site in long
+    double (64-bit mantissa on x86), rescaled after every site."""
+    E = np.asarray(E, dtype=np.longdouble)
+    a, b, c, d = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
+    logs = np.zeros_like(E)
+    for v in np.asarray(values, dtype=np.longdouble):
+        a, b, c, d = (E - v) * a - c, (E - v) * b - d, a, b
+        m = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(c), abs(d)))
+        a, b, c, d, logs = a / m, b / m, c / m, d / m, logs + np.log(m)
+    return (0.5 * np.log(a * a + b * b + c * c + d * d) + logs).astype(float)
+
+
+class TestRenormalized:
+    @pytest.mark.parametrize("name", RULES)
+    def test_every_short_prefix(self, name):
+        rng = np.random.default_rng(len(name))
+        lv = letter_values(rng)
+        for n in range(1, 301):
+            assert_renormalized_matches_direct(RULES[name], lv, n, energies(rng, lv, 7))
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_level_lengths_and_neighbours(self, name):
+        rule, rng = RULES[name], np.random.default_rng(7 * len(name))
+        lv = letter_values(rng)
+        lengths = set()
+        for x in rule.alphabet:
+            word = x
+            while len(word) <= 20_000:
+                lengths.add(len(word))
+                word = rule.apply(word)
+        for n in sorted({m + d for m in lengths for d in (-1, 0, 1)} - {0}):
+            assert_renormalized_matches_direct(rule, lv, n, energies(rng, lv, 1))
+
+    @pytest.mark.parametrize("M", [1, 7, 300])
+    @pytest.mark.parametrize("name", RULES)
+    def test_random_lengths(self, name, M):
+        rng = np.random.default_rng(M + len(name))
+        for _ in range(4):
+            lv = letter_values(rng)
+            n = int(rng.integers(1, 20_001))
+            assert_renormalized_matches_direct(RULES[name], lv, n, energies(rng, lv, M))
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_letter_value_and_huge_energies(self, name):
+        # E == V makes exact zero entries; |E - V| ~ 1e200 rescales every product.
+        rng = np.random.default_rng(3)
+        lv = letter_values(rng)
+        E = np.array([lv["a"], lv["b"], 1e200, -1e200, -3e199])
+        for n in (1, 2, 3, 57, 1000, 4097):
+            assert_renormalized_matches_direct(RULES[name], lv, n, E)
+
+    def test_long_double_reference(self):
+        # Fibonacci over 10^4 sites and 240 energies, as in the benchmark.
+        rng = np.random.default_rng(11)
+        lv = {"a": 2.0, "b": -0.5}
+        values = sample_potential(PotentialSpec.substitution(FIBONACCI_RULE, lv), 1, 10_000)
+        E = energies(rng, lv, 240)
+        want = long_double_log_norms(values, E)
+        got = log_norms(fixed_point_product(FIBONACCI_RULE, lv, E, 10_000))
+        off = want / 10_000 > 1e-3
+        assert off.sum() > 50
+        assert np.all(np.abs(got - want)[off] <= 1e-11 * want[off])
+
+    @pytest.mark.parametrize("lam, E", [(1.0, 0.3), (1.0, -1.7), (2.0, 0.0), (2.0, 1.1),
+                                        (3.0, -0.4), (0.5, 2.6)])
+    def test_traces_follow_the_trace_map(self, lam, E):
+        # The trace over the first F_k sites is tau_k (F_1 = 1, F_2 = 2) of the
+        # trace map tau_{k+1} = tau_k tau_{k-1} - tau_{k-2}, run here in
+        # 60-digit decimals: on a bounded orbit (lam = 1, E = 0.3) the float
+        # recursion of fibonacci_trace_orbit drifts by 9e-9 at k = 30.
+        ctx = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        D = decimal.Decimal
+        taus = [D(2), D(E), ctx.subtract(D(E), D(lam))]
+        F = [1, 1]
+        lv = {"a": lam, "b": 0.0}
+        for k in range(1, 32):
+            taus.append(ctx.subtract(ctx.multiply(taus[-1], taus[-2]), taus[-3]))
+            F.append(F[-1] + F[-2])
+            tau = taus[k + 1]
+            want = wrap(-1 if tau < 0 else 1, float(ctx.ln(abs(tau))))
+            a, _, _, d, logs = (float(x) for x in fixed_point_product(FIBONACCI_RULE, lv, E, F[k]))
+            got = wrap(int(math.copysign(1, a + d)), math.log(abs(a + d)) + logs)
+            assert identity_residual(got, want) <= 1e-9, k
+            if k <= 20:  # the float recursion, before its rounding grows
+                assert identity_residual(got, fibonacci_trace_orbit(E, lam, k).tau(k)) <= 1e-9
+
+    @pytest.mark.parametrize("spec", [
+        *(PotentialSpec.substitution(rule, {"a": 1.5, "b": -0.25}) for rule in RULES.values()),
+        PotentialSpec.sturmian(GOLDEN_MEAN, 1.5),
+        PotentialSpec.sturmian(GOLDEN_MEAN, -2.0, rounding="ceil"),
+    ], ids=[*RULES, "sturmian-floor", "sturmian-ceil"])
+    def test_fixed_point_equals_sampled_chain(self, spec):
+        rule, lv = fixed_point_of(spec)
+        blocks = fixed_point_blocks(rule, MAX_SITES)
+        word = np.frombuffer("".join(rule.iterate(x, k) for k, x in blocks).encode(), np.uint8)
+        assert len(word) == MAX_SITES
+        table = np.zeros(256)
+        table[[ord(x) for x in lv]] = list(lv.values())
+        assert np.array_equal(table[word], sample_potential(spec, 1, MAX_SITES))
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, omega=0.1),
+        PotentialSpec.sturmian(0.618, 1.5),
+        PotentialSpec.sturmian(1.0 - GOLDEN_MEAN, 1.5),
+        PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.0),
+        PotentialSpec.circle(GOLDEN_MEAN, 1.5),
+        PotentialSpec.explicit([1.0, 0.0, 1.0]),
+        PotentialSpec.constant(0.5),
+    ], ids=["omega", "alpha", "other-golden", "almost-mathieu", "circle", "explicit",
+            "constant"])
+    def test_other_specs_take_the_direct_path(self, spec):
+        assert fixed_point_of(spec) is None
+        E = np.linspace(-4.0, 4.0, 9)
+        direct = Mat2(*product_grid(sample_potential(spec, 1, 3000), E)).op_norm_log()
+        assert np.array_equal(lyapunov_grid(spec, E, 3000), np.maximum(0.0, direct) / 3000)
+
+    def test_site_budget_holds_on_both_paths(self):
+        for spec in (PotentialSpec.sturmian(GOLDEN_MEAN, 2.0),
+                     PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.0)):
+            with pytest.raises(DomainError):
+                lyapunov_grid(spec, [0.0], MAX_SITES + 1)
+
+    def test_blocks_are_zeckendorf_digits(self):
+        F = [1, 2]
+        while F[-1] < 10**6:
+            F.append(F[-1] + F[-2])
+        for n in (1, 4, 12, 100, 999_999):
+            lengths = [F[k] for k, _ in fixed_point_blocks(FIBONACCI_RULE, n)]
+            assert sum(lengths) == n
+            ks = [k for k, _ in fixed_point_blocks(FIBONACCI_RULE, n)]
+            assert all(k1 >= k2 + 2 for k1, k2 in zip(ks, ks[1:]))
 
 
 class TestTracePoly:
