@@ -24,6 +24,9 @@ from .transfer import product_grid
 # eigenvalue lying exactly at E is not counted, keeping the strict-below
 # semantics; callers wanting "at or below" shift E by +1e-12.
 _PIVOT_FLOOR = 1e-300
+# Elements of the V - E block that ``count_below`` builds at once (256 KB of
+# float64, the budget of transfer._CHUNK).
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -56,15 +59,36 @@ def _fix_pivots(d: np.ndarray) -> np.ndarray:
 
 def count_below(diag, energies) -> np.ndarray:
     """Eigenvalues strictly below each energy, for the tridiagonal matrix with
-    the given diagonal and unit off-diagonals (Dirichlet restriction)."""
+    the given diagonal and unit off-diagonals (Dirichlet restriction).
+
+    Each pivot step d = (V - E) - 1/d and its floor fix run in place on
+    arrays of the energies' shape. V - E and the pivot signs are built for a
+    block of sites at once, at most _CHUNK elements, and the signs are counted
+    once per block. The steps are the same float operations whatever the block
+    size, so the counts do not depend on it, and the transient memory does not
+    grow with the chain.
+    """
     vals = np.asarray(diag, dtype=float)
     E = np.atleast_1d(np.asarray(energies, dtype=float))
+    rows = max(1, min(len(vals), _CHUNK // (E.size or 1)))
+    d = np.full(E.shape, np.inf)  # 1/d = 0 makes the first pivot V_1 - E
+    r = np.empty_like(d)
+    m = np.empty(E.shape, dtype=bool)
+    counts = np.zeros(E.shape, dtype=np.int64)
+    block = np.empty((rows,) + E.shape)  # V - E over a block of sites
+    signs = np.empty(block.shape, dtype=bool)  # and the signs of their pivots
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = _fix_pivots(vals[0] - E)
-        counts = (d < 0).astype(np.int64)
-        for v in vals[1:]:
-            d = _fix_pivots((v - E) - 1.0 / d)
-            counts += d < 0
+        for b in range(0, len(vals), rows):
+            v_b = vals[b:b + rows]
+            ve = np.subtract(v_b.reshape(v_b.shape + (1,) * E.ndim), E, out=block[:len(v_b)])
+            neg = signs[:len(v_b)]
+            for v, n in zip(ve, neg):
+                np.divide(1.0, d, out=r)
+                np.subtract(v, r, out=d)
+                np.less(np.abs(d, out=r), _PIVOT_FLOOR, out=m)
+                np.copyto(d, _PIVOT_FLOOR, where=m)
+                np.less(d, 0.0, out=n)
+            counts += np.count_nonzero(neg, axis=0)
     return counts
 
 

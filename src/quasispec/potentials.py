@@ -257,17 +257,24 @@ def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int,
         raise DomainError("substitution rule is not primitive")
     la, lb, n = _two_sided_letters(rule, power_cap)
     out = []
+    # Each iterate of u ends with the previous one, and each of v starts with it.
     if lo <= 0:
-        u = la
-        while len(u) < 1 - lo:
-            u = rule.iterate(u, n)  # suffix-stable: each iterate ends with the previous
+        u = _iterate_to(rule, la, n, 1 - lo)
     if hi >= 1:
-        v = lb
-        while len(v) < hi:
-            v = rule.iterate(v, n)  # prefix-stable
+        v = _iterate_to(rule, lb, n, hi)
     for i in range(lo, hi + 1):
         out.append(u[len(u) - 1 + i] if i <= 0 else v[i - 1])
     return "".join(out)
+
+
+def _iterate_to(rule: SubstitutionRule, w: str, n: int, size: int) -> str:
+    """Apply rule^n to ``w`` until it has at least ``size`` letters."""
+    while len(w) < size:
+        grown = rule.iterate(w, n)
+        if len(grown) == len(w):
+            raise DomainError("substitution does not grow from its seed")
+        w = grown
+    return w
 
 
 def fixed_point_blocks(rule: SubstitutionRule, n: int) -> list[tuple[int, str]]:

@@ -184,13 +184,19 @@ def bounded_spectrum(lam: float, e_window: tuple[float, float], depth: int,
     iteration certifies that escape fires everywhere in it within n_max steps;
     otherwise it is split, down to 2^depth cells. Cells still undecided at the
     depth limit remain in, so the result over-covers the bounded set at
-    resolution |window| / 2^depth.
+    resolution |window| / 2^depth. A depth whose cells would be narrower than
+    the float spacing at the window's larger endpoint is rejected (52 for a
+    window of unit width and scale).
     """
     if depth < 1 or n_max < 1:
         raise DomainError("depth and n_max must be at least 1")
     lo, hi = e_window
     if not lo < hi:
         raise DomainError("empty energy window")
+    limit = math.frexp((hi - lo) / math.ulp(max(abs(lo), abs(hi))))[1] - 1
+    if depth > limit:
+        raise DomainError(f"depth {depth} would split the window below its float "
+                          f"spacing; at most {limit} levels fit")
 
     survivors: list[tuple[float, float]] = []
 

@@ -29,15 +29,24 @@ from .potentials import (PotentialSpec, PeriodicPotential, SubstitutionRule,
                          fixed_point_blocks, fixed_point_of, sample_potential)
 
 TRACE_POLY_DEGREE_CAP = 64
-# A grid of M <= _LANES / 2 energies steps J = _LANES // M chain segments of
-# _SEGMENT sites side by side, as one (J, M) array (both sizes measured on a
-# 2-core x86 machine; see CHANGES.md).
-_LANES = 512
+# A narrow grid, M <= _NARROW energies, steps J = min(_LANES // M, segments)
+# chain segments of _SEGMENT sites side by side, as one (J, M) array; a wider
+# grid steps the whole chain as one segment. The segments start at the same
+# sites whatever J is, so J changes no bit. Lane sweep on a 2-core x86
+# machine, almost-Mathieu 25,000 sites x 200 energies / golden Sturmian 10^4
+# sites x 240 energies: 512 lanes 73 / 26 ms, 1024 40 / 21, 2048 32 / 18,
+# 4096 32 / 14, 8192 25 / 13. 8192 lanes gain a little more but double the
+# lanes' memory.
+_NARROW = 256
+_LANES = 4096
 _SEGMENT = 256
 # Sites between rescalings grow the entries by at most e^_LOG_GROWTH, far
-# below the float limit e^709; _CHUNK bounds the energy-site block built at once.
+# below the float limit e^709. _CHUNK bounds the elements of the E - V block
+# built at once (256 KB of float64). The rescaling interval is the largest
+# multiple of the block's rows within the safe k sites, so a small block does
+# not rescale more often than a large one would.
 _LOG_GROWTH = 600.0
-_CHUNK = 1 << 18
+_CHUNK = 1 << 15
 _LN2 = math.log(2.0)
 
 
@@ -134,10 +143,11 @@ def product_grid(values, energies, marks=None):
     A site grows the entries by at most max|E| + max|V| + 2, so they are
     rescaled only every k sites, by powers of two whose exponents are summed
     as integers; the schedule therefore changes no bit of the result outside
-    the subnormal range. A narrow grid steps several chain segments side by
-    side and joins their products in one prefix pass; segments start at
-    multiples of _SEGMENT, so a mark row equals the call on that prefix bit
-    for bit.
+    the subnormal range. A narrow grid steps up to _LANES // M chain segments
+    side by side and joins their products in one prefix pass; segments start
+    at multiples of _SEGMENT, so a mark row equals the call on that prefix bit
+    for bit, and neither the lane count nor the E - V block size changes a bit.
+    The transient memory is the (J, M) lanes, one block and the padded chain.
     """
     vals = np.asarray(values, dtype=float).ravel()
     E = np.asarray(energies, dtype=float)
@@ -147,16 +157,22 @@ def product_grid(values, energies, marks=None):
         raise DomainError("a product needs at least one site, and lengths must be "
                           "increasing positive integers within the chain")
     e, n, K, M = E.ravel(), int(ends[-1]), ends.size, E.size
-    J = _LANES // M if 0 < M < _LANES else 1
-    s = _SEGMENT if J > 1 else n
-    k = _LOG_GROWTH / math.log(np.abs(e).max(initial=0.0) + np.abs(vals[:n]).max() + 2.0)
-    chunk = max(1, int(min(_CHUNK // (J * M or 1), k)))  # k is nan for nan inputs
-    vals = np.concatenate([vals[:n], np.zeros(-n % s)])  # whole segments
-    seg, nseg = (ends - 1) // s, len(vals) // s  # the segment holding each end
+    narrow = 0 < M <= _NARROW
+    s = _SEGMENT if narrow else n
+    nseg = -(-n // s)
+    J = min(_LANES // M, nseg) if narrow else 1
+    # E - V blocks of `rows` sites; a rescale every `every` <= k sites.
+    grow = np.abs(e).max(initial=0.0) + np.abs(vals[:n]).max() + 2.0
+    k = max(1, int(_LOG_GROWTH / math.log(grow))) if grow < math.inf else 1
+    rows = min(k, max(1, _CHUNK // (J * M or 1)))
+    every = k - k % rows
+    vals = np.concatenate([vals[:n], np.zeros(nseg * s - n)])  # whole segments
+    seg = (ends - 1) // s  # the segment holding each end
     off = (ends - seg * s).tolist()
     # Rows a, b, c, d and the exponent (an integer, exact in a float) of the
     # raw product at each end, and of the segments before the end's own.
     cap, pre = np.empty((5, K, M)), np.empty((5, K, M))
+    block = np.empty((min(rows, s), J, M))  # E - V over `rows` sites of each lane
     run = np.zeros((5, M))
     run[0] = run[3] = 1.0
     for g0 in range(0, nseg, J):
@@ -170,10 +186,12 @@ def product_grid(values, energies, marks=None):
         x[0] = y[1] = 1.0
         z, x_exp = np.empty_like(x), np.zeros((Jb, M))
         steps = min(s, n - g0 * s)
-        for t0 in range(0, steps, chunk):
-            if t0:
+        for t0 in range(0, steps, rows):
+            if t0 and t0 % every == 0:
                 _rescale(x, y, x_exp)
-            for t, ev in enumerate(e - V[t0:min(t0 + chunk, steps), :, None], t0 + 1):
+            r = min(rows, steps - t0)
+            for t, ev in enumerate(np.subtract(e, V[t0:t0 + r, :, None], out=block[:r, :Jb]),
+                                   t0 + 1):
                 np.multiply(ev, x, out=z)
                 np.subtract(z, y, out=z)
                 x, y, z = z, x, y

@@ -1,0 +1,106 @@
+"""The lane and block budgets of the chain kernels change no bit of a result
+and bound the kernels' transient memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from quasispec import GOLDEN_MEAN, PotentialSpec, count_below, ids, sample_potential, transfer
+from quasispec.transfer import product_grid
+
+WIDTHS = [1, 7, 200, 256, 257]
+
+
+@st.composite
+def chains(draw):
+    """Up to 3000 sites, a grid width from WIDTHS and increasing marks. Values
+    and energies from {-1, 0, 2} make exact zero entries and zero pivots; a
+    huge energy forces a rescale after every site."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, M = draw(st.integers(1, 3000)), draw(st.sampled_from(WIDTHS))
+    if draw(st.booleans()):
+        values, E = rng.uniform(-3.0, 3.0, n), rng.uniform(-6.0, 6.0, M)
+    else:
+        values, E = rng.choice([-1.0, 0.0, 2.0], n), rng.choice([-1.0, 0.0, 2.0], M)
+    if draw(st.booleans()):
+        E[0] = rng.choice([-1.0, 1.0]) * 1e200
+    marks = np.unique(rng.integers(1, n + 1, draw(st.integers(1, 20))))
+    return values, E, marks
+
+
+def with_small_budgets(f):
+    """f() with 512 lanes and 64-element blocks in both kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_LANES", 512)
+        mp.setattr(transfer, "_CHUNK", 64)
+        mp.setattr(ids, "_CHUNK", 64)
+        return f()
+
+
+def assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+class TestBudgetsChangeNoBit:
+    @given(chains())
+    def test_product_grid(self, chain):
+        values, E, marks = chain
+
+        def run():
+            return (*product_grid(values, E), *product_grid(values, E, marks))
+
+        assert_all_equal(with_small_budgets(run), run())
+
+    @given(chains())
+    def test_count_below(self, chain):
+        values, E, _ = chain
+        assert_all_equal([with_small_budgets(lambda: count_below(values, E))],
+                         [count_below(values, E)])
+
+    @pytest.mark.parametrize("M", WIDTHS)
+    def test_long_chain(self, M):
+        # 98 segments: more than the small budget's 512 // M lanes for M >= 7.
+        values = sample_potential(PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.5, 0.3),
+                                  1, 25_000)
+        E = np.linspace(-4.5, 4.5, M)
+        marks = [1, 255, 256, 257, 4096, 12_345, 25_000]
+
+        def run():
+            return (*product_grid(values, E), *product_grid(values, E, marks),
+                    count_below(values[:2001], E))
+
+        assert_all_equal(with_small_budgets(run), run())
+
+
+def traced_peak(f):
+    """The result of f() and the peak of the memory traced while it ran."""
+    f()  # anything allocated once per process is not the kernel's
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    # The lanes, one E - V block, numpy's iterator buffers and the padded chain
+    # copy stay within 1 MB beyond the outputs; a 2 MB block would not.
+    BOUND = 1 << 20
+
+    def test_product_grid(self):
+        values = sample_potential(PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.5, 0.3),
+                                  1, 25_000)
+        E = np.linspace(-4.5, 4.5, 200)
+        out, peak = traced_peak(lambda: product_grid(values, E))
+        assert peak <= sum(r.nbytes for r in out) + self.BOUND
+
+    def test_count_below(self):
+        diag = sample_potential(PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, 0.4), -1000, 1000)
+        E = np.linspace(-3.0, 4.5, 400)
+        out, peak = traced_peak(lambda: count_below(diag, E))
+        assert peak <= out.nbytes + self.BOUND

@@ -6,6 +6,9 @@ import pytest
 
 from quasispec.cli import main, parse_config
 
+# A primitive rule whose fixed point never grows.
+ONE_LETTER_RULE = '{"alphabet": ["a"], "images": {"a": "a"}, "letter_values": {"a": 1}}'
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -286,6 +289,10 @@ class TestErrors:
         ["ids", "--size"],
         [],
         ["lyapunov", "--model", "fibonacci", "--n", "10000000000"],
+        ["ids", "--model", "substitution", "--rule-file", ONE_LETTER_RULE],
+        ["resistance", "--model", "substitution", "--rule-file", ONE_LETTER_RULE],
+        ["spectrum", "--model", "fibonacci", "--lambda", "2", "--method", "bounded",
+         "--depth", "2000"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         for flag in ("--config", "--rule-file"):

@@ -67,6 +67,12 @@ class TestTwoSided:
         with pytest.raises(DomainError):
             generate_two_sided(rule, -2, 2, power_cap=1)
 
+    @pytest.mark.parametrize("lo, hi", [(1, 2), (-1, 1)])
+    def test_rule_that_does_not_grow(self, lo, hi):
+        # a -> a is primitive (its 1x1 matrix is positive) but never grows.
+        with pytest.raises(DomainError, match="does not grow"):
+            generate_two_sided(SubstitutionRule(("a",), {"a": "a"}), lo, hi)
+
 
 class TestSampling:
     def test_golden_sturmian_first_values(self):

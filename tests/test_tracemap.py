@@ -158,3 +158,13 @@ class TestBoundedSpectrum:
             bounded_spectrum(1.0, (1.0, -1.0), 4, 5)
         with pytest.raises(DomainError):
             bounded_spectrum(1.0, (-1.0, 1.0), 0, 5)
+
+    @pytest.mark.parametrize("window, limit", [((0.0, 1.0), 52), ((-5.0, 5.0), 53),
+                                               ((1e-300, 2e-300), 51)])
+    def test_depth_below_float_spacing_rejected(self, window, limit):
+        # At the limit a cell is as wide as the float spacing of the window.
+        lo, hi = window
+        assert (hi - lo) / 2**limit >= math.ulp(hi) > (hi - lo) / 2**(limit + 1)
+        for depth in (limit + 1, 2000, 10**30):
+            with pytest.raises(DomainError, match=f"at most {limit} levels"):
+                bounded_spectrum(1.0, window, depth, 5)
