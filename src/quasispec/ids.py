@@ -2,10 +2,18 @@
 
 Eigenvalues below a threshold are counted through the negative pivots of the
 LDL factorization of (H - E): for the tridiagonal Dirichlet restriction this
-is the classical Sturm pivot recursion d_i = (V_i - E) - 1/d_{i-1}. A
-bordered variant handles the periodic / antiperiodic restrictions whose
-matrices carry corner entries. Counts drive both IDS curves and the band-edge
-bisection used elsewhere.
+is the classical Sturm pivot recursion d_i = (V_i - E) - 1/d_{i-1}
+(Barth-Martin-Wilkinson 1967), with zero pivots replaced by a tiny value as
+in Kahan (1966). A bordered variant handles the periodic / antiperiodic
+restrictions whose matrices carry corner entries. Counts drive both IDS
+curves and the band-edge bisection used elsewhere.
+
+Both counts run one block sweep, ``_sweep``: per site only the recursion
+runs, into a block of stored pivots (and, bordered, fill-in and Schur rows).
+The guards, the pivot floor and the saturation of the bordered rows, are
+checked once per block on the stored values; a block where one would have
+acted is rerun from its starting state with the guards at every site. The
+counts are therefore those of the per-site guarded recursion, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +32,12 @@ from .transfer import product_grid
 # eigenvalue lying exactly at E is not counted, keeping the strict-below
 # semantics; callers wanting "at or below" shift E by +1e-12.
 _PIVOT_FLOOR = 1e-300
-# Elements of the V - E block that ``count_below`` builds at once (256 KB of
-# float64, the budget of transfer._CHUNK).
+# The fill-in and Schur entries of the bordered count are saturated at this
+# magnitude, which keeps inf/inf out of their divisions; only the pivot signs
+# matter for the count.
+_SATURATION = 1e150
+# Elements of float64 that the block buffers of one pivot sweep take together
+# (256 KB, the budget of transfer._CHUNK).
 _CHUNK = 1 << 15
 
 
@@ -61,35 +73,17 @@ def count_below(diag, energies) -> np.ndarray:
     """Eigenvalues strictly below each energy, for the tridiagonal matrix with
     the given diagonal and unit off-diagonals (Dirichlet restriction).
 
-    Each pivot step d = (V - E) - 1/d and its floor fix run in place on
-    arrays of the energies' shape. V - E and the pivot signs are built for a
-    block of sites at once, at most _CHUNK elements, and the signs are counted
-    once per block. The steps are the same float operations whatever the block
-    size, so the counts do not depend on it, and the transient memory does not
-    grow with the chain.
+    The pivots d = (V - E) - 1/d are swept over blocks of sites (see
+    ``_sweep``): per site only the recursion runs, and the pivot floor is
+    checked once per block on the stored pivots. A block with a pivot in
+    (-_PIVOT_FLOOR, _PIVOT_FLOOR) is rerun from its starting pivots with the
+    floor applied at every site, so the counts equal those of a per-site
+    guarded recursion bit for bit, whatever the block size, and the transient
+    memory does not grow with the chain.
     """
     vals = np.asarray(diag, dtype=float)
     E = np.atleast_1d(np.asarray(energies, dtype=float))
-    rows = max(1, min(len(vals), _CHUNK // (E.size or 1)))
-    d = np.full(E.shape, np.inf)  # 1/d = 0 makes the first pivot V_1 - E
-    r = np.empty_like(d)
-    m = np.empty(E.shape, dtype=bool)
-    counts = np.zeros(E.shape, dtype=np.int64)
-    block = np.empty((rows,) + E.shape)  # V - E over a block of sites
-    signs = np.empty(block.shape, dtype=bool)  # and the signs of their pivots
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for b in range(0, len(vals), rows):
-            v_b = vals[b:b + rows]
-            ve = np.subtract(v_b.reshape(v_b.shape + (1,) * E.ndim), E, out=block[:len(v_b)])
-            neg = signs[:len(v_b)]
-            for v, n in zip(ve, neg):
-                np.divide(1.0, d, out=r)
-                np.subtract(v, r, out=d)
-                np.less(np.abs(d, out=r), _PIVOT_FLOOR, out=m)
-                np.copyto(d, _PIVOT_FLOOR, where=m)
-                np.less(d, 0.0, out=n)
-            counts += np.count_nonzero(neg, axis=0)
-    return counts
+    return _sweep(vals.reshape(vals.shape + (1,) * E.ndim), E)[0]
 
 
 def count_below_periodic(diag, energies, corner) -> np.ndarray:
@@ -98,7 +92,13 @@ def count_below_periodic(diag, energies, corner) -> np.ndarray:
     ``corner`` is +1 for phase 0 and -1 for phase pi; the matrix equals the
     Dirichlet one plus ``corner`` in the (1, L) and (L, 1) entries (with the
     usual degenerate forms for L = 1, 2). The factorization is the bordered
-    (arrowhead) elimination, still O(L) per energy.
+    (arrowhead) elimination, still O(L) per energy: the pivots of the first
+    L - 1 sites, the fill-in f of the last column and the Schur complement s
+    of the corner. For L >= 3 it runs on the block sweep of ``count_below``;
+    f and s are saturated at +-_SATURATION, a guard checked once per block
+    like the pivot floor (a NaN also reruns the block), so the counts equal
+    those of the per-site guarded elimination bit for bit. An empty diagonal
+    gives zero counts.
 
     Stacked form: B problems of one length L at once, with ``diag`` site-major
     of shape (L, B), ``corner`` of shape (B,) and ``energies`` of shape (B, M);
@@ -118,6 +118,8 @@ def _count_periodic(vals, E, corner):
     """``count_below_periodic`` on vals (L, B, 1), E (B, M), corner (B, 1)."""
     L = len(vals)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if L == 0:
+            return np.zeros(E.shape, dtype=np.int64)
         if L == 1:
             d = vals[0] + 2.0 * corner - E
             return (d < 0).astype(np.int64)
@@ -126,22 +128,98 @@ def _count_periodic(vals, E, corner):
             d1 = _fix_pivots(vals[0] - E)
             d2 = _fix_pivots((vals[1] - E) - off * off / d1)
             return (d1 < 0).astype(np.int64) + (d2 < 0)
-        d = _fix_pivots(vals[0] - E)
-        counts = (d < 0).astype(np.int64)
-        f = np.broadcast_to(corner, E.shape)  # fill-in of the last column
-        s = vals[L - 1] - E                   # running Schur complement of the corner
-        for k in range(L - 2):
-            s = s - f * f / d
-            f = (1.0 if k + 1 == L - 2 else 0.0) - f / d
-            # Saturate to keep inf/inf out of the next division; only the
-            # pivot signs matter for the count.
-            f = np.minimum(np.maximum(f, -1e150), 1e150)
-            s = np.minimum(np.maximum(s, -1e150), 1e150)
-            d = _fix_pivots((vals[k + 1] - E) - 1.0 / d)
-            counts += d < 0
-        d_last = _fix_pivots(s - f * f / d)
-        counts += d_last < 0
-    return counts
+        # Eliminating pivot k turns the last column's fill-in f into
+        # c - f / d_k (c = 1 at k = L - 3, where the band meets the column)
+        # and the corner's Schur complement s into s - f^2 / d_k; after the
+        # last pivot, s is the last pivot itself (a saturation keeps its sign
+        # and keeps it beyond the floor).
+        counts, (_, s) = _sweep(vals[:L - 1], E, (corner, vals[L - 1] - E, L - 3))
+        return counts + (_fix_pivots(s) < 0)
+
+
+def _sweep(vals, E, border=None):
+    """Negative pivots of d_i = (V_i - E) - 1/d_{i-1} over the sites of ``vals``
+    (a leading site axis, broadcasting against E), from d = +inf, so that
+    1/d = 0 makes the first pivot V_1 - E.
+
+    With ``border`` = (f, s, k), each pivot d_i also eliminates the border
+    pair: s <- s - f * f / d_i and f <- c_i - f / d_i, with c_i = 1 at i = k
+    and 0 elsewhere. Returns the counts (E's shape) and the final (f, s).
+
+    Sites go in blocks whose pivots (and f, s) rows, with one bool row each
+    for the signs, take at most 8 * _CHUNK bytes. Per site only the
+    recursion runs. Each block is then checked once: a stored pivot in
+    (-_PIVOT_FLOOR, _PIVOT_FLOOR), or an f or s beyond +-_SATURATION or NaN,
+    means a guard would have acted, and the block is rerun from the state
+    at its start with the guards applied at every site. The first site where
+    a guard acts has the same unguarded values either way, so the check
+    misses none; where none acts, the guards change no bit. Signs are
+    counted once per block.
+    """
+    L = len(vals)
+    # Per element of a row: an 8-byte pivot and a 1-byte sign (and 16 bytes of f, s).
+    row_bytes = E.size * (9 if border is None else 25)
+    rows = max(1, min(L, 8 * _CHUNK // (row_bytes or 1)))
+    P = np.empty((rows,) + E.shape)  # V - E, overwritten by the pivots
+    signs = np.empty(P.shape, dtype=bool)
+    d = np.full(E.shape, np.inf)
+    r, t = np.empty(E.shape), np.empty(E.shape)
+    counts = np.zeros(E.shape, dtype=np.int64)
+    fs = FS = None
+    k = -1
+    if border is not None:
+        f, s, k = border
+        fs = np.array([np.broadcast_to(f, E.shape), s])
+        FS = np.empty((2,) + P.shape)  # the (f, s) rows after each pivot
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for b in range(0, L, rows):
+            n = min(rows, L - b)
+            p, neg = P[:n], signs[:n]
+            x = None if FS is None else FS[:, :n]
+            for guard in (False, True):
+                np.subtract(vals[b:b + n], E, out=p)
+                _pivot_rows(p, d, x, fs, k - b, guard, r, t)
+                # No pivot lies in (-floor, floor) iff as many lie below
+                # floor as at or below -floor; then these are the negative ones.
+                below = np.count_nonzero(np.less(p, _PIVOT_FLOOR, out=neg))
+                negs = np.count_nonzero(np.less_equal(p, -_PIVOT_FLOOR, out=neg), axis=0)
+                if guard or below == negs.sum() and (
+                        x is None or (np.max(x, initial=-np.inf) <= _SATURATION
+                                      and np.min(x, initial=np.inf) >= -_SATURATION)):
+                    break
+            counts += negs
+            np.copyto(d, p[-1])
+            if x is not None:
+                np.copyto(fs, x[:, -1])
+    return counts, fs
+
+
+def _pivot_rows(P, d, FS, fs, k, guard, r, t):
+    """Overwrite the rows of P (V - E on entry) by the pivots that follow the
+    pivot d, and with FS the rows FS[:, i] by the (f, s) after each pivot,
+    from ``fs`` before the first. ``guard`` floors each pivot and saturates
+    each f and s as they are made; r and t are scratch rows."""
+    rows = zip(P) if FS is None else zip(P, *FS)
+    for i, row in enumerate(rows):
+        p = row[0]
+        np.divide(1.0, d, out=r)
+        np.subtract(p, r, out=p)
+        if guard:
+            np.copyto(p, _PIVOT_FLOOR, where=np.abs(p, out=r) < _PIVOT_FLOOR)
+        if FS is not None:
+            f, s = fs
+            _, f_new, s_new = row
+            np.multiply(f, f, out=t)
+            np.divide(t, p, out=t)
+            np.subtract(s, t, out=s_new)
+            np.divide(f, p, out=t)
+            np.subtract(1.0 if i == k else 0.0, t, out=f_new)
+            if guard:
+                for g in (f_new, s_new):
+                    np.maximum(g, -_SATURATION, out=g)
+                    np.minimum(g, _SATURATION, out=g)
+            fs = (f_new, s_new)
+        d = p
 
 
 def eigen_count(values, E: float) -> int:

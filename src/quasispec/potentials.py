@@ -256,15 +256,15 @@ def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int,
     if not rule.is_primitive():
         raise DomainError("substitution rule is not primitive")
     la, lb, n = _two_sided_letters(rule, power_cap)
-    out = []
-    # Each iterate of u ends with the previous one, and each of v starts with it.
+    # Each iterate of u ends with the previous one, and each of v starts with
+    # it. Site i <= 0 is u[len(u) - 1 + i], site i >= 1 is v[i - 1].
+    left = right = ""
     if lo <= 0:
         u = _iterate_to(rule, la, n, 1 - lo)
+        left = u[len(u) - 1 + lo:len(u) + min(hi, 0)]
     if hi >= 1:
-        v = _iterate_to(rule, lb, n, hi)
-    for i in range(lo, hi + 1):
-        out.append(u[len(u) - 1 + i] if i <= 0 else v[i - 1])
-    return "".join(out)
+        right = _iterate_to(rule, lb, n, hi)[max(lo, 1) - 1:hi]
+    return left + right
 
 
 def _iterate_to(rule: SubstitutionRule, w: str, n: int, size: int) -> str:
@@ -362,14 +362,22 @@ def sample_potential(spec: PotentialSpec, first: int, last: int) -> np.ndarray:
     if spec.kind == "circle":
         return spec.lam * _circle_indicator(n * spec.alpha + spec.omega, spec.intervals)
     if spec.kind == "substitution":
-        word = generate_two_sided(spec.rule, first, last)
-        return np.array([spec.letter_values[ch] for ch in word], dtype=float)
+        return _letter_values(generate_two_sided(spec.rule, first, last), spec.letter_values)
     if spec.kind == "explicit-periodic":
         vals = np.asarray(spec.values, dtype=float)
         idx = np.mod(np.arange(first, last + 1) - 1, len(vals))
         return vals[idx]
     # constant
     return np.full(last - first + 1, float(spec.values[0]))
+
+
+def _letter_values(word: str, letter_values: dict[str, float]) -> np.ndarray:
+    """The value of every letter of ``word``, looked up through its code point."""
+    letters = sorted(letter_values)
+    codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
+    keys = np.array([ord(ch) for ch in letters], dtype=np.uint32)
+    values = np.array([letter_values[ch] for ch in letters], dtype=float)
+    return values[np.searchsorted(keys, codes)]
 
 
 # -- rational approximation --------------------------------------------------

@@ -147,7 +147,8 @@ def product_grid(values, energies, marks=None):
     side by side and joins their products in one prefix pass; segments start
     at multiples of _SEGMENT, so a mark row equals the call on that prefix bit
     for bit, and neither the lane count nor the E - V block size changes a bit.
-    The transient memory is the (J, M) lanes, one block and the padded chain.
+    The transient memory is the (J, M) lanes, one block and one padded
+    segment; it does not grow with the chain.
     """
     vals = np.asarray(values, dtype=float).ravel()
     E = np.asarray(energies, dtype=float)
@@ -162,11 +163,11 @@ def product_grid(values, energies, marks=None):
     nseg = -(-n // s)
     J = min(_LANES // M, nseg) if narrow else 1
     # E - V blocks of `rows` sites; a rescale every `every` <= k sites.
-    grow = np.abs(e).max(initial=0.0) + np.abs(vals[:n]).max() + 2.0
+    vals = vals[:n]
+    grow = np.abs(e).max(initial=0.0) + np.maximum(vals.max(), -vals.min()) + 2.0
     k = max(1, int(_LOG_GROWTH / math.log(grow))) if grow < math.inf else 1
     rows = min(k, max(1, _CHUNK // (J * M or 1)))
     every = k - k % rows
-    vals = np.concatenate([vals[:n], np.zeros(nseg * s - n)])  # whole segments
     seg = (ends - 1) // s  # the segment holding each end
     off = (ends - seg * s).tolist()
     # Rows a, b, c, d and the exponent (an integer, exact in a float) of the
@@ -177,7 +178,13 @@ def product_grid(values, energies, marks=None):
     run[0] = run[3] = 1.0
     for g0 in range(0, nseg, J):
         Jb = min(J, nseg - g0)
-        V = vals[g0 * s:(g0 + Jb) * s].reshape(Jb, s).T
+        # Whole segments are a view of the chain; only a last partial one
+        # is copied, padded with zeros to a whole segment.
+        V = vals[g0 * s:(g0 + Jb) * s]
+        whole = len(V) // s
+        tail = np.zeros(s if whole < Jb else 0)
+        tail[:len(V) - whole * s] = V[whole * s:]
+        V = V[:whole * s].reshape(whole, s).T
         bounds = np.searchsorted(seg, np.arange(g0, g0 + Jb + 1))
         hits = {}  # step -> the ends reached after it
         for i in range(bounds[0], bounds[-1]):
@@ -190,8 +197,11 @@ def product_grid(values, energies, marks=None):
             if t0 and t0 % every == 0:
                 _rescale(x, y, x_exp)
             r = min(rows, steps - t0)
-            for t, ev in enumerate(np.subtract(e, V[t0:t0 + r, :, None], out=block[:r, :Jb]),
-                                   t0 + 1):
+            ev_rows = block[:r, :Jb]
+            np.subtract(e, V[t0:t0 + r, :, None], out=ev_rows[:, :whole])
+            if len(tail):
+                np.subtract(e, tail[t0:t0 + r, None], out=ev_rows[:, whole])
+            for t, ev in enumerate(ev_rows, t0 + 1):
                 np.multiply(ev, x, out=z)
                 np.subtract(z, y, out=z)
                 x, y, z = z, x, y

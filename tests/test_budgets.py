@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quasispec import GOLDEN_MEAN, PotentialSpec, count_below, ids, sample_potential, transfer
+from quasispec import (GOLDEN_MEAN, PotentialSpec, approximant_by_denominator, count_below,
+                       count_below_periodic, ids, sample_potential, transfer)
 from quasispec.transfer import product_grid
 
 WIDTHS = [1, 7, 200, 256, 257]
@@ -28,6 +29,18 @@ def chains(draw):
         E[0] = rng.choice([-1.0, 1.0]) * 1e200
     marks = np.unique(rng.integers(1, n + 1, draw(st.integers(1, 20))))
     return values, E, marks
+
+
+def edge_problem(seed):
+    """The stacked count behind a band set's edges: both wrap-around
+    restrictions of a golden Sturmian period of 377 sites, site-major (377, 2),
+    at 377 energies each (2, 377), some exactly on diagonal entries."""
+    rng = np.random.default_rng(seed)
+    spec = PotentialSpec.sturmian(GOLDEN_MEAN, rng.uniform(1.0, 3.0), rng.uniform())
+    vals = np.asarray(approximant_by_denominator(spec, 377).values)
+    E = rng.uniform(vals.min() - 4.0, vals.max() + 4.0, (2, 377))
+    E[:, :3] = vals[:3]
+    return np.ascontiguousarray(np.stack([vals, vals], axis=1)), E, np.array([1.0, -1.0])
 
 
 def with_small_budgets(f):
@@ -61,6 +74,15 @@ class TestBudgetsChangeNoBit:
         assert_all_equal([with_small_budgets(lambda: count_below(values, E))],
                          [count_below(values, E)])
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_count_below_periodic(self, seed):
+        diag, E, corners = edge_problem(seed)
+
+        def run():
+            return count_below_periodic(diag, E, corners)
+
+        assert_all_equal([with_small_budgets(run)], [run()])
+
     @pytest.mark.parametrize("M", WIDTHS)
     def test_long_chain(self, M):
         # 98 segments: more than the small budget's 512 // M lanes for M >= 7.
@@ -88,8 +110,9 @@ def traced_peak(f):
 
 
 class TestTransientMemory:
-    # The lanes, one E - V block, numpy's iterator buffers and the padded chain
-    # copy stay within 1 MB beyond the outputs; a 2 MB block would not.
+    # The lanes, one E - V block, one padded segment and numpy's iterator
+    # buffers stay within 1 MB beyond the outputs; a 2 MB block or a copy of
+    # a long chain would not.
     BOUND = 1 << 20
 
     def test_product_grid(self):
@@ -99,8 +122,21 @@ class TestTransientMemory:
         out, peak = traced_peak(lambda: product_grid(values, E))
         assert peak <= sum(r.nbytes for r in out) + self.BOUND
 
+    def test_product_grid_long_chain_one_energy(self):
+        # 10^6 sites make 3907 segments, all stepped side by side at M = 1:
+        # an 8 MB chain that must not be copied to pad its last segment.
+        values = sample_potential(PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.5, 0.3),
+                                  1, 10**6)
+        out, peak = traced_peak(lambda: product_grid(values, [0.7]))
+        assert peak <= sum(r.nbytes for r in out) + self.BOUND
+
     def test_count_below(self):
         diag = sample_potential(PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, 0.4), -1000, 1000)
         E = np.linspace(-3.0, 4.5, 400)
         out, peak = traced_peak(lambda: count_below(diag, E))
+        assert peak <= out.nbytes + self.BOUND
+
+    def test_count_below_periodic(self):
+        diag, E, corners = edge_problem(1)
+        out, peak = traced_peak(lambda: count_below_periodic(diag, E, corners))
         assert peak <= out.nbytes + self.BOUND

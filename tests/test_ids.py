@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasispec import (
     DomainError,
@@ -10,12 +10,14 @@ from quasispec import (
     IdsCurve,
     PotentialSpec,
     char_poly_value,
+    count_below,
     count_below_periodic,
     eigen_count,
     free_ids,
     ids_curve,
     thouless_gamma,
 )
+from quasispec import ids
 from quasispec.ids import bisect_eigenvalues
 
 
@@ -25,6 +27,107 @@ def _dense_tridiag(diag):
     if L > 1:
         H += np.diag(np.ones(L - 1), 1) + np.diag(np.ones(L - 1), -1)
     return H
+
+
+def site_guarded_count_below(diag, energies):
+    """Reference Dirichlet count: the pivot recursion with the floor applied
+    at every site."""
+    E = np.atleast_1d(np.asarray(energies, dtype=float))
+    counts = np.zeros(E.shape, dtype=np.int64)
+    d = np.full(E.shape, np.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for v in np.asarray(diag, dtype=float):
+            d = (v - E) - 1.0 / d
+            d = np.where(np.abs(d) < ids._PIVOT_FLOOR, ids._PIVOT_FLOOR, d)
+            counts += d < 0
+    return counts
+
+
+def site_guarded_count_periodic(diag, energies, corner):
+    """Reference wrap-around count for L >= 3: the bordered elimination with
+    the pivot floor and the +-1e150 saturation of f and s at every site."""
+    vals = np.asarray(diag, dtype=float)
+    E = np.atleast_1d(np.asarray(energies, dtype=float))
+    L = len(vals)
+
+    def fix(d):
+        return np.where(np.abs(d) < ids._PIVOT_FLOOR, ids._PIVOT_FLOOR, d)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = fix(vals[0] - E)
+        counts = (d < 0).astype(np.int64)
+        f = np.broadcast_to(float(corner), E.shape)
+        s = vals[L - 1] - E
+        for k in range(L - 2):
+            s = s - f * f / d
+            f = (1.0 if k + 1 == L - 2 else 0.0) - f / d
+            f = np.minimum(np.maximum(f, -1e150), 1e150)
+            s = np.minimum(np.maximum(s, -1e150), 1e150)
+            d = fix((vals[k + 1] - E) - 1.0 / d)
+            counts += d < 0
+        counts += fix(s - f * f / d) < 0
+    return counts
+
+
+@st.composite
+def guard_chains(draw):
+    """A chain of 3 to 200 sites and up to 40 energies. Values and energies
+    from {-1, 0, 2} make zero pivots; a 1e200 diagonal entry saturates s and
+    an energy of +-1e200 saturates every s; otherwise uniform draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L, M = draw(st.integers(3, 200)), draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        diag, E = rng.choice([-1.0, 0.0, 2.0], L), rng.choice([-1.0, 0.0, 2.0], M)
+    else:
+        diag, E = rng.uniform(-3.0, 3.0, L), rng.uniform(-5.0, 5.0, M)
+    if draw(st.booleans()):
+        diag[rng.integers(L)] = 1e200
+    if draw(st.booleans()):
+        E[rng.integers(M)] = rng.choice([-1.0, 1.0]) * 1e200
+    return diag, E, draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([64, 1 << 15]))
+
+
+class TestGuardDeferredSweep:
+    """The block sweep checks its guards once per block and reruns a tripped
+    block with per-site guards: the counts equal the per-site guarded
+    recursion's, on chains that trip every guard and at any block size."""
+
+    @settings(max_examples=300)
+    @given(guard_chains())
+    def test_counts_equal_site_guarded_references(self, chain):
+        diag, E, corner, chunk = chain
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ids, "_CHUNK", chunk)
+            dirichlet = count_below(diag, E)
+            periodic = count_below_periodic(diag, E, corner)
+        assert np.array_equal(dirichlet, site_guarded_count_below(diag, E))
+        assert np.array_equal(periodic, site_guarded_count_periodic(diag, E, corner))
+
+    def test_guards_trip_and_rerun(self):
+        # A zero pivot at site 2 of the free chain at E = 0, and a saturated
+        # Schur complement from a 1e200 corner site.
+        calls = []
+        original = ids._pivot_rows
+
+        def spy(*args):
+            calls.append(args[5])
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ids, "_pivot_rows", spy)
+            assert count_below([0.0, 0.0, 0.0], [0.0])[0] == 1
+            assert calls == [False, True]
+            calls.clear()
+            diag = np.array([0.5, -0.5, 0.25, 1e200])
+            E = np.array([-1.0, 0.1, 2.0])
+            assert np.array_equal(count_below_periodic(diag, E, 1.0),
+                                  site_guarded_count_periodic(diag, E, 1.0))
+            assert calls == [False, True]
+
+    def test_empty_diagonal_counts_zero(self):
+        np.testing.assert_array_equal(count_below_periodic([], [0.0, 1.0], 1.0), [0, 0])
+        stacked = count_below_periodic(np.empty((0, 2)), np.zeros((2, 3)), [1.0, -1.0])
+        assert stacked.shape == (2, 3) and not stacked.any()
 
 
 class TestEigenCount:

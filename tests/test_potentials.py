@@ -19,7 +19,19 @@ from quasispec import (
     periodic_approximant,
     sample_potential,
 )
-from quasispec.potentials import _two_sided_letters
+from quasispec.potentials import (NAMED_RULES, TWO_SIDED_POWER_CAP, _iterate_to,
+                                  _two_sided_letters)
+
+TRIBONACCI_RULE = SubstitutionRule(("a", "b", "c"), {"a": "ab", "b": "ac", "c": "a"})
+
+
+def site_by_site_window(rule, lo, hi):
+    """Reference two-sided window: u and v as ``generate_two_sided`` builds
+    them, read one site at a time."""
+    la, lb, n = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+    u = _iterate_to(rule, la, n, 1 - lo) if lo <= 0 else ""
+    v = _iterate_to(rule, lb, n, hi) if hi >= 1 else ""
+    return "".join(u[len(u) - 1 + i] if i <= 0 else v[i - 1] for i in range(lo, hi + 1))
 
 
 class TestSubstitutionWords:
@@ -72,6 +84,29 @@ class TestTwoSided:
         # a -> a is primitive (its 1x1 matrix is positive) but never grows.
         with pytest.raises(DomainError, match="does not grow"):
             generate_two_sided(SubstitutionRule(("a",), {"a": "a"}), lo, hi)
+
+
+class TestSlicedWindows:
+    """Windows sliced from u and v, and letter values looked up by code point,
+    equal the site-by-site reference bit for bit."""
+
+    @given(st.sampled_from([*NAMED_RULES.values(), TRIBONACCI_RULE]),
+           st.integers(-3000, 3000), st.integers(0, 3000), st.data())
+    def test_window_and_values_equal_site_by_site(self, rule, lo, size, data):
+        hi = lo + size
+        word = generate_two_sided(rule, lo, hi)
+        assert word == site_by_site_window(rule, lo, hi)
+        values = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=len(rule.alphabet),
+                                    max_size=len(rule.alphabet)))
+        lv = dict(zip(rule.alphabet, values))
+        got = sample_potential(PotentialSpec.substitution(rule, lv), lo, hi)
+        want = np.array([lv[ch] for ch in word], dtype=float)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_single_site_windows(self):
+        for i in (-2, 0, 1, 5):
+            assert generate_two_sided(FIBONACCI_RULE, i, i) == site_by_site_window(
+                FIBONACCI_RULE, i, i)
 
 
 class TestSampling:
