@@ -150,9 +150,13 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
     union over phases of the q-periodic spectra.
 
     The q-periodic trace splits as tr(E, omega) = D(E) + s c cos(2 pi q omega)
-    with c = 2 (|lam|/2)^q and s = +-1, so the union is {E : |D(E)| <= 2 + c}.
-    Its 2q edges are the antiperiodic eigenvalues at the phase where the
-    modulation is +c and the periodic eigenvalues at the phase where it is -c.
+    with c = 2 (|lam|/2)^q, so the union is {E : |D(E)| <= 2 + c}. Only the
+    product term (-1)^q prod V_n of the trace depends on omega (Chambers'
+    formula), and its omega part is -2 (lam/2)^q cos(2 pi q omega) for odd q
+    and -2 (|lam|/2)^q cos(2 pi q omega) for even q: s = -sign(lam)^q, which
+    is -1 unless lam < 0 and q is odd. Its 2q edges are the antiperiodic
+    eigenvalues at the phase where the modulation is +c and the periodic
+    eigenvalues at the phase where it is -c.
     A gap is joined when it is narrower than CLOSED_GAP_TOL or when
     |D| <= (2 + c)(1 + CLOSED_GAP_TOL) at its midpoint: at even q two bands
     touch at E = 0 (van Mouche, CMP 1989), where the bisection can leave a
@@ -168,23 +172,9 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
         n = np.arange(1, q + 1)
         return lam * np.cos(2.0 * math.pi * (n * p / q + omega))
 
-    # D is the trace at the quarter phase, where the modulation vanishes, and
-    # tr(E, 0) - D(E) = s c at every E. s is read where |D| is smallest on the
-    # grid, where the two traces cancel least; both are compared at a common
-    # scale, which cannot overflow.
-    quarter = 1.0 / (4.0 * q)
-    grid = np.linspace(-abs(lam) - 2.5, abs(lam) + 2.5, 8 * q + 5)
-    v_quarter = values(quarter)
-    da, _, _, dd, dlog = product_grid(v_quarter, grid)
-    ta, _, _, td, tlog = product_grid(values(0.0), grid)
-    with np.errstate(divide="ignore"):
-        i = int(np.argmin(np.log(np.abs(da + dd)) + dlog))
-    top = max(dlog[i], tlog[i])
-    s = 1.0 if ((ta[i] + td[i]) * math.exp(tlog[i] - top)
-                >= (da[i] + dd[i]) * math.exp(dlog[i] - top)) else -1.0
-
-    omega_plus = 0.0 if s > 0 else 1.0 / (2.0 * q)   # modulation +c here
-    omega_minus = 1.0 / (2.0 * q) if s > 0 else 0.0  # modulation -c here
+    # The modulation s c cos(2 pi q omega) is +c at omega_plus, -c at omega_minus.
+    half = 1.0 / (2.0 * q)
+    omega_plus, omega_minus = (0.0, half) if lam < 0 and q % 2 else (half, 0.0)
     v_plus = values(omega_plus)
     v_minus = values(omega_minus)
     lo0 = float(min(v_plus.min(), v_minus.min())) - 4.0
@@ -194,8 +184,9 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
     edges = _wraparound_edges(np.stack([v_plus, v_minus]), np.array([-1.0, 1.0]),
                               np.full(2, lo0), np.full(2, hi0))[0]
     log_c = math.log(2.0) + q * math.log(abs(lam) / 2.0) if lam else -math.inf
-    return _merge(v_quarter, edges, float(np.logaddexp(math.log(2.0), log_c))
-                  + math.log1p(CLOSED_GAP_TOL))
+    log_bound = float(np.logaddexp(math.log(2.0), log_c)) + math.log1p(CLOSED_GAP_TOL)
+    # D is the trace at the quarter phase, where the modulation vanishes.
+    return _merge(values(1.0 / (4.0 * q)), edges, log_bound)
 
 
 @dataclass(frozen=True)

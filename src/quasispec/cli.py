@@ -1,11 +1,15 @@
 """Command-line front end emitting deterministic CSV/JSON plot data.
 
-Every subcommand is a thin adapter over one library operation family. Output
-floats are fixed at 12 significant digits so repeated runs (and golden-file
-tests) are byte-identical; ``--threads`` is accepted and ignored. An optional
-config file holds ``key = value`` lines, keyed and checked like the flags;
-flags override file entries. Exit codes: 0 success, 2 bad flags, config
-values or domain errors, 3 an unreadable input file or unwritable output.
+Every subcommand is a thin adapter over one library operation family: it
+returns its CSV header, its rows of raw numbers and the layout of those rows
+as a JSON object, and ``run`` encodes them once in the requested format.
+CSV cells are floats at 12 significant digits, so repeated runs (and
+golden-file tests) are byte-identical; JSON numbers are those cells parsed
+back, with integer cells as ints and flags as bools. ``--threads`` is
+accepted and ignored. An optional config file holds ``key = value`` lines,
+keyed and checked like the flags, enumerated values included; flags override
+file entries. Exit codes: 0 success, 2 bad flags, config values or domain
+errors, 3 an unreadable input file or unwritable output.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -52,7 +57,9 @@ class RunConfig:
     """
 
     command: str
-    model: str = "free"
+    model: str = field(default="free", metadata={"choices": (
+        "free", "constant", "fibonacci", "sturmian", "almost-mathieu", "circle",
+        "thue-morse", "period-doubling", "explicit", "substitution")})
     alpha: str = "golden"
     omega: float = 0.0
     lam: float = field(default=1.0, metadata={"flag": "--lambda"})
@@ -75,11 +82,12 @@ class RunConfig:
     n: int = 10000
     energy: float = 0.0
     lengths: str = "1:100"
-    leads: str = "pi-half"
+    leads: str = field(default="pi-half", metadata={"choices": ("pi-half", "zero")})
     kmax: int = 13
-    labels: str = "k-over-q"
+    labels: str = field(default="k-over-q", metadata={"choices": ("k-over-q", "sturmian")})
     tol: float = 0.02
-    what: str = "function"
+    what: str = field(default="function", metadata={"choices": (
+        "function", "fourier", "labels", "hierarchical")})
     xmin: float = 0.0
     xmax: float = 1.0
     tmax: float = 50.0
@@ -192,19 +200,18 @@ def build_spec(cfg: RunConfig) -> PotentialSpec:
             raise DomainError("explicit model needs --values v1,v2,...")
         return PotentialSpec.explicit([_scalar(v, float, "--values")
                                        for v in cfg.values.split(",")])
-    if model == "substitution":
-        if not cfg.rule_file:
-            raise DomainError("substitution model needs --rule-file")
-        try:
-            data = json.loads(_read(cfg.rule_file))
-            rule = SubstitutionRule(tuple(data["alphabet"]), dict(data["images"]))
-            lv = {k: _scalar(v, float, f"{cfg.rule_file}: letter value {k}")
-                  for k, v in data["letter_values"].items()}
-        except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
-            raise DomainError(f"{cfg.rule_file} is not a JSON object with alphabet, "
-                              "images and letter_values") from None
-        return PotentialSpec.substitution(rule, lv)
-    raise DomainError(f"unknown model {model!r}")
+    # The last of the model choices: substitution.
+    if not cfg.rule_file:
+        raise DomainError("substitution model needs --rule-file")
+    try:
+        data = json.loads(_read(cfg.rule_file))
+        rule = SubstitutionRule(tuple(data["alphabet"]), dict(data["images"]))
+        lv = {k: _scalar(v, float, f"{cfg.rule_file}: letter value {k}")
+              for k, v in data["letter_values"].items()}
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
+        raise DomainError(f"{cfg.rule_file} is not a JSON object with alphabet, "
+                          "images and letter_values") from None
+    return PotentialSpec.substitution(rule, lv)
 
 
 def _periodic_values(cfg: RunConfig, spec: PotentialSpec):
@@ -225,10 +232,23 @@ def _grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.emin, cfg.emax, cfg.grid)
 
 
-# -- subcommand bodies (each returns CSV lines and a JSON object) -------------
+# -- subcommand bodies ---------------------------------------------------------
+# Each returns (CSV header, rows of raw numbers, JSON layout). The layout maps
+# the rows, with every float cell rounded as in the CSV, to the JSON object.
+
+
+def _columns(*keys, **head):
+    """Layout: the ``head`` entries, then one list per column under ``keys``."""
+    return lambda rows: {**head, **{k: [row[i] for row in rows] for i, k in enumerate(keys)}}
+
+
+def _records(key, header, **tail):
+    """Layout: a list of objects keyed by the CSV header under ``key``."""
+    return lambda rows: {key: [dict(zip(header, row)) for row in rows], **tail}
 
 
 def _run_spectrum(cfg: RunConfig):
+    header = ("band_lo", "band_hi")
     if cfg.method == "bounded":
         if cfg.model not in ("fibonacci", "sturmian"):
             raise DomainError("the bounded-trace estimate runs on the "
@@ -236,31 +256,25 @@ def _run_spectrum(cfg: RunConfig):
         window = (cfg.emin, cfg.emax) if cfg.emin < cfg.emax else \
             (-2.0 - abs(cfg.lam) - 1.0, 2.0 + abs(cfg.lam) + 1.0)
         bs = trace_mod.bounded_spectrum(cfg.lam, window, cfg.depth, cfg.nmax)
-        lines = ["band_lo,band_hi"]
-        lines += [f"{_fmt(lo)},{_fmt(hi)}" for lo, hi in bs.bands]
-        return lines, {"bands": [[_jround(lo), _jround(hi)] for lo, hi in bs.bands],
-                       "gap_labels": []}
+        return header, bs.bands, lambda rows: {"bands": rows, "gap_labels": []}
     spec = build_spec(cfg)
     periodic = _periodic_values(cfg, spec)
     bs = bands_mod.gap_labels(bands_mod.band_spectrum(periodic), periodic.period)
-    lines = ["band_lo,band_hi"]
-    lines += [f"{_fmt(lo)},{_fmt(hi)}" for lo, hi in bs.bands]
-    obj = {"period": periodic.period,
-           "bands": [[_jround(lo), _jround(hi)] for lo, hi in bs.bands],
-           "gap_labels": [_jround(x) for x in (bs.gap_labels or ())]}
-    return lines, obj
+    return header, bs.bands, lambda rows: {
+        "period": periodic.period, "bands": rows,
+        "gap_labels": [_jround(x) for x in (bs.gap_labels or ())]}
 
 
 def _run_butterfly(cfg: RunConfig):
-    rows = bands_mod.butterfly(cfg.lam, cfg.qmax, cfg.omega, threads=cfg.threads)
-    lines = ["p,q,band_lo,band_hi"]
-    out_rows = []
-    for p, q, bs in rows:
-        for lo, hi in bs.bands:
-            lines.append(f"{p},{q},{_fmt(lo)},{_fmt(hi)}")
-        out_rows.append({"p": p, "q": q,
-                         "bands": [[_jround(lo), _jround(hi)] for lo, hi in bs.bands]})
-    return lines, {"rows": out_rows}
+    spectra = bands_mod.butterfly(cfg.lam, cfg.qmax, cfg.omega, threads=cfg.threads)
+
+    def layout(cells):
+        groups = groupby(cells, key=lambda row: (row[0], row[1]))
+        return {"rows": [{"p": p, "q": q, "bands": [row[2:] for row in g]}
+                         for (p, q), g in groups]}
+
+    return (("p", "q", "band_lo", "band_hi"),
+            [(p, q, lo, hi) for p, q, bs in spectra for lo, hi in bs.bands], layout)
 
 
 def _run_ids(cfg: RunConfig):
@@ -269,37 +283,26 @@ def _run_ids(cfg: RunConfig):
     # The library counts strictly below E; the emitted convention is
     # "at or below", obtained by a +1e-12 shift of the count points.
     curve = ids_mod.ids_curve(spec, None, cfg.size, grid + 1e-12)
-    lines = ["E,N"]
-    lines += [f"{_fmt(e)},{_fmt(v)}" for e, v in zip(grid, curve.values)]
-    obj = {"size": curve.size,
-           "energies": [_jround(e) for e in grid],
-           "values": [_jround(v) for v in curve.values]}
-    return lines, obj
+    return (("E", "N"), zip(grid, curve.values),
+            _columns("energies", "values", size=curve.size))
 
 
 def _run_lyapunov(cfg: RunConfig):
     spec = build_spec(cfg)
     grid = _grid(cfg)
     gam = lyapunov_grid(spec, grid, cfg.n)
-    lines = ["E,gamma"]
-    lines += [f"{_fmt(e)},{_fmt(g)}" for e, g in zip(grid, gam)]
-    return lines, {"energies": [_jround(e) for e in grid],
-                   "gamma": [_jround(g) for g in gam]}
+    return ("E", "gamma"), zip(grid, gam), _columns("energies", "gamma")
 
 
 def _run_resistance(cfg: RunConfig):
     spec = build_spec(cfg)
-    leads = {"pi-half": "at-energy", "zero": "zero"}.get(cfg.leads)
-    if leads is None:
-        raise DomainError("leads must be 'pi-half' or 'zero'")
+    leads = {"pi-half": "at-energy", "zero": "zero"}[cfg.leads]
     lengths = _parse_lengths(cfg.lengths)
     if not lengths:
         raise DomainError(f"--lengths {cfg.lengths} gives no lengths")
     profile = scat_mod.resistance_profile(spec, cfg.energy, lengths, leads)
-    lines = ["L,log10R"]
-    lines += [f"{p.length},{_fmt(p.log10_resistance)}" for p in profile]
-    return lines, {"profile": [[p.length, _jround(p.log10_resistance)]
-                               for p in profile]}
+    return (("L", "log10R"), [(p.length, p.log10_resistance) for p in profile],
+            lambda rows: {"profile": rows})
 
 
 def _fricke_exact(t2: float, t1: float, t0: float) -> float:
@@ -314,8 +317,6 @@ def _run_tracemap(cfg: RunConfig):
         raise DomainError("tracemap runs on the golden-mean recursion; "
                           "use --model fibonacci")
     orbit = fibonacci_trace_orbit(cfg.energy, cfg.lam, cfg.steps)
-    lines = ["n,tau,invariant"]
-    rows = []
 
     def running_invariant(n: int) -> float:
         top = max(n, 1)
@@ -324,20 +325,19 @@ def _run_tracemap(cfg: RunConfig):
             return fricke_invariant(*(as_float(t) for t in triple))
         return _fricke_exact(*triple)
 
-    for n in range(-1, cfg.steps + 1):
-        tau = as_float(orbit.tau(n))
-        inv = running_invariant(n)
-        lines.append(f"{n},{_fmt(tau)},{_fmt(inv)}")
-        rows.append({"n": n, "tau": _jround(tau), "invariant": _jround(inv)})
-    return lines, {"rows": rows, "escape_index": orbit.escape_index}
+    header = ("n", "tau", "invariant")
+    rows = [(n, as_float(orbit.tau(n)), running_invariant(n))
+            for n in range(-1, cfg.steps + 1)]
+    return header, rows, _records("rows", header, escape_index=orbit.escape_index)
 
 
 def _run_gaps(cfg: RunConfig):
+    header = ("gap_index", "energy", "ids_value", "label", "deviation", "within_tol")
     spec = build_spec(cfg)
     periodic = _periodic_values(cfg, spec)
     bs = bands_mod.band_spectrum(periodic)
     if len(bs.bands) < 2:
-        return ["gap_index,energy,ids_value,label,deviation,within_tol"], {"gaps": []}
+        return header, [], _records("gaps", header)
     span = bs.bands[-1][1] - bs.bands[0][0]
     # Sample the IDS exactly at the gap midpoints; a uniform grid would smear
     # the counts across the band edges.
@@ -348,20 +348,12 @@ def _run_gaps(cfg: RunConfig):
     if cfg.labels == "sturmian":
         labels = cantor_mod.sturmian_label_set(_resolve_alpha(cfg.alpha),
                                                cfg.kmax).values
-    elif cfg.labels == "k-over-q":
-        labels = [k / periodic.period for k in range(1, periodic.period)]
     else:
-        raise DomainError("labels must be 'k-over-q' or 'sturmian'")
+        labels = [k / periodic.period for k in range(1, periodic.period)]
     report = bands_mod.match_gap_labels(bs, curve, labels, cfg.tol)
-    lines = ["gap_index,energy,ids_value,label,deviation,within_tol"]
-    rows = []
-    for m in report:
-        lines.append(f"{m.gap_index},{_fmt(m.energy)},{_fmt(m.ids_value)},"
-                     f"{_fmt(m.label)},{_fmt(m.deviation)},{int(m.within_tol)}")
-        rows.append({"gap_index": m.gap_index, "energy": _jround(m.energy),
-                     "ids_value": _jround(m.ids_value), "label": _jround(m.label),
-                     "deviation": _jround(m.deviation), "within_tol": m.within_tol})
-    return lines, {"gaps": rows}
+    rows = [(m.gap_index, m.energy, m.ids_value, m.label, m.deviation, m.within_tol)
+            for m in report]
+    return header, rows, _records("gaps", header)
 
 
 def _run_cantor(cfg: RunConfig):
@@ -369,28 +361,17 @@ def _run_cantor(cfg: RunConfig):
         raise DomainError("need at least 2 grid points")
     if cfg.what == "function":
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
-        lines = ["x,alpha"]
-        lines += [f"{_fmt(x)},{_fmt(cantor_mod.cantor_alpha(float(x)))}" for x in xs]
-        return lines, {"x": [_jround(x) for x in xs],
-                       "alpha": [_jround(cantor_mod.cantor_alpha(float(x))) for x in xs]}
+        return (("x", "alpha"), [(x, cantor_mod.cantor_alpha(float(x))) for x in xs],
+                _columns("x", "alpha"))
     if cfg.what == "fourier":
         ts = np.linspace(0.0, cfg.tmax, cfg.grid)
-        lines = ["t,re,im,abs"]
-        rows = []
-        for t in ts:
-            z = cantor_mod.cantor_fourier(float(t), cfg.factors)
-            lines.append(f"{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(abs(z))}")
-            rows.append([_jround(t), _jround(z.real), _jround(z.imag), _jround(abs(z))])
-        return lines, {"rows": rows}
-    if cfg.what == "labels":
-        ls = cantor_mod.sturmian_label_set(_resolve_alpha(cfg.alpha), cfg.kmax)
-        lines = ["label"] + [_fmt(v) for v in ls.values]
-        return lines, {"labels": [_jround(v) for v in ls.values]}
-    if cfg.what == "hierarchical":
-        ls = cantor_mod.hierarchical_labels(cfg.kmax)
-        lines = ["label"] + [_fmt(v) for v in ls.values]
-        return lines, {"labels": [_jround(v) for v in ls.values]}
-    raise DomainError("cantor --what must be function, fourier, labels or hierarchical")
+        zs = [cantor_mod.cantor_fourier(float(t), cfg.factors) for t in ts]
+        return (("t", "re", "im", "abs"),
+                [(t, z.real, z.imag, abs(z)) for t, z in zip(ts, zs)],
+                lambda rows: {"rows": rows})
+    ls = (cantor_mod.sturmian_label_set(_resolve_alpha(cfg.alpha), cfg.kmax)
+          if cfg.what == "labels" else cantor_mod.hierarchical_labels(cfg.kmax))
+    return ("label",), [(v,) for v in ls.values], _columns("labels")
 
 
 _RUNNERS = {
@@ -469,9 +450,14 @@ def dump_config(cfg: RunConfig) -> str:
 def run(cfg: RunConfig) -> None:
     """Execute a parsed configuration and write its output. Raises DomainError
     on bad input and FileAccessError when a file cannot be read or written."""
-    lines, obj = _RUNNERS[cfg.command](cfg)
-    text = "\n".join(lines) + "\n" if cfg.format == "csv" else \
-        json.dumps(obj, separators=(",", ":")) + "\n"
+    header, rows, layout = _RUNNERS[cfg.command](cfg)
+    if cfg.format == "csv":
+        text = ",".join(header) + "\n" + "".join(",".join(map(_fmt, row)) + "\n"
+                                                for row in rows)
+    else:
+        # Ints (row indices, lengths, p and q) and bools (flags) stay as they are.
+        cells = [[x if isinstance(x, int) else _jround(x) for x in row] for row in rows]
+        text = json.dumps(layout(cells), separators=(",", ":")) + "\n"
     try:
         if cfg.out:
             with open(cfg.out, "w") as fh:

@@ -94,7 +94,7 @@ def count_below_periodic(diag, energies, corner) -> np.ndarray:
     usual degenerate forms for L = 1, 2). The factorization is the bordered
     (arrowhead) elimination, still O(L) per energy: the pivots of the first
     L - 1 sites, the fill-in f of the last column and the Schur complement s
-    of the corner. For L >= 3 it runs on the block sweep of ``count_below``;
+    of the corner. For L >= 2 it runs on the block sweep of ``count_below``;
     f and s are saturated at +-_SATURATION, a guard checked once per block
     like the pivot floor (a NaN also reruns the block), so the counts equal
     those of the per-site guarded elimination bit for bit. An empty diagonal
@@ -123,17 +123,14 @@ def _count_periodic(vals, E, corner):
         if L == 1:
             d = vals[0] + 2.0 * corner - E
             return (d < 0).astype(np.int64)
-        if L == 2:
-            off = 1.0 + corner
-            d1 = _fix_pivots(vals[0] - E)
-            d2 = _fix_pivots((vals[1] - E) - off * off / d1)
-            return (d1 < 0).astype(np.int64) + (d2 < 0)
         # Eliminating pivot k turns the last column's fill-in f into
         # c - f / d_k (c = 1 at k = L - 3, where the band meets the column)
         # and the corner's Schur complement s into s - f^2 / d_k; after the
         # last pivot, s is the last pivot itself (a saturation keeps its sign
-        # and keeps it beyond the floor).
-        counts, (_, s) = _sweep(vals[:L - 1], E, (corner, vals[L - 1] - E, L - 3))
+        # and keeps it beyond the floor). f starts as the (1, L) entry, the
+        # corner plus [L = 2]: at L = 2 (k = -1) the band meets the column
+        # before the first pivot.
+        counts, (_, s) = _sweep(vals[:L - 1], E, (corner + (L == 2), vals[L - 1] - E, L - 3))
         return counts + (_fix_pivots(s) < 0)
 
 

@@ -42,10 +42,14 @@ MAX_SITES = 2 ** 22
 
 @dataclass(frozen=True)
 class SubstitutionRule:
-    """A substitution on a finite alphabet, letter_i -> word over the alphabet."""
+    """A substitution on a finite alphabet, letter_i -> word over the alphabet.
+
+    Letters are single characters, so a word is a string and one rule
+    application is one ``str.translate``."""
 
     alphabet: tuple[str, ...]
     images: dict[str, str]
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -53,6 +57,8 @@ class SubstitutionRule:
         letters = set(self.alphabet)
         if len(letters) != len(self.alphabet):
             raise DomainError("alphabet letters must be distinct")
+        if not all(isinstance(a, str) and len(a) == 1 for a in self.alphabet):
+            raise DomainError("alphabet letters must be single characters")
         if set(self.images) != letters:
             raise DomainError("images must be given for exactly the alphabet")
         for a, w in self.images.items():
@@ -60,9 +66,10 @@ class SubstitutionRule:
                 raise DomainError(f"image of {a!r} is empty")
             if not set(w) <= letters:
                 raise DomainError(f"image of {a!r} uses letters outside the alphabet")
+        object.__setattr__(self, "_table", str.maketrans(self.images))
 
     def apply(self, word: str) -> str:
-        return "".join(self.images[ch] for ch in word)
+        return word.translate(self._table)
 
     def iterate(self, seed: str, n: int) -> str:
         w = seed

@@ -48,20 +48,15 @@ def scalar_merge_bands(pot, tol=CLOSED_GAP_TOL):
 
 
 def two_call_phase_union(lam, p, q):
-    """Reference phase-union spectrum: the sign of the phase modulation from
-    scalar propagate traces, then one bisection per restriction, merged gap by
-    gap with one scalar trace at the quarter phase per surviving midpoint."""
+    """Reference phase-union spectrum: the closed-form sign of the phase
+    modulation, then one bisection per restriction, merged gap by gap with one
+    scalar trace at the quarter phase per surviving midpoint."""
     def values(omega):
         return lam * np.cos(2.0 * math.pi * (np.arange(1, q + 1) * p / q + omega))
 
     v_quarter = values(1.0 / (4.0 * q))
-    grid = np.linspace(-abs(lam) - 2.5, abs(lam) + 2.5, 8 * q + 5).tolist()
-    # s = sign(tr(E, 0) - D(E)), read where |D| is smallest on the grid.
-    quarter = [propagate(e, v_quarter).trace_signed_log() for e in grid]
-    i = min(range(len(grid)), key=lambda k: quarter[k][1])
-    (sd, ld), (st, lt) = quarter[i], propagate(grid[i], values(0.0)).trace_signed_log()
-    top = max(ld, lt)
-    s = 1.0 if st * math.exp(lt - top) >= sd * math.exp(ld - top) else -1.0
+    # tr(E, omega) - D(E) = s c cos(2 pi q omega) with s = -sign(lam)^q.
+    s = -math.copysign(1.0, lam) ** q
     v_plus = values(0.0 if s > 0 else 1.0 / (2.0 * q))
     v_minus = values(1.0 / (2.0 * q) if s > 0 else 0.0)
     lo0 = float(min(v_plus.min(), v_minus.min())) - 4.0
@@ -258,11 +253,13 @@ class TestPhaseUnion:
         gaps = phase_union_spectrum(lam, p, q).gaps()
         assert not any(lo <= 0.0 <= hi for lo, hi in gaps)
 
-    @pytest.mark.parametrize("lam", [2.0, 2.5, 3.0])
-    @pytest.mark.parametrize("p, q", [(1, 34), (13, 21), (21, 34)])
-    def test_contains_band_spectra_at_every_phase(self, lam, p, q):
-        # At lambda >= 2 the phase modulation's sign can no longer be read at a
-        # zero of D, which lies in a band narrower than one ulp.
+    @pytest.mark.parametrize("p, q, lam", [
+        (p, q, lam) for lam in (2.0, 2.5, 3.0) for p, q in ((1, 34), (13, 21), (21, 34))
+    ] + [(17, 35, 1.0), (18, 37, 1.0), (21, 43, -1.3)])
+    def test_contains_band_spectra_at_every_phase(self, p, q, lam):
+        # The union must hold every fixed-phase band, also where the
+        # modulation c = 2 (|lam|/2)^q is far below the trace's rounding and
+        # its sign cannot be told from traces.
         union = phase_union_spectrum(lam, p, q).bands
         for omega in np.arange(16) / (16 * q):
             vals = lam * np.cos(2.0 * math.pi * (np.arange(1, q + 1) * p / q + omega))

@@ -8,6 +8,9 @@ from quasispec.cli import main, parse_config
 
 # A primitive rule whose fixed point never grows.
 ONE_LETTER_RULE = '{"alphabet": ["a"], "images": {"a": "a"}, "letter_values": {"a": 1}}'
+# An alphabet entry of two characters, which no image can contain.
+TWO_CHARACTER_LETTER_RULE = ('{"alphabet": ["a", "bb"], "images": {"a": "a", "bb": "a"}, '
+                             '"letter_values": {"a": 1, "bb": 0}}')
 
 
 def run_cli(argv, capsys):
@@ -114,6 +117,57 @@ class TestSchemas:
         assert code == 0
         assert out.strip().splitlines() == ["label", "0.125", "0.25", "0.375",
                                             "0.5", "0.625", "0.75", "0.875"]
+
+
+# One small run per subcommand, and the JSON object laid out as the CSV rows
+# (given the CSV column names).
+AGREEMENT = {
+    "spectrum": (["spectrum", "--model", "fibonacci", "--lambda", "2", "--approx-q", "13"],
+                 lambda d, names: d["bands"]),
+    "butterfly": (["butterfly", "--lambda", "2", "--qmax", "4", "--omega", "0.1"],
+                  lambda d, names: [[r["p"], r["q"], *band] for r in d["rows"]
+                                    for band in r["bands"]]),
+    "ids": (["ids", "--model", "fibonacci", "--size", "60", "--grid", "11"],
+            lambda d, names: list(zip(d["energies"], d["values"]))),
+    "lyapunov": (["lyapunov", "--model", "almost-mathieu", "--lambda", "3", "--n", "300",
+                  "--grid", "11"],
+                 lambda d, names: list(zip(d["energies"], d["gamma"]))),
+    "resistance": (["resistance", "--model", "fibonacci", "--lengths", "1:20"],
+                   lambda d, names: d["profile"]),
+    "tracemap": (["tracemap", "--model", "fibonacci", "--lambda", "2", "--energy", "0.3",
+                  "--steps", "8"],
+                 lambda d, names: [[r[k] for k in names] for r in d["rows"]
+                                   if list(r) == names]),
+    "gaps": (["gaps", "--model", "fibonacci", "--lambda", "4", "--approx-q", "13",
+              "--size", "200", "--tol", "0.005"],
+             lambda d, names: [[r[k] for k in names] for r in d["gaps"] if list(r) == names]),
+    "cantor": (["cantor", "--what", "function", "--grid", "11"],
+               lambda d, names: list(zip(d["x"], d["alpha"]))),
+}
+INT_COLUMNS = {"p", "q", "L", "n", "gap_index"}
+
+
+@pytest.mark.parametrize("command", list(AGREEMENT))
+def test_json_numbers_are_the_csv_cells(command, capsys):
+    argv, as_rows = AGREEMENT[command]
+    code, csv_out, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    names = header.split(",")
+    csv_rows = [line.split(",") for line in lines]
+    json_rows = as_rows(json.loads(json_out), names)
+    assert len(json_rows) == len(csv_rows) > 0
+    for j_row, c_row in zip(json_rows, csv_rows):
+        assert len(j_row) == len(c_row) == len(names)
+        for name, j, c in zip(names, j_row, c_row):
+            if name == "within_tol":
+                assert c in ("0", "1") and j is (c == "1")
+            elif name in INT_COLUMNS:
+                assert type(j) is int and str(j) == c
+            else:
+                assert type(j) is float and j == float(c)
 
 
 class TestModelPlumbing:
@@ -293,6 +347,13 @@ class TestErrors:
         ["resistance", "--model", "substitution", "--rule-file", ONE_LETTER_RULE],
         ["spectrum", "--model", "fibonacci", "--lambda", "2", "--method", "bounded",
          "--depth", "2000"],
+        ["spectrum", "--model", "bogus", "--approx-q", "13"],
+        ["resistance", "--leads", "bogus"],
+        ["gaps", "--model", "fibonacci", "--approx-q", "13", "--labels", "bogus"],
+        ["cantor", "--what", "bogus"],
+        ["ids", "--config", "leads = bogus\n"],
+        ["spectrum", "--model", "substitution", "--rule-file", TWO_CHARACTER_LETTER_RULE,
+         "--order", "3"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         for flag in ("--config", "--rule-file"):

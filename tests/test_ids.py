@@ -44,8 +44,9 @@ def site_guarded_count_below(diag, energies):
 
 
 def site_guarded_count_periodic(diag, energies, corner):
-    """Reference wrap-around count for L >= 3: the bordered elimination with
-    the pivot floor and the +-1e150 saturation of f and s at every site."""
+    """Reference wrap-around count for L >= 2: the bordered elimination with
+    the pivot floor and the +-1e150 saturation of f and s at every site, and
+    for L = 2 the 2 x 2 pivots with the corner added to the off-diagonal."""
     vals = np.asarray(diag, dtype=float)
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     L = len(vals)
@@ -54,6 +55,11 @@ def site_guarded_count_periodic(diag, energies, corner):
         return np.where(np.abs(d) < ids._PIVOT_FLOOR, ids._PIVOT_FLOOR, d)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if L == 2:
+            off = 1.0 + corner
+            d1 = fix(vals[0] - E)
+            d2 = fix((vals[1] - E) - off * off / d1)
+            return (d1 < 0).astype(np.int64) + (d2 < 0)
         d = fix(vals[0] - E)
         counts = (d < 0).astype(np.int64)
         f = np.broadcast_to(float(corner), E.shape)
@@ -71,11 +77,11 @@ def site_guarded_count_periodic(diag, energies, corner):
 
 @st.composite
 def guard_chains(draw):
-    """A chain of 3 to 200 sites and up to 40 energies. Values and energies
+    """A chain of 2 to 200 sites and up to 40 energies. Values and energies
     from {-1, 0, 2} make zero pivots; a 1e200 diagonal entry saturates s and
     an energy of +-1e200 saturates every s; otherwise uniform draws."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    L, M = draw(st.integers(3, 200)), draw(st.integers(1, 40))
+    L, M = draw(st.integers(2, 200)), draw(st.integers(1, 40))
     if draw(st.booleans()):
         diag, E = rng.choice([-1.0, 0.0, 2.0], L), rng.choice([-1.0, 0.0, 2.0], M)
     else:

@@ -53,6 +53,19 @@ class TestSubstitutionWords:
         with pytest.raises(DomainError):
             generate_substitution_word(rule, "a", 4)
 
+    @pytest.mark.parametrize("rule", [*NAMED_RULES.values(), TRIBONACCI_RULE])
+    def test_apply_equals_letter_by_letter_join(self, rule):
+        word = rule.alphabet[-1]
+        for _ in range(12):
+            joined = "".join(rule.images[ch] for ch in word)
+            word = rule.apply(word)
+            assert word == joined
+
+    @pytest.mark.parametrize("alphabet", [("a", "bb"), ("a", ""), ("a", 1)])
+    def test_letters_must_be_single_characters(self, alphabet):
+        with pytest.raises(DomainError):
+            SubstitutionRule(alphabet, {a: "a" for a in alphabet})
+
 
 class TestTwoSided:
     def test_empty_window(self):
