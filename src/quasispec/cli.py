@@ -5,11 +5,12 @@ returns its CSV header, its rows of raw numbers and the layout of those rows
 as a JSON object, and ``run`` encodes them once in the requested format.
 CSV cells are floats at 12 significant digits, so repeated runs (and
 golden-file tests) are byte-identical; JSON numbers are those cells parsed
-back, with integer cells as ints and flags as bools. ``--threads`` is
-accepted and ignored. An optional config file holds ``key = value`` lines,
-keyed and checked like the flags, enumerated values included; flags override
-file entries. Exit codes: 0 success, 2 bad flags, config values or domain
-errors, 3 an unreadable input file or unwritable output.
+back (null for inf and nan), with integer cells as ints and flags as bools.
+``--threads`` is accepted and ignored. An optional config file holds
+``key = value`` lines, keyed and checked like the flags, enumerated and
+free-form values included; flags override file entries. Exit codes: 0
+success, 2 bad flags, config values or domain errors, 3 an unreadable input
+file or unwritable output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
@@ -32,12 +32,14 @@ from . import tracemap as trace_mod
 from .errors import DomainError
 from .numutil import as_float
 from .potentials import (
+    FIBONACCI_RULE,
     GOLDEN_MEAN,
     MAX_SITES,
     NAMED_RULES,
     PotentialSpec,
     SubstitutionRule,
     approximant_by_denominator,
+    fixed_point_of,
     periodic_approximant,
 )
 from .transfer import lyapunov_grid
@@ -47,6 +49,49 @@ COMMANDS = ("spectrum", "butterfly", "ids", "lyapunov", "resistance",
             "tracemap", "gaps", "cantor")
 
 
+def _scalar(text: str, kind, what: str, choices=(), parse=None):
+    """``text`` as an int, float or str; DomainError if it is malformed, a
+    non-finite float, not one of ``choices``, or refused by ``parse``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise DomainError(f"{what}: {text!r} is not a valid {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise DomainError(f"{what}: {text!r} is not finite")
+    if choices and value not in choices:
+        raise DomainError(f"{what}: {text!r} is not one of {', '.join(choices)}")
+    if parse:
+        parse(value)
+    return value
+
+
+def _parse_lengths(text: str) -> list[int]:
+    if ":" not in text:
+        return [_scalar(p, int, "--lengths") for p in text.split(",")]
+    parts = [_scalar(p, int, "--lengths") for p in text.split(":")]
+    if len(parts) not in (2, 3) or parts[2:] == [0]:
+        raise DomainError(f"--lengths {text}: want a:b, a:b:step (step != 0) or a,b,...")
+    if max(abs(parts[0]), abs(parts[1])) > MAX_SITES:
+        raise DomainError(f"--lengths {text}: lengths above {MAX_SITES} sites")
+    lengths = list(range(parts[0], parts[1] + 1, *parts[2:]))
+    if not lengths:
+        raise DomainError(f"--lengths {text} gives no lengths")
+    return lengths
+
+
+def _parse_letter_values(text: str) -> dict[str, float]:
+    pairs = [item.partition("=") for item in text.split(",")]
+    return {k.strip(): _scalar(v, float, f"--letter-values {k}={v}") for k, _, v in pairs}
+
+
+def _parse_values(text: str) -> list[float]:
+    return [_scalar(v, float, "--values") for v in text.split(",")]
+
+
+def _resolve_alpha(text: str) -> float:
+    return GOLDEN_MEAN if text == "golden" else _scalar(text, float, "--alpha")
+
+
 @dataclass
 class RunConfig:
     """One run of a subcommand, and the one declaration of every option.
@@ -54,18 +99,20 @@ class RunConfig:
     Each field after ``command`` is the flag ``--name`` (``_`` as ``-``, or
     ``metadata["flag"]``) and, but for the store-true ``dump_config``, the
     config-file key ``name``; values must be among ``metadata["choices"]``.
+    A free-form text is kept as given but must pass ``metadata["parse"]``,
+    which the runners call again for its value.
     """
 
     command: str
     model: str = field(default="free", metadata={"choices": (
         "free", "constant", "fibonacci", "sturmian", "almost-mathieu", "circle",
         "thue-morse", "period-doubling", "explicit", "substitution")})
-    alpha: str = "golden"
+    alpha: str = field(default="golden", metadata={"parse": _resolve_alpha})
     omega: float = 0.0
     lam: float = field(default=1.0, metadata={"flag": "--lambda"})
     value: float = 0.0
-    values: str | None = None
-    letter_values: str | None = None
+    values: str | None = field(default=None, metadata={"parse": _parse_values})
+    letter_values: str | None = field(default=None, metadata={"parse": _parse_letter_values})
     rule_file: str | None = None
     rounding: str = field(default="floor", metadata={"choices": ("floor", "ceil")})
     approx_q: int | None = None
@@ -81,7 +128,7 @@ class RunConfig:
     steps: int = 10
     n: int = 10000
     energy: float = 0.0
-    lengths: str = "1:100"
+    lengths: str = field(default="1:100", metadata={"parse": _parse_lengths})
     leads: str = field(default="pi-half", metadata={"choices": ("pi-half", "zero")})
     kmax: int = 13
     labels: str = field(default="k-over-q", metadata={"choices": ("k-over-q", "sturmian")})
@@ -106,24 +153,10 @@ def _flag(f) -> str:
     return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
 
 
-def _scalar(text: str, kind, what: str, choices=()):
-    """``text`` as an int, float or str; DomainError if it is malformed, a
-    non-finite float, or not one of ``choices``."""
-    try:
-        value = kind(text)
-    except ValueError:
-        raise DomainError(f"{what}: {text!r} is not a valid {kind.__name__}") from None
-    if kind is float and not math.isfinite(value):
-        raise DomainError(f"{what}: {text!r} is not finite")
-    if choices and value not in choices:
-        raise DomainError(f"{what}: {text!r} is not one of {', '.join(choices)}")
-    return value
-
-
 _OPTIONS = fields(RunConfig)[1:]
 # Config-file key -> the ``_scalar`` arguments of every option that takes a value.
 _KEYS = {f.name: ({"int": int, "float": float, "str": str}[f.type.split(" |")[0]],
-                  _flag(f), f.metadata.get("choices", ()))
+                  _flag(f), f.metadata.get("choices", ()), f.metadata.get("parse"))
          for f in _OPTIONS if f.type != "bool"}
 
 
@@ -149,28 +182,11 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _jround(x) -> float:
-    return float(_fmt(x))
-
-
-def _parse_lengths(text: str) -> list[int]:
-    if ":" not in text:
-        return [_scalar(p, int, "--lengths") for p in text.split(",")]
-    parts = [_scalar(p, int, "--lengths") for p in text.split(":")]
-    if len(parts) not in (2, 3) or parts[2:] == [0]:
-        raise DomainError(f"--lengths {text}: want a:b, a:b:step (step != 0) or a,b,...")
-    if max(abs(parts[0]), abs(parts[1])) > MAX_SITES:
-        raise DomainError(f"--lengths {text}: lengths above {MAX_SITES} sites")
-    return list(range(parts[0], parts[1] + 1, *parts[2:]))
-
-
-def _parse_letter_values(text: str) -> dict[str, float]:
-    pairs = [item.partition("=") for item in text.split(",")]
-    return {k.strip(): _scalar(v, float, f"--letter-values {k}={v}") for k, _, v in pairs}
-
-
-def _resolve_alpha(text: str) -> float:
-    return GOLDEN_MEAN if text == "golden" else _scalar(text, float, "--alpha")
+def _jround(x) -> float | None:
+    """The CSV cell of ``x`` as a JSON number; null for inf and nan, which
+    strict JSON cannot spell."""
+    v = float(_fmt(x))
+    return v if math.isfinite(v) else None
 
 
 def build_spec(cfg: RunConfig) -> PotentialSpec:
@@ -198,8 +214,7 @@ def build_spec(cfg: RunConfig) -> PotentialSpec:
     if model == "explicit":
         if not cfg.values:
             raise DomainError("explicit model needs --values v1,v2,...")
-        return PotentialSpec.explicit([_scalar(v, float, "--values")
-                                       for v in cfg.values.split(",")])
+        return PotentialSpec.explicit(_parse_values(cfg.values))
     # The last of the model choices: substitution.
     if not cfg.rule_file:
         raise DomainError("substitution model needs --rule-file")
@@ -212,6 +227,18 @@ def build_spec(cfg: RunConfig) -> PotentialSpec:
         raise DomainError(f"{cfg.rule_file} is not a JSON object with alphabet, "
                           "images and letter_values") from None
     return PotentialSpec.substitution(rule, lv)
+
+
+def _golden_mean_lambda(cfg: RunConfig) -> float:
+    """The coupling of the Fibonacci chain the flags describe, the one chain
+    the golden-mean trace map covers: a -> ab, b -> a with b -> 0, that is
+    the golden-mean Sturmian at omega 0 (either rounding) or a rule file of
+    that rule. DomainError for every other chain."""
+    fixed = fixed_point_of(build_spec(cfg))
+    if fixed is None or fixed[0] != FIBONACCI_RULE or fixed[1]["b"] != 0.0:
+        raise DomainError("the golden-mean trace map needs the Fibonacci chain: "
+                          "--model fibonacci or --alpha golden, at --omega 0")
+    return fixed[1]["a"]
 
 
 def _periodic_values(cfg: RunConfig, spec: PotentialSpec):
@@ -250,12 +277,10 @@ def _records(key, header, **tail):
 def _run_spectrum(cfg: RunConfig):
     header = ("band_lo", "band_hi")
     if cfg.method == "bounded":
-        if cfg.model not in ("fibonacci", "sturmian"):
-            raise DomainError("the bounded-trace estimate runs on the "
-                              "golden-mean recursion; use --model fibonacci")
+        lam = _golden_mean_lambda(cfg)
         window = (cfg.emin, cfg.emax) if cfg.emin < cfg.emax else \
-            (-2.0 - abs(cfg.lam) - 1.0, 2.0 + abs(cfg.lam) + 1.0)
-        bs = trace_mod.bounded_spectrum(cfg.lam, window, cfg.depth, cfg.nmax)
+            (-2.0 - abs(lam) - 1.0, 2.0 + abs(lam) + 1.0)
+        bs = trace_mod.bounded_spectrum(lam, window, cfg.depth, cfg.nmax)
         return header, bs.bands, lambda rows: {"bands": rows, "gap_labels": []}
     spec = build_spec(cfg)
     periodic = _periodic_values(cfg, spec)
@@ -297,37 +322,20 @@ def _run_lyapunov(cfg: RunConfig):
 def _run_resistance(cfg: RunConfig):
     spec = build_spec(cfg)
     leads = {"pi-half": "at-energy", "zero": "zero"}[cfg.leads]
-    lengths = _parse_lengths(cfg.lengths)
-    if not lengths:
-        raise DomainError(f"--lengths {cfg.lengths} gives no lengths")
-    profile = scat_mod.resistance_profile(spec, cfg.energy, lengths, leads)
+    profile = scat_mod.resistance_profile(spec, cfg.energy, _parse_lengths(cfg.lengths), leads)
     return (("L", "log10R"), [(p.length, p.log10_resistance) for p in profile],
             lambda rows: {"profile": rows})
 
 
-def _fricke_exact(t2: float, t1: float, t0: float) -> float:
-    # Exact rational arithmetic: the naive float expression cancels
-    # catastrophically once the triple product reaches ~1e16.
-    a, b, c = Fraction(t2), Fraction(t1), Fraction(t0)
-    return float(a * a + b * b + c * c - a * b * c - 4)
-
-
 def _run_tracemap(cfg: RunConfig):
-    if cfg.model not in ("fibonacci", "sturmian"):
-        raise DomainError("tracemap runs on the golden-mean recursion; "
-                          "use --model fibonacci")
-    orbit = fibonacci_trace_orbit(cfg.energy, cfg.lam, cfg.steps)
-
-    def running_invariant(n: int) -> float:
-        top = max(n, 1)
-        triple = [orbit.tau(top), orbit.tau(top - 1), orbit.tau(top - 2)]
-        if any(isinstance(t, tuple) for t in triple):
-            return fricke_invariant(*(as_float(t) for t in triple))
-        return _fricke_exact(*triple)
-
+    orbit = fibonacci_trace_orbit(cfg.energy, _golden_mean_lambda(cfg), cfg.steps)
     header = ("n", "tau", "invariant")
-    rows = [(n, as_float(orbit.tau(n)), running_invariant(n))
-            for n in range(-1, cfg.steps + 1)]
+
+    def invariant(n: int) -> float:  # rows -1 and 0 repeat the first defined triple
+        top = max(n, 1)
+        return fricke_invariant(orbit.tau(top), orbit.tau(top - 1), orbit.tau(top - 2))
+
+    rows = [(n, as_float(orbit.tau(n)), invariant(n)) for n in range(-1, cfg.steps + 1)]
     return header, rows, _records("rows", header, escape_index=orbit.escape_index)
 
 
@@ -457,7 +465,7 @@ def run(cfg: RunConfig) -> None:
     else:
         # Ints (row indices, lengths, p and q) and bools (flags) stay as they are.
         cells = [[x if isinstance(x, int) else _jround(x) for x in row] for row in rows]
-        text = json.dumps(layout(cells), separators=(",", ":")) + "\n"
+        text = json.dumps(layout(cells), separators=(",", ":"), allow_nan=False) + "\n"
     try:
         if cfg.out:
             with open(cfg.out, "w") as fh:

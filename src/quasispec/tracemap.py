@@ -1,15 +1,14 @@
 """Trace-map dynamics for substitution chains.
 
-The golden-mean chain obeys the polynomial recursion
-tau_{n+2} = tau_{n+1} tau_n - tau_{n-1} with tau_{-1} = 2, tau_0 = E,
-tau_1 = E - lambda, conserving the Fricke quantity
-tau2^2 + tau1^2 + tau0^2 - tau2 tau1 tau0 - 4 = lambda^2. tau_n is the
-transfer trace over the first F_n sites of the golden-mean chain (F_1 = 1,
-F_2 = 2, ...); in the per-letter matrix orbit of the rule a -> ab, b -> a,
-the letter 'a' at level k carries tau_{k+1} and the letter 'b' carries
-tau_k. For a general primitive substitution the traces are obtained exactly
-by iterating the rule on per-letter transfer matrices (images multiplied in
-reversed order), which avoids symbolic trace polynomials altogether.
+Traces are read from the renormalized per-letter transfer matrices of
+``transfer.level_matrices`` (level k+1 of a letter is the product of the
+level-k matrices of its image, in reversed order), each long-double trace
+scaled by its exact power of two: integer traces come out exact, values
+beyond ``HUGE`` as (sign, log) pairs. For the golden-mean chain (a -> ab,
+b -> a with values lambda, 0) letter 'a' at level k carries tau_{k+1}, the
+trace over the first F_{k+1} sites (F_1 = 1, F_2 = 2, ...); with tau_0 = E
+and tau_{-1} = 2, tau_{n+2} = tau_{n+1} tau_n - tau_{n-1} conserves the
+Fricke quantity tau2^2 + tau1^2 + tau0^2 - tau2 tau1 tau0 - 4 = lambda^2.
 
 Escape criterion: two consecutive traces with |tau| > 2 force unbounded
 growth, so such an orbit has left the bounded set for good. Orbits that have
@@ -21,19 +20,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .bands import BandSet
 from .errors import DomainError
-from .numutil import BigValue, HUGE, as_float, signed_log, wrap
-from .potentials import SubstitutionRule
-from .transfer import Mat2, level_matrices
+from .numutil import BigValue, LOG_HUGE, as_float, signed_log, wrap
+from .potentials import FIBONACCI_RULE, SubstitutionRule
+from .transfer import level_matrices
+
+# Most steps of a golden-mean orbit: ln|tau_n| grows like phi^n and leaves
+# float range near n = 1470 (1478 at E = 0.3, lambda = 2; 1463 at E = 1e300),
+# so within the budget every finite E and lambda give finite (sign, log) traces.
+MAX_TRACE_STEPS = 1000
 
 
 @dataclass(frozen=True)
 class TraceOrbit:
-    """Trace sequence tau_{-1}, tau_0, tau_1, ... of the golden-mean recursion.
+    """Trace sequence tau_{-1}, tau_0, tau_1, ... of the golden-mean chain.
 
     Entries are floats, switching to (sign, log_abs) pairs beyond 1e100.
     ``escape_index`` is the first n with |tau_n| > 2 and |tau_{n-1}| > 2,
@@ -49,47 +54,51 @@ class TraceOrbit:
         return self.taus[n + 1]
 
 
-def fricke_invariant(t2: float, t1: float, t0: float) -> float:
-    """t2^2 + t1^2 + t0^2 - t2 t1 t0 - 4, conserved by the golden-mean map."""
-    return t2 * t2 + t1 * t1 + t0 * t0 - t2 * t1 * t0 - 4.0
+def fricke_invariant(t2: BigValue, t1: BigValue, t0: BigValue) -> float:
+    """t2^2 + t1^2 + t0^2 - t2 t1 t0 - 4, conserved by the golden-mean map.
 
-
-def _next_tau(t1: BigValue, t0: BigValue, tm1: BigValue) -> BigValue:
-    """tau' = t1 t0 - tm1 in mixed float / signed-log arithmetic."""
-    if not isinstance(t1, tuple) and not isinstance(t0, tuple) and not isinstance(tm1, tuple):
-        prod = t1 * t0
-        if abs(prod) <= HUGE:
-            return prod - tm1
-    s1, l1 = signed_log(t1)
-    s0, l0 = signed_log(t0)
-    sm, lm = signed_log(tm1)
-    if s1 == 0 or s0 == 0:
-        return wrap(-sm, lm)
-    lp = l1 + l0
-    sp = s1 * s0
-    # Once the product dwarfs the subtrahend the correction is below float
-    # resolution; otherwise both terms fit in floats.
-    if sm == 0 or lp - lm > 40.0:
-        return wrap(sp, lp)
-    return wrap(*signed_log(sp * math.exp(lp) - sm * math.exp(lm)))
+    Exact rational arithmetic on the float traces (the float expression
+    cancels catastrophically once the triple product reaches ~1e16); NaN
+    when a trace or the result lies beyond float range.
+    """
+    try:
+        a, b, c = (Fraction(as_float(t)) for t in (t2, t1, t0))
+        return float(a * a + b * b + c * c - a * b * c - 4)
+    except (OverflowError, ValueError):  # an inf or nan trace, or a value past float range
+        return math.nan
 
 
 def fibonacci_trace_orbit(E: float, lam: float, n_max: int) -> TraceOrbit:
-    """Orbit of the golden-mean trace recursion up to tau_{n_max}."""
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
-    taus: list[BigValue] = [2.0, float(E), float(E) - float(lam)]
-    escape = None
-    if abs(taus[1]) > 2.0 and abs(taus[2]) > 2.0:
-        escape = 1
-    for n in range(2, n_max + 1):
-        taus.append(_next_tau(taus[-1], taus[-2], taus[-3]))
-        if escape is None:
-            a = abs(as_float(taus[-2]))
-            b = abs(as_float(taus[-1]))
-            if a > 2.0 and b > 2.0:
-                escape = n
-    return TraceOrbit(tuple(taus), lam * lam, escape)
+    """Golden-mean trace orbit tau_{-1}..tau_{n_max}, read from the level
+    matrices of the Fibonacci rule (1 <= n_max <= MAX_TRACE_STEPS)."""
+    if not 1 <= n_max <= MAX_TRACE_STEPS:
+        raise DomainError(f"{n_max} steps: a golden-mean orbit takes 1 to "
+                          f"{MAX_TRACE_STEPS} steps")
+    traces = letter_matrix_orbit(FIBONACCI_RULE, {"a": lam, "b": 0.0}, E, n_max - 1)
+    taus = (2.0, float(E), *traces["a"])
+    big = [abs(as_float(t)) > 2.0 for t in taus]
+    escape = next((n for n in range(1, n_max + 1) if big[n] and big[n + 1]), None)
+    return TraceOrbit(taus, lam * lam, escape)
+
+
+def _levels(rule: SubstitutionRule, letter_values: dict[str, float], energies,
+            levels: int) -> np.ndarray:
+    """``level_matrices`` of a primitive rule whose letter values cover it."""
+    if not rule.is_primitive() or set(letter_values) != set(rule.alphabet):
+        raise DomainError("need a primitive rule and one value per letter")
+    return level_matrices(rule, letter_values, energies, levels)
+
+
+def _trace(a, d, e) -> BigValue:
+    """True trace 2^e (a + d) of a level matrix: the long-double sum scaled by
+    its power of two up to HUGE, a (sign, log) pair beyond."""
+    t = a + d
+    if t == 0.0:
+        return 0.0
+    log_abs = math.log(abs(float(t))) + float(e) * math.log(2.0)
+    if log_abs > LOG_HUGE:
+        return (1 if t > 0 else -1, log_abs)
+    return float(np.ldexp(t, int(e)))
 
 
 def letter_matrix_orbit(rule: SubstitutionRule, letter_values: dict[str, float],
@@ -101,13 +110,8 @@ def letter_matrix_orbit(rule: SubstitutionRule, letter_values: dict[str, float],
     in reversed order (``transfer.level_matrices``). Returns, per letter, the
     true traces at levels 0..n_max (floats, or (sign, log) pairs once huge).
     """
-    if not rule.is_primitive():
-        raise DomainError("substitution rule is not primitive")
-    if set(letter_values) != set(rule.alphabet):
-        raise DomainError("letter values must cover the alphabet")
-    levels = level_matrices(rule, letter_values, float(E), max(n_max, 0)).astype(float).tolist()
-    return {x: [wrap(*Mat2(a[i], b[i], c[i], d[i], e[i] * math.log(2.0)).trace_signed_log())
-                for a, b, c, d, e in levels]
+    levels = _levels(rule, letter_values, float(E), max(n_max, 0))
+    return {x: [_trace(m[0, i], m[3, i], m[4, i]) for m in levels]
             for i, x in enumerate(rule.alphabet)}
 
 
@@ -228,11 +232,6 @@ def gap_closing_residual(rule: SubstitutionRule, letter_values: dict[str, float]
     d/dE [x_{n+2} - 2] at E*; both vanish when x_{n+2} - 2 has a double zero
     there. The first alphabet letter seeds the block whose trace is x.
     """
-    letter = rule.alphabet[0]
-
-    def x_np2(E: float) -> float:
-        return as_float(letter_matrix_orbit(rule, letter_values, E, n + 2)[letter][n + 2])
-
-    val = abs(x_np2(e_star) - 2.0)
-    der = abs((x_np2(e_star + step) - x_np2(e_star - step)) / (2.0 * step))
-    return val, der
+    top = _levels(rule, letter_values, [e_star - step, e_star, e_star + step], n + 2)[n + 2]
+    lo, mid, hi = (as_float(_trace(*m)) for m in top[[0, 3, 4], 0].T)
+    return abs(mid - 2.0), abs((hi - lo) / (2.0 * step))

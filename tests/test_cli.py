@@ -226,6 +226,17 @@ class TestModelPlumbing:
                               "bounded"], capsys)
         assert code == 2
 
+    def test_fibonacci_rule_file_runs_the_trace_map(self, tmp_path, capsys):
+        rule = tmp_path / "fibonacci.json"
+        rule.write_text('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
+                        '"letter_values": {"a": 2, "b": 0}}')
+        argv = ["tracemap", "--energy", "0.3", "--steps", "12"]
+        code, want, _ = run_cli(argv + ["--model", "fibonacci", "--lambda", "2"], capsys)
+        assert code == 0
+        code, got, _ = run_cli(argv + ["--model", "substitution", "--rule-file", str(rule)],
+                               capsys)
+        assert code == 0 and got == want
+
     def test_json_outputs_parse(self, capsys):
         for argv in (["butterfly", "--lambda", "2", "--qmax", "3"],
                      ["ids", "--model", "free", "--size", "60", "--grid", "11"],
@@ -354,6 +365,15 @@ class TestErrors:
         ["ids", "--config", "leads = bogus\n"],
         ["spectrum", "--model", "substitution", "--rule-file", TWO_CHARACTER_LETTER_RULE,
          "--order", "3"],
+        ["tracemap", "--model", "sturmian", "--alpha", "0.3", "--lambda", "2", "--energy",
+         "0.5", "--steps", "4"],
+        ["spectrum", "--model", "fibonacci", "--omega", "0.4", "--method", "bounded"],
+        ["tracemap", "--model", "fibonacci", "--steps", "100000"],
+        ["ids", "--model", "free", "--alpha", "foo", "--grid", "3", "--size", "5"],
+        ["ids", "--model", "free", "--values", "abc", "--letter-values", "zzz"],
+        ["ids", "--model", "free", "--letter-values", "zzz"],
+        ["ids", "--model", "free", "--lengths", "10:1"],
+        ["ids", "--config", "alpha = foo\n"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         for flag in ("--config", "--rule-file"):

@@ -5,10 +5,12 @@ the data goes to stdout), a butterfly as JSON, an almost-Mathieu spectrum at
 q = 377, and small runs that give every subcommand and every ``cantor --what``
 mode in both formats, with both ``--leads`` and ``--method bounded``. Any
 change to a printed digit changes a hash; a kernel change that is meant to
-keep the output must keep every hash.
+keep the output must keep every hash. Every JSON output must also be strict
+JSON, which has no NaN or Infinity.
 """
 
 import hashlib
+import json
 import shlex
 from pathlib import Path
 
@@ -79,11 +81,34 @@ GOLDEN = {
 }
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_stdout_bytes(command, capsys):
     assert main(shlex.split(command)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+    if "--format json" in command:
+        strict_json(out)
+
+
+def test_non_finite_cells_are_null(capsys):
+    # The orbit escapes: past float range the traces and invariants are inf
+    # and nan, which the CSV prints and the JSON writes as null.
+    argv = shlex.split("tracemap --model fibonacci --lambda 2 --energy 0.3 --steps 40")
+    assert main(argv) == 0
+    csv_rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert main(argv + ["--format", "json"]) == 0
+    rows = strict_json(capsys.readouterr().out)["rows"]
+    assert len(rows) == len(csv_rows) == 42
+    assert csv_rows[-1][1:] in (["inf", "nan"], ["-inf", "nan"])
+    for row, (_, tau, inv) in zip(rows, csv_rows):
+        assert (row["tau"] is None) == (tau in ("inf", "-inf"))
+        assert (row["invariant"] is None) == (inv == "nan")
 
 
 def test_readme_examples_are_golden():

@@ -22,12 +22,16 @@ from quasispec import (
     trace_poly,
 )
 from quasispec.numutil import as_float
+from quasispec.tracemap import MAX_TRACE_STEPS
 
 
 class TestFibonacciOrbit:
     def test_hand_iteration(self):
-        o = fibonacci_trace_orbit(0.0, 2.0, 5)
-        assert [o.tau(n) for n in range(-1, 6)] == [2, 0, -2, -2, 4, -6, -22]
+        # Integer traces up to 15 digits: read from the level matrices, each
+        # scaled by its power of two, they come out exact.
+        o = fibonacci_trace_orbit(0.0, 2.0, 10)
+        assert [o.tau(n) for n in range(-1, 11)] == [
+            2, 0, -2, -2, 4, -6, -22, 128, -2810, -359658, 1010638852, -363484348229806]
 
     def test_invariant_is_lambda_squared(self):
         assert fibonacci_trace_orbit(0.0, 2.0, 3).invariant == 4.0
@@ -44,6 +48,15 @@ class TestFibonacciOrbit:
             if short.escape_index is not None:
                 assert long.escape_index == short.escape_index
 
+    def test_step_budget(self):
+        with pytest.raises(DomainError):
+            fibonacci_trace_orbit(0.3, 2.0, MAX_TRACE_STEPS + 1)
+        with pytest.raises(DomainError):
+            fibonacci_trace_orbit(0.3, 2.0, 0)
+        for E, lam in ((0.3, 2.0), (1e300, 2.0), (-1e308, 1e307)):
+            o = fibonacci_trace_orbit(E, lam, MAX_TRACE_STEPS)
+            assert all(math.isfinite(t[1] if isinstance(t, tuple) else t) for t in o.taus)
+
     def test_huge_values_become_log_pairs(self):
         o = fibonacci_trace_orbit(6.0, 3.0, 40)
         assert any(isinstance(t, tuple) for t in o.taus)
@@ -57,6 +70,15 @@ class TestFricke:
         assert fricke_invariant(-2, 0, 2) == 4.0
         assert fricke_invariant(2, 2, 2) == 0.0
         assert fricke_invariant(-6, 4, -2) == 4.0
+        # tau_10, tau_9, tau_8 at E = 0, lambda = 2, where the float
+        # expression cancels catastrophically: exact rationals give lambda^2.
+        t2, t1, t0 = -363484348229806.0, 1010638852.0, -359658.0
+        assert t2 * t2 + t1 * t1 + t0 * t0 - t2 * t1 * t0 - 4.0 != 4.0
+        assert fricke_invariant(t2, t1, t0) == 4.0
+        # NaN once a trace or the value leaves float range.
+        assert math.isnan(fricke_invariant(math.inf, 1.0, 1.0))
+        assert math.isnan(fricke_invariant((1, 800.0), 1.0, 1.0))
+        assert math.isnan(fricke_invariant(1e200, 1e150, 1e100))
 
     def test_conserved_along_orbits(self, rng):
         for _ in range(60):

@@ -395,13 +395,16 @@ class TestRenormalized:
     def test_traces_follow_the_trace_map(self, lam, E):
         # The trace over the first F_k sites is tau_k (F_1 = 1, F_2 = 2) of the
         # trace map tau_{k+1} = tau_k tau_{k-1} - tau_{k-2}, run here in
-        # 60-digit decimals: on a bounded orbit (lam = 1, E = 0.3) the float
-        # recursion of fibonacci_trace_orbit drifts by 9e-9 at k = 30.
+        # 60-digit decimals. fibonacci_trace_orbit reads the same traces from
+        # the level matrices; on the bounded orbit at lam = 1, E = 0.3 they
+        # stay within 1e-12 (a float run of the recursion drifted 9e-9 by k = 30).
         ctx = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
         D = decimal.Decimal
         taus = [D(2), D(E), ctx.subtract(D(E), D(lam))]
         F = [1, 1]
         lv = {"a": lam, "b": 0.0}
+        orbit = fibonacci_trace_orbit(E, lam, 31)
+        orbit_tol = 1e-12 if (lam, E) == (1.0, 0.3) else 1e-9
         for k in range(1, 32):
             taus.append(ctx.subtract(ctx.multiply(taus[-1], taus[-2]), taus[-3]))
             F.append(F[-1] + F[-2])
@@ -410,8 +413,7 @@ class TestRenormalized:
             a, _, _, d, logs = (float(x) for x in fixed_point_product(FIBONACCI_RULE, lv, E, F[k]))
             got = wrap(int(math.copysign(1, a + d)), math.log(abs(a + d)) + logs)
             assert identity_residual(got, want) <= 1e-9, k
-            if k <= 20:  # the float recursion, before its rounding grows
-                assert identity_residual(got, fibonacci_trace_orbit(E, lam, k).tau(k)) <= 1e-9
+            assert identity_residual(orbit.tau(k), want) <= orbit_tol, k
 
     @pytest.mark.parametrize("spec", [
         *(PotentialSpec.substitution(rule, {"a": 1.5, "b": -0.25}) for rule in RULES.values()),
