@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .ids import IdsCurve, bisect_eigenvalues, count_below_periodic
-from .potentials import PeriodicPotential
+from .potentials import MAX_FLOQUET_STEPS, PeriodicPotential, cosine_period
 from .transfer import product_grid
 
 # Gaps narrower than this are reported as closed and merged.
@@ -61,8 +61,10 @@ def band_spectrum(p: PeriodicPotential, tol: float = CLOSED_GAP_TOL) -> BandSet:
     Edges come from the phase-0 and phase-pi eigenproblems; consecutive edge
     pairs bound the bands. A gap is treated as closed, and its neighbours
     merged, when it is narrower than CLOSED_GAP_TOL or when the trace at its
-    midpoint exceeds 2 in absolute value by less than ``tol``.
+    midpoint exceeds 2 in absolute value by less than ``tol``. DomainError if
+    the edges would take more than MAX_FLOQUET_STEPS pivot steps.
     """
+    _check_steps(_bisection_steps(1, p.period))
     return _band_sets(np.asarray(p.values, dtype=float)[None, :], tol)[0]
 
 
@@ -75,6 +77,19 @@ def _band_sets(rows: np.ndarray, tol: float) -> list[BandSet]:
                               np.repeat(rows.max(axis=1) + 4.0, 2))
     return [_merge(vals, row_edges, math.log(2.0 + tol))
             for vals, row_edges in zip(rows, edges)]
+
+
+def _bisection_steps(R: int, L: int) -> int:
+    """Pivot steps of the stacked bisection of R band sets of period L: 60
+    halvings (``bisect_eigenvalues``) of the L edges of each of the 2R
+    restrictions, each count an L-site sweep."""
+    return 60 * 2 * R * L * L
+
+
+def _check_steps(steps: int) -> None:
+    if steps > MAX_FLOQUET_STEPS:
+        raise DomainError(f"Floquet edges take {steps} pivot steps, above the budget "
+                          f"of {MAX_FLOQUET_STEPS}")
 
 
 def _wraparound_edges(vals: np.ndarray, corners: np.ndarray, lo: np.ndarray,
@@ -131,16 +146,21 @@ def butterfly(lam: float, q_max: int, omega: float = 0.0,
     """Band sets of the cosine chain at every reduced fraction alpha = p/q with
     q <= q_max, ordered by (q, p). q = 1 contributes the single row (0, 1).
 
-    The rows of one q share one stacked bisection. ``threads`` is accepted
-    and ignored.
+    The rows of one q share one stacked bisection. DomainError, before any
+    is run, if all of them would take more than MAX_FLOQUET_STEPS pivot steps.
+    ``threads`` is accepted and ignored.
     """
     if q_max < 1:
         raise DomainError("q_max must be at least 1")
-    out = []
+    fractions, steps = [], 0
     for q in range(1, q_max + 1):
         ps = [p for p in range(1, q) if gcd(p, q) == 1] or [0]
-        rows = np.array([[lam * math.cos(2.0 * math.pi * (n * p / q + omega))
-                          for n in range(1, q + 1)] for p in ps])
+        steps += _bisection_steps(len(ps), q)
+        _check_steps(steps)
+        fractions.append((q, ps))
+    out = []
+    for q, ps in fractions:
+        rows = np.array([cosine_period(lam, p, q, omega) for p in ps])
         out.extend(zip(ps, [q] * len(ps), _band_sets(rows, CLOSED_GAP_TOL)))
     return out
 
@@ -167,10 +187,10 @@ def phase_union_spectrum(lam: float, p: int, q: int) -> BandSet:
     """
     if q < 1 or not 0 <= p <= q or (q > 1 and gcd(p, q) != 1):
         raise DomainError("need a reduced fraction p/q with q >= 1")
+    _check_steps(_bisection_steps(1, q))
 
     def values(omega: float) -> np.ndarray:
-        n = np.arange(1, q + 1)
-        return lam * np.cos(2.0 * math.pi * (n * p / q + omega))
+        return np.array(cosine_period(lam, p, q, omega))
 
     # The modulation s c cos(2 pi q omega) is +c at omega_plus, -c at omega_minus.
     half = 1.0 / (2.0 * q)

@@ -15,8 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
+from .potentials import MAX_SITES
 
 _DIGIT_CAP = 52  # 2^-53 < 1e-15, enough for full float accuracy
+
+# math.cos rounds to exactly 1.0 below this argument (cos x = 1 - x^2/2 with
+# x^2/2 under half an ulp of 1), so later Fourier factors change nothing.
+_UNIT_COSINE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,13 +78,17 @@ def cantor_alpha(x: float | Fraction) -> float:
 
 def cantor_fourier(t: float, N: int) -> complex:
     """Truncated Fourier transform of the Cantor measure:
-    e^{it/2} prod_{n=1..N} cos(t / 3^n)."""
+    e^{it/2} prod_{n=1..N} cos(t / 3^n). The product stops at the first
+    factor whose argument is below _UNIT_COSINE: it and all later ones are
+    exactly 1.0."""
     if N < 1:
         raise DomainError("need at least one product factor")
     prod = 1.0
     scale = 1.0
     for _ in range(N):
         scale /= 3.0
+        if abs(t * scale) < _UNIT_COSINE:
+            break
         prod *= math.cos(t * scale)
     return cmath.exp(0.5j * t) * prod
 
@@ -90,6 +99,8 @@ def sturmian_label_set(alpha: float, k_max: int) -> LabelSet:
         raise DomainError("alpha must lie strictly between 0 and 1")
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
+    if 2 * k_max + 1 > MAX_SITES:
+        raise DomainError(f"{2 * k_max + 1} labels exceed the budget of {MAX_SITES}")
     vals = [(k * alpha) % 1.0 for k in range(-k_max, k_max + 1)]
     return LabelSet(tuple(vals))
 
@@ -98,6 +109,8 @@ def hierarchical_labels(n_max: int) -> LabelSet:
     """Dyadic gap labels (2k-1)/2^{n+1} for 0 <= n <= n_max, 1 <= k <= 2^n."""
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
+    if n_max + 1 > math.log2(MAX_SITES + 1):  # checked before 2^(n_max + 1) is formed
+        raise DomainError(f"2^{n_max + 1} - 1 labels exceed the budget of {MAX_SITES}")
     vals = [(2 * k - 1) / 2.0 ** (n + 1)
             for n in range(n_max + 1) for k in range(1, 2 ** n + 1)]
     return LabelSet(tuple(vals))

@@ -253,9 +253,15 @@ def _periodic_values(cfg: RunConfig, spec: PotentialSpec):
     return approximant_by_denominator(spec, cfg.approx_q)
 
 
+def _check_grid(cfg: RunConfig) -> None:
+    if not 2 <= cfg.grid <= MAX_SITES:
+        raise DomainError(f"need 2 to {MAX_SITES} grid points")
+
+
 def _grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.grid < 2 or cfg.emax <= cfg.emin:
-        raise DomainError("need emax > emin and at least 2 grid points")
+    _check_grid(cfg)
+    if cfg.emax <= cfg.emin:
+        raise DomainError("need emax > emin")
     return np.linspace(cfg.emin, cfg.emax, cfg.grid)
 
 
@@ -365,8 +371,8 @@ def _run_gaps(cfg: RunConfig):
 
 
 def _run_cantor(cfg: RunConfig):
-    if cfg.what in ("function", "fourier") and cfg.grid < 2:
-        raise DomainError("need at least 2 grid points")
+    if cfg.what in ("function", "fourier"):
+        _check_grid(cfg)
     if cfg.what == "function":
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
         return (("x", "alpha"), [(x, cantor_mod.cantor_alpha(float(x))) for x in xs],

@@ -39,6 +39,10 @@ MAX_SUBSTITUTION_LETTERS = 2 ** 20
 # Most sites a sample or an approximant period may have: 32 MB of float64.
 MAX_SITES = 2 ** 22
 
+# Most pivot steps one Floquet band computation may take, summed over the
+# periods of a butterfly: about a minute of stacked bisection.
+MAX_FLOQUET_STEPS = 2 ** 32
+
 
 @dataclass(frozen=True)
 class SubstitutionRule:
@@ -229,18 +233,15 @@ def generate_substitution_word(rule: SubstitutionRule, seed: str, min_length: in
         raise DomainError(f"image of {seed!r} does not start with it; no fixed point")
     if not rule.is_primitive():
         raise DomainError("substitution rule is not primitive")
-    w = seed
-    while len(w) < min_length:
-        nxt = rule.apply(w)
-        if len(nxt) <= len(w):
-            raise DomainError("substitution does not grow from this seed")
-        w = nxt
-    return w
+    return _iterate_to(rule, seed, 1, min_length)
 
 
 def _two_sided_letters(rule: SubstitutionRule, power_cap: int) -> tuple[str, str, int]:
     """Smallest power n <= cap and lexicographically first (left, right) letters
-    with rule^n(left) ending in left and rule^n(right) starting with right."""
+    with rule^n(left) ending in left and rule^n(right) starting with right,
+    the seeds of every fixed point here. DomainError unless primitive."""
+    if not rule.is_primitive():
+        raise DomainError("substitution rule is not primitive")
     for n in range(1, power_cap + 1):
         left = [x for x in sorted(rule.alphabet) if rule.iterate(x, n).endswith(x)]
         right = [y for y in sorted(rule.alphabet) if rule.iterate(y, n).startswith(y)]
@@ -260,8 +261,6 @@ def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int,
     """
     if hi < lo:
         return ""
-    if not rule.is_primitive():
-        raise DomainError("substitution rule is not primitive")
     la, lb, n = _two_sided_letters(rule, power_cap)
     # Each iterate of u ends with the previous one, and each of v starts with
     # it. Site i <= 0 is u[len(u) - 1 + i], site i >= 1 is v[i - 1].
@@ -298,17 +297,8 @@ def fixed_point_blocks(rule: SubstitutionRule, n: int) -> list[tuple[int, str]]:
     if n < 1:
         raise DomainError("a prefix needs at least one site")
     _check_sites(n)
-    if not rule.is_primitive():
-        raise DomainError("substitution rule is not primitive")
     _, x, p = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
-    lengths = [dict.fromkeys(rule.alphabet, 1)]  # lengths[k][y] = |rule^k(y)|
-    while lengths[-1][x] < n:
-        start = lengths[-1][x]
-        for _ in range(p):
-            lengths.append({y: sum(lengths[-1][z] for z in rule.images[y])
-                            for y in rule.alphabet})
-        if lengths[-1][x] == start:
-            raise DomainError("substitution does not grow from its seed")
+    lengths = _level_lengths(rule, x, p, n)
     blocks, k, rest = [], len(lengths) - 1, n
     while rest:
         if lengths[k][x] == rest:
@@ -322,6 +312,20 @@ def fixed_point_blocks(rule: SubstitutionRule, n: int) -> list[tuple[int, str]]:
             blocks.append((k, y))
             rest -= lengths[k][y]
     return blocks
+
+
+def _level_lengths(rule: SubstitutionRule, x: str, p: int, size: int) -> list[dict[str, int]]:
+    """lengths[k][y] = |rule^k(y)| as exact ints, for k = 0 up to the first
+    multiple of ``p`` at which |rule^k(x)| >= ``size``."""
+    lengths = [dict.fromkeys(rule.alphabet, 1)]
+    while lengths[-1][x] < size:
+        start = lengths[-1][x]
+        for _ in range(p):
+            lengths.append({y: sum(lengths[-1][z] for z in rule.images[y])
+                            for y in rule.alphabet})
+        if lengths[-1][x] == start:
+            raise DomainError("substitution does not grow from its seed")
+    return lengths
 
 
 def fixed_point_of(spec: PotentialSpec) -> tuple[SubstitutionRule, dict[str, float]] | None:
@@ -417,15 +421,18 @@ def convergents(alpha: float, q_max: int) -> list[tuple[int, int]]:
     return [(p, q) for p, q in _cf_convergents(alpha) if q <= q_max]
 
 
+def cosine_period(lam: float, p: int, q: int, omega: float) -> tuple[float, ...]:
+    """One period V_n = lam cos(2 pi (n p/q + omega)), n = 1..q, of the cosine
+    chain at alpha = p/q."""
+    return tuple(lam * math.cos(2.0 * math.pi * (n * p / q + omega)) for n in range(1, q + 1))
+
+
 def _rational_values(spec: PotentialSpec, p: int, q: int) -> tuple[float, ...]:
     """One period of the potential re-evaluated at alpha = p/q (exact
     arithmetic for the floor and ceiling formulas)."""
     omega = Fraction(spec.omega)  # floats convert exactly
     if spec.kind == "almost-mathieu":
-        return tuple(
-            spec.lam * math.cos(2.0 * math.pi * (n * p / q + spec.omega))
-            for n in range(1, q + 1)
-        )
+        return cosine_period(spec.lam, p, q, spec.omega)
     if spec.kind == "sturmian":
         def rnd(x: Fraction) -> int:
             return math.floor(x) if spec.rounding == "floor" else math.ceil(x)
@@ -450,9 +457,9 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
     For the alpha-based kinds, order k selects the k-th continued-fraction
     convergent of alpha (counting from 1 and skipping the trivial 0/1) and
     re-evaluates the formula over one period q. For the substitution kind the
-    rule is applied ``order`` times to its right-prolongable seed letter, and
-    DomainError is raised if the steps would write more than
-    MAX_SUBSTITUTION_LETTERS letters.
+    period is the level-k block rule^k(x) of the sampled fixed point's seed x
+    (``_two_sided_letters``), whose matrix ``level_matrices`` holds at level k;
+    DomainError if the k rule applications write over MAX_SUBSTITUTION_LETTERS.
     """
     if order < 1:
         raise DomainError("order must be at least 1")
@@ -461,15 +468,15 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
     if spec.kind == "explicit-periodic":
         return PeriodicPotential(tuple(float(v) for v in spec.values))
     if spec.kind == "substitution":
-        seeds = [x for x in sorted(spec.rule.alphabet)
-                 if spec.rule.images[x].startswith(x)]
-        if not seeds:
-            raise DomainError("rule has no right-prolongable letter")
-        if _letters_written(spec.rule, seeds[0], order) > MAX_SUBSTITUTION_LETTERS:
+        _, x, p = _two_sided_letters(spec.rule, TWO_SIDED_POWER_CAP)
+        # Application j writes level j. The table ends past the budget, so an
+        # order beyond its last level is refused too.
+        lengths = _level_lengths(spec.rule, x, p, MAX_SUBSTITUTION_LETTERS + 1)
+        if sum(level[x] for level in lengths[1:order + 1]) > MAX_SUBSTITUTION_LETTERS:
             raise DomainError(f"order {order} writes more than "
                               f"{MAX_SUBSTITUTION_LETTERS} letters")
-        word = spec.rule.iterate(seeds[0], order)
-        return PeriodicPotential(tuple(float(spec.letter_values[ch]) for ch in word))
+        word = spec.rule.iterate(x, order)
+        return PeriodicPotential(tuple(_letter_values(word, spec.letter_values).tolist()))
     convs = _cf_convergents(spec.alpha)[1:]  # skip 0/1
     if order > len(convs):
         raise DomainError(
@@ -479,22 +486,10 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
     return PeriodicPotential(_rational_values(spec, p, q))
 
 
-def _letters_written(rule: SubstitutionRule, seed: str, n: int) -> int:
-    """Summed lengths of the first n images of ``seed``, exact in Python ints
-    from the occurrence matrix; counting stops once past the budget."""
-    m = rule.matrix().tolist()
-    counts = [int(a == seed) for a in rule.alphabet]
-    written = 0
-    for _ in range(n):
-        counts = [sum(x * c for x, c in zip(row, counts)) for row in m]
-        written += sum(counts)
-        if written > MAX_SUBSTITUTION_LETTERS:
-            break
-    return written
-
-
 def approximant_by_denominator(spec: PotentialSpec, q_max: int) -> PeriodicPotential:
     """Approximant at the convergent with the largest denominator <= q_max."""
+    if spec.kind not in _ALPHA_KINDS:
+        raise DomainError(f"a {spec.kind} potential has no continued-fraction convergents")
     convs = [c for c in _cf_convergents(spec.alpha)[1:] if c[1] <= q_max]
     if not convs:
         raise DomainError(f"no convergent with denominator <= {q_max}")

@@ -21,7 +21,8 @@ from quasispec import (
     total_bandwidth,
     trace_poly,
 )
-from quasispec.bands import CLOSED_GAP_TOL, phase_union_spectrum
+from quasispec.bands import CLOSED_GAP_TOL, _bisection_steps, phase_union_spectrum
+from quasispec.potentials import MAX_FLOQUET_STEPS
 from quasispec.ids import bisect_eigenvalues, count_below_periodic
 
 SQ5 = math.sqrt(5.0)
@@ -282,6 +283,26 @@ class TestPhaseUnion:
     def test_rejects_unreduced(self):
         with pytest.raises(DomainError):
             phase_union_spectrum(2.0, 2, 4)
+
+
+class TestFloquetBudget:
+    # 120 L^2 pivot steps pass 2^32 from L = 5983 on. A butterfly sums its
+    # rows: no q <= 124 alone takes 2e8 steps, all of them together pass 2^32.
+    def test_boundary(self):
+        assert _bisection_steps(1, 5982) <= MAX_FLOQUET_STEPS < _bisection_steps(1, 5983)
+
+    @pytest.mark.parametrize("compute", [
+        lambda: band_spectrum(PeriodicPotential((0.0,) * 5983)),
+        lambda: phase_union_spectrum(2.0, 1, 5983),
+        lambda: butterfly(2.0, 124),
+    ], ids=["band_spectrum", "phase_union", "butterfly"])
+    def test_refused_before_any_work(self, compute, monkeypatch):
+        def no_bisection(*args):
+            raise AssertionError("bisection ran")
+
+        monkeypatch.setattr("quasispec.bands.bisect_eigenvalues", no_bisection)
+        with pytest.raises(DomainError, match="budget"):
+            compute()
 
 
 class TestMatchGapLabels:

@@ -15,6 +15,7 @@ from quasispec import (
     hierarchical_labels,
     sturmian_label_set,
 )
+from quasispec.potentials import MAX_SITES
 
 
 class TestCantorFunction:
@@ -78,6 +79,15 @@ class TestCantorFourier:
             direct *= math.cos(t / 3**n)
         assert cantor_fourier(t, 60) == pytest.approx(direct, abs=1e-12)
 
+    def test_factors_past_unit_cosines_change_nothing(self):
+        # Every factor past |t| 3^-n < 1e-8 is exactly 1.0.
+        for t in (0.0, 1.5, 50.0, -1e4):
+            prod, scale = 1.0, 1.0
+            for _ in range(100):
+                scale /= 3.0
+                prod *= math.cos(t * scale)
+            assert cantor_fourier(t, 10**9) == cmath.exp(0.5j * t) * prod
+
     def test_needs_a_factor(self):
         with pytest.raises(DomainError):
             cantor_fourier(1.0, 0)
@@ -122,6 +132,13 @@ class TestHierarchicalLabels:
             f = Fraction(v).limit_denominator(2**6)
             assert f.denominator & (f.denominator - 1) == 0  # a power of two
             assert f.numerator % 2 == 1
+
+    def test_label_budget(self):
+        # 2^23 - 1 and 2^22 + 1 labels: one past MAX_SITES = 2^22 each.
+        with pytest.raises(DomainError, match="budget"):
+            hierarchical_labels(22)
+        with pytest.raises(DomainError, match="budget"):
+            sturmian_label_set(GOLDEN_MEAN, MAX_SITES // 2)
 
     def test_labelset_dedup_and_sort(self):
         ls = LabelSet((0.5, 0.25, 0.5 + 1e-15))

@@ -8,6 +8,12 @@ from quasispec.cli import main, parse_config
 
 # A primitive rule whose fixed point never grows.
 ONE_LETTER_RULE = '{"alphabet": ["a"], "images": {"a": "a"}, "letter_values": {"a": 1}}'
+# No image starts with its letter: the fixed point needs the square of the rule.
+BA_AB_RULE = ('{"alphabet": ["a", "b"], "images": {"a": "ba", "b": "ab"}, '
+              '"letter_values": {"a": 1, "b": -1}}')
+# Not primitive: b never produces a.
+NON_PRIMITIVE_RULE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "b"}, '
+                      '"letter_values": {"a": 1, "b": 0}}')
 # An alphabet entry of two characters, which no image can contain.
 TWO_CHARACTER_LETTER_RULE = ('{"alphabet": ["a", "bb"], "images": {"a": "a", "bb": "a"}, '
                              '"letter_values": {"a": 1, "bb": 0}}')
@@ -226,6 +232,14 @@ class TestModelPlumbing:
                               "bounded"], capsys)
         assert code == 2
 
+    def test_rule_without_prolongable_letter(self, tmp_path, capsys):
+        rule_file = tmp_path / "rule.json"
+        rule_file.write_text(BA_AB_RULE)
+        code, out, _ = run_cli(["spectrum", "--model", "substitution", "--rule-file",
+                                str(rule_file), "--order", "4", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["period"] == 16
+
     def test_fibonacci_rule_file_runs_the_trace_map(self, tmp_path, capsys):
         rule = tmp_path / "fibonacci.json"
         rule.write_text('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
@@ -374,6 +388,17 @@ class TestErrors:
         ["ids", "--model", "free", "--letter-values", "zzz"],
         ["ids", "--model", "free", "--lengths", "10:1"],
         ["ids", "--config", "alpha = foo\n"],
+        ["spectrum", "--model", "substitution", "--rule-file", NON_PRIMITIVE_RULE,
+         "--order", "3"],
+        ["spectrum", "--model", "fibonacci", "--lambda", "2", "--approx-q", "100000"],
+        ["spectrum", "--model", "thue-morse", "--order", "19"],
+        ["butterfly", "--lambda", "2", "--qmax", "1000"],
+        ["cantor", "--what", "hierarchical", "--kmax", "40"],
+        ["gaps", "--model", "fibonacci", "--approx-q", "13", "--labels", "sturmian",
+         "--kmax", "1000000000"],
+        ["ids", "--grid", "1000000000"],
+        ["lyapunov", "--grid", "1000000000"],
+        ["cantor", "--what", "fourier", "--grid", "1000000000"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         for flag in ("--config", "--rule-file"):

@@ -12,6 +12,7 @@ from quasispec import (
     THUE_MORSE_RULE,
     PotentialSpec,
     SubstitutionRule,
+    approximant_by_denominator,
     convergents,
     generate_substitution_word,
     generate_two_sided,
@@ -21,6 +22,8 @@ from quasispec import (
 )
 from quasispec.potentials import (NAMED_RULES, TWO_SIDED_POWER_CAP, _iterate_to,
                                   _two_sided_letters)
+
+from conftest import RULES, primitive_rules
 
 TRIBONACCI_RULE = SubstitutionRule(("a", "b", "c"), {"a": "ab", "b": "ac", "c": "a"})
 
@@ -75,7 +78,7 @@ class TestTwoSided:
         assert generate_two_sided(PERIOD_DOUBLING_RULE, 1, 8) == "abaaabab"
 
     @pytest.mark.parametrize("rule", [FIBONACCI_RULE, THUE_MORSE_RULE,
-                                      PERIOD_DOUBLING_RULE])
+                                      PERIOD_DOUBLING_RULE, RULES["ba-ab"]])
     def test_fixed_point_invariance(self, rule):
         # The two-sided word must reproduce itself under the chosen power of
         # the substitution, anchored at the origin.
@@ -103,7 +106,7 @@ class TestSlicedWindows:
     """Windows sliced from u and v, and letter values looked up by code point,
     equal the site-by-site reference bit for bit."""
 
-    @given(st.sampled_from([*NAMED_RULES.values(), TRIBONACCI_RULE]),
+    @given(st.sampled_from([*NAMED_RULES.values(), TRIBONACCI_RULE, RULES["ba-ab"]]),
            st.integers(-3000, 3000), st.integers(0, 3000), st.data())
     def test_window_and_values_equal_site_by_site(self, rule, lo, size, data):
         hi = lo + size
@@ -217,10 +220,38 @@ class TestApproximants:
         with pytest.raises(DomainError):
             periodic_approximant(spec, 20)
         # At order 10^6 this word has 10^6 + 1 letters, but the steps write ~5e11.
+        # The rule is not primitive, which alone refuses it.
         slow = SubstitutionRule(("a", "b"), {"a": "ab", "b": "b"})
         with pytest.raises(DomainError):
             periodic_approximant(PotentialSpec.substitution(slow, {"a": 1.0, "b": 0.0}),
                                  10 ** 6)
+
+    @given(primitive_rules(), st.integers(1, 6))
+    def test_substitution_period_is_the_level_block(self, rule, order):
+        # The period is rule^order(x) for the seed letter x that the sampler
+        # grows its right half from, also where no image starts with its letter.
+        _, x, _ = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+        lv = {y: float(i) - 0.5 for i, y in enumerate(rule.alphabet)}
+        got = periodic_approximant(PotentialSpec.substitution(rule, lv), order).values
+        assert got == tuple(lv[ch] for ch in rule.iterate(x, order))
+
+    def test_substitution_seed_is_the_samplers(self):
+        # b -> bc starts with b, but the sampled fixed point starts from a.
+        rule = SubstitutionRule(("a", "b", "c"), {"a": "cbc", "b": "bc", "c": "acba"})
+        lv = {"a": 1.0, "b": 2.0, "c": 3.0}
+        spec = PotentialSpec.substitution(rule, lv)
+        period = periodic_approximant(spec, 2).values
+        assert period == tuple(lv[ch] for ch in rule.iterate("a", 2))
+        assert period[:5] == tuple(sample_potential(spec, 1, 5))
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec.constant(1.0),
+        PotentialSpec.explicit([1.0, 2.0]),
+        PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}),
+    ], ids=["constant", "explicit", "substitution"])
+    def test_by_denominator_needs_alpha(self, spec):
+        with pytest.raises(DomainError, match="convergents"):
+            approximant_by_denominator(spec, 13)
 
     def test_rational_alpha_exhausts(self):
         spec = PotentialSpec.sturmian(0.4, 1.0)

@@ -13,7 +13,6 @@ from quasispec import (
     MatClass,
     PeriodicPotential,
     PotentialSpec,
-    SubstitutionRule,
     approximant_by_denominator,
     band_spectrum,
     classify,
@@ -27,15 +26,11 @@ from quasispec import (
     trace_poly,
 )
 from quasispec.numutil import wrap
-from quasispec.potentials import (MAX_SITES, NAMED_RULES, fixed_point_blocks,
-                                  fixed_point_of)
+from quasispec.potentials import MAX_SITES, fixed_point_blocks, fixed_point_of
 from quasispec.tracemap import identity_residual
 from quasispec.transfer import fixed_point_product, product_grid
 
-# The named rules, a rule-file-style rule with unequal image lengths, and one
-# whose fixed point needs the square of the rule (no image starts with its letter).
-RULES = {**NAMED_RULES, "aab-ba": SubstitutionRule(("a", "b"), {"a": "aab", "b": "ba"}),
-         "ba-ab": SubstitutionRule(("a", "b"), {"a": "ba", "b": "ab"})}
+from conftest import RULES
 
 
 def matmul(p, q):
