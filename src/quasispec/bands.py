@@ -3,12 +3,19 @@
 The spectrum of an L-periodic chain is {E : |tr T_{1..L}(E)| <= 2}. Its 2L
 band edges are the roots of tr = +-2, i.e. the eigenvalues of the L-site
 restriction with wrap-around boundary phase 0 and pi. Both restrictions are
-real symmetric, and their eigenvalues are extracted by bisection with the
-bordered pivot counter, which stays robust for periods in the thousands
-where root-finding on the trace polynomial would not. Every edge comes from
-one stacked bisection: both restrictions of a band set, and in a butterfly
-all rows of one denominator q, are counted together, each with the
-arithmetic it would get alone.
+real symmetric, and their eigenvalues are extracted by bisection on an
+eigenvalue count, which stays robust for periods in the thousands where
+root-finding on the trace polynomial would not.
+
+A period that is (a cyclic shift of) a substitution level block, as
+``PeriodicPotential.level_block`` records for substitution and golden-mean
+Sturmian approximants, counts both restrictions at once from the lifted
+level matrix, O(log L) products per energy (``ids.floquet_count``). Every
+other period, and the almost-Mathieu, butterfly and phase-union spectra,
+take the bordered pivot counter, O(L) per energy, in one stacked
+bisection: both restrictions of a band set, and in a butterfly all rows of
+one denominator q, are counted together, each with the arithmetic it would
+get alone. Both edge sets go through the same merge.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .ids import IdsCurve, bisect_eigenvalues, count_below_periodic
-from .potentials import MAX_FLOQUET_STEPS, PeriodicPotential, cosine_period
+from .ids import IdsCurve, bisect_eigenvalues, count_below_periodic, floquet_count
+from .potentials import MAX_FLOQUET_STEPS, LevelBlock, PeriodicPotential, cosine_period
 from .transfer import product_grid
 
 # Gaps narrower than this are reported as closed and merged.
@@ -61,11 +68,20 @@ def band_spectrum(p: PeriodicPotential, tol: float = CLOSED_GAP_TOL) -> BandSet:
     Edges come from the phase-0 and phase-pi eigenproblems; consecutive edge
     pairs bound the bands. A gap is treated as closed, and its neighbours
     merged, when it is narrower than CLOSED_GAP_TOL or when the trace at its
-    midpoint exceeds 2 in absolute value by less than ``tol``. DomainError if
-    the edges would take more than MAX_FLOQUET_STEPS pivot steps.
+    midpoint exceeds 2 in absolute value by less than ``tol``. A period with
+    a ``level_block`` takes all 2L edges from one bisection of the combined
+    count of its lifted level matrix (``ids.floquet_count``), every other one
+    from the stacked pivot counts. DomainError if the edges would take more
+    than MAX_FLOQUET_STEPS steps (``_bisection_steps``, ``_lifted_steps``).
     """
-    _check_steps(_bisection_steps(1, p.period))
-    return _band_sets(np.asarray(p.values, dtype=float)[None, :], tol)[0]
+    L, vals = p.period, np.asarray(p.values, dtype=float)
+    if p.level_block is None:
+        _check_steps(_bisection_steps(1, L))
+        return _band_sets(vals[None, :], tol)[0]
+    _check_steps(_lifted_steps(p.level_block, L))
+    edges = bisect_eigenvalues(lambda E: floquet_count(p.level_block, L, E), 2 * L,
+                               vals.min() - 4.0, vals.max() + 4.0)
+    return _merge(vals, np.sort(edges), math.log(2.0 + tol))
 
 
 def _band_sets(rows: np.ndarray, tol: float) -> list[BandSet]:
@@ -86,9 +102,18 @@ def _bisection_steps(R: int, L: int) -> int:
     return 60 * 2 * R * L * L
 
 
+def _lifted_steps(block: LevelBlock, L: int) -> int:
+    """Steps of the lifted edges of an L-site level block: 60 halvings of 2L
+    edges, each count the k levels' products of every letter's image, and the
+    merge's trace check of up to 2L - 1 gap midpoints over L sites, which
+    dominates from a few thousand sites on."""
+    products = block.level * sum(len(w) for w in block.rule.images.values())
+    return 60 * 2 * L * products + L * (2 * L - 1)
+
+
 def _check_steps(steps: int) -> None:
     if steps > MAX_FLOQUET_STEPS:
-        raise DomainError(f"Floquet edges take {steps} pivot steps, above the budget "
+        raise DomainError(f"Floquet edges take {steps} steps, above the budget "
                           f"of {MAX_FLOQUET_STEPS}")
 
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError
 from .potentials import MAX_SITES
 
@@ -31,14 +33,20 @@ class LabelSet:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        v = sorted(self.values)
-        dedup: list[float] = []
-        for x in v:
-            if not 0.0 <= x < 1.0 + 1e-12:
-                raise DomainError("labels must lie in [0, 1)")
-            if not dedup or x - dedup[-1] > 1e-12:
-                dedup.append(float(x))
-        object.__setattr__(self, "values", tuple(dedup))
+        v = np.sort(np.asarray(self.values, dtype=float).ravel(), kind="stable")
+        if not np.all((v >= 0.0) & (v < 1.0 + 1e-12)):
+            raise DomainError("labels must lie in [0, 1)")
+        # A label is kept when it lies more than 1e-12 above the last kept one.
+        # Past a gap of more than 1e-12 to its neighbour below that holds at
+        # once; only the few labels closer than that are decided in turn.
+        keep = np.ones(len(v), dtype=bool)
+        np.greater(np.diff(v), 1e-12, out=keep[1:])
+        last = -np.inf
+        for i in np.flatnonzero(~keep).tolist():
+            if keep[i - 1]:
+                last = v[i - 1]
+            keep[i] = v[i] - last > 1e-12
+        object.__setattr__(self, "values", tuple((v if keep.all() else v[keep]).tolist()))
 
     def nearest(self, x: float) -> float:
         return min(self.values, key=lambda v: abs(v - x))
@@ -101,8 +109,9 @@ def sturmian_label_set(alpha: float, k_max: int) -> LabelSet:
         raise DomainError("k_max must be nonnegative")
     if 2 * k_max + 1 > MAX_SITES:
         raise DomainError(f"{2 * k_max + 1} labels exceed the budget of {MAX_SITES}")
-    vals = [(k * alpha) % 1.0 for k in range(-k_max, k_max + 1)]
-    return LabelSet(tuple(vals))
+    k = np.arange(-k_max, k_max + 1, dtype=float)
+    k *= alpha
+    return LabelSet(np.mod(k, 1.0, out=k))
 
 
 def hierarchical_labels(n_max: int) -> LabelSet:
@@ -111,6 +120,5 @@ def hierarchical_labels(n_max: int) -> LabelSet:
         raise DomainError("n_max must be nonnegative")
     if n_max + 1 > math.log2(MAX_SITES + 1):  # checked before 2^(n_max + 1) is formed
         raise DomainError(f"2^{n_max + 1} - 1 labels exceed the budget of {MAX_SITES}")
-    vals = [(2 * k - 1) / 2.0 ** (n + 1)
-            for n in range(n_max + 1) for k in range(1, 2 ** n + 1)]
-    return LabelSet(tuple(vals))
+    return LabelSet(np.concatenate([np.arange(1.0, 2.0 ** (n + 1), 2.0) / 2.0 ** (n + 1)
+                                    for n in range(n_max + 1)]))

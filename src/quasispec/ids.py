@@ -8,6 +8,13 @@ in Kahan (1966). A bordered variant handles the periodic / antiperiodic
 restrictions whose matrices carry corner entries. Counts drive both IDS
 curves and the band-edge bisection used elsewhere.
 
+Substitution level blocks and fixed-point windows are counted without a
+sweep: the count is a rotation number (Johnson-Moser, CMP 1982), read from
+the integer lift that ``transfer.level_matrices`` carries with every level
+matrix, O(log L) 2x2 products per energy (``floquet_count``,
+``fixed_point_count``). The pivot counts stay the path of every other chain
+and the oracle of the lifted ones.
+
 Both counts run one block sweep, ``_sweep``: per site only the recursion
 runs, into a block of stored pivots (and, bordered, fill-in and Schur rows).
 The guards, the pivot floor and the saturation of the bordered rows, are
@@ -25,8 +32,9 @@ import numpy as np
 
 from .errors import DomainError
 from .numutil import BigValue, wrap
-from .potentials import PotentialSpec, sample_potential
-from .transfer import product_grid
+from .potentials import (LevelBlock, PotentialSpec, SubstitutionRule, check_sites,
+                         fixed_point_blocks, sample_potential)
+from .transfer import block_product, iter_levels, product_grid
 
 # Zero pivots are nudged to this tiny positive value. Tie-breaking rule: an
 # eigenvalue lying exactly at E is not counted, keeping the strict-below
@@ -250,16 +258,82 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi,
     return 0.5 * (lo_a + hi_a)
 
 
+def floquet_count(block: LevelBlock, L: int, energies) -> np.ndarray:
+    """Periodic plus antiperiodic eigenvalues strictly below each energy of a
+    1-d array, for the L-site period rule^k(x) that ``block`` names: the
+    counts ``count_below_periodic`` gives at corners +1 and -1, summed.
+
+    They follow from the level matrix M of the block and its lift n
+    (``transfer.level_matrices``): 2(L - n) - 1 where |tr M| < 2, and
+    2(L - n - [sign c_M sign tr M < 0]) elsewhere. O(k) 2x2 products per
+    energy, where the pivot count takes L steps.
+    """
+    rule = block.rule
+    i = rule.alphabet.index(block.letter)
+
+    def count(E):
+        for mats, lifts in iter_levels(rule, block.letter_values, E, block.level):
+            pass  # down to the block's own level
+        a, _, c, d, e = mats[:, i]
+        n, tr = lifts[i], a + d
+        # |2^e tr| < 2, with e >= 0, compared without overflow.
+        inside = np.abs(tr) < np.ldexp(np.longdouble(2.0), -e.astype(np.int64))
+        return np.where(inside, 2 * (L - n) - 1,
+                        2 * (L - n - (np.sign(c) * np.sign(tr) < 0)))
+
+    # Two levels of every letter are held at once.
+    return _in_slices(count, energies, 2 * len(rule.alphabet))
+
+
+def fixed_point_count(rule: SubstitutionRule, letter_values: dict[str, float], energies,
+                      L: int) -> np.ndarray:
+    """``count_below`` over the window [-L, L] of the two-sided fixed point
+    that ``sample_potential`` samples for ``rule``, at each energy of a 1-d
+    array, without sampling it.
+
+    The window is the suffix blocks of the left fixed point and the prefix
+    blocks of the right one (``fixed_point_blocks``); with P = [[a, b], [c, d]]
+    their product and n its lift (``transfer.block_product``), the count is
+    (2L + 1) - n - [c != 0 and sign(c) a <= 0]. O(log L) 2x2 products per
+    energy.
+    """
+    check_sites(2 * L + 1)
+    blocks = fixed_point_blocks(rule, L + 1, left=True) + fixed_point_blocks(rule, L)
+
+    def count(E):
+        (a, _, c, _, _), n = block_product(rule, letter_values, E, blocks)
+        return 2 * L + 1 - n - ((c != 0) & (np.sign(c) * a <= 0))
+
+    # The blocks and two levels of every letter are held at once.
+    return _in_slices(count, energies, len(blocks) + 2 * len(rule.alphabet))
+
+
+def _in_slices(count, energies, matrices: int) -> np.ndarray:
+    """``count`` over a 1-d energy array in slices whose ``matrices`` level
+    matrices per energy (5 long doubles each) hold at most 8 * _CHUNK entries
+    (4 MB), so that the transient memory does not grow with the grid or the
+    period; the counts are those of one call."""
+    E = np.asarray(energies, dtype=float)
+    size = max(1, 8 * _CHUNK // (5 * matrices))
+    if E.size <= size:
+        return count(E)
+    return np.concatenate([count(E[j:j + size]) for j in range(0, E.size, size)])
+
+
 def ids_curve(spec: PotentialSpec, omega: float | None, L: int, grid) -> IdsCurve:
     """Finite-volume IDS: eigenvalue counts on the window [-L, L] (2L+1 sites)
-    divided by 2L+1, evaluated at every grid energy."""
+    divided by 2L+1, evaluated at every grid energy. Substitution fixed points
+    are counted from their level blocks (``fixed_point_count``), every other
+    window from its samples."""
     if L < 1:
         raise DomainError("window half-size L must be at least 1")
     if omega is not None:
         spec = spec.with_omega(omega)
-    diag = sample_potential(spec, -L, L)
     e = np.asarray(grid, dtype=float)
-    counts = count_below(diag, e)
+    if spec.kind == "substitution":
+        counts = fixed_point_count(spec.rule, spec.letter_values, e, L)
+    else:
+        counts = count_below(sample_potential(spec, -L, L), e)
     return IdsCurve(e, counts / (2 * L + 1), 2 * L + 1)
 
 

@@ -39,8 +39,9 @@ MAX_SUBSTITUTION_LETTERS = 2 ** 20
 # Most sites a sample or an approximant period may have: 32 MB of float64.
 MAX_SITES = 2 ** 22
 
-# Most pivot steps one Floquet band computation may take, summed over the
-# periods of a butterfly: about a minute of stacked bisection.
+# Most steps one Floquet band computation may take, summed over the periods
+# of a butterfly: about a minute of stacked bisection (pivot steps, or
+# level products and merge steps for a level block, see bands).
 MAX_FLOQUET_STEPS = 2 ** 32
 
 
@@ -125,10 +126,27 @@ KINDS = _ALPHA_KINDS + ("substitution", "explicit-periodic", "constant")
 
 
 @dataclass(frozen=True)
+class LevelBlock:
+    """The level-``level`` block rule^level(letter) of a substitution with
+    ``letter_values``: the word whose transfer matrix ``transfer.level_matrices``
+    holds at that level and letter."""
+
+    rule: SubstitutionRule
+    letter_values: dict[str, float]
+    letter: str
+    level: int
+
+
+@dataclass(frozen=True)
 class PeriodicPotential:
-    """Values of one period, V_1..V_L."""
+    """Values of one period, V_1..V_L.
+
+    ``level_block``, where set, names a substitution level block of which the
+    period is a cyclic shift, so that both have the same Floquet spectrum; it
+    takes no part in comparisons."""
 
     values: tuple[float, ...]
+    level_block: LevelBlock | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.values) < 1:
@@ -283,21 +301,25 @@ def _iterate_to(rule: SubstitutionRule, w: str, n: int, size: int) -> str:
     return w
 
 
-def fixed_point_blocks(rule: SubstitutionRule, n: int) -> list[tuple[int, str]]:
+def fixed_point_blocks(rule: SubstitutionRule, n: int,
+                       left: bool = False) -> list[tuple[int, str]]:
     """Sites 1..n of the right fixed point that ``generate_two_sided`` builds,
-    as whole level blocks rule^k(x), left to right.
+    or with ``left`` sites -n+1..0 of its left fixed point, as whole level
+    blocks rule^k(x), left to right.
 
-    With the (right letter, power p) of ``generate_two_sided``, the sites are
-    a prefix of rule^(pK)(letter). It splits top level down: rule^(k+1)(x) is
-    the level-k blocks of the letters of rule(x), the blocks that fit whole
-    are taken, and the first that does not is split at the next level (the
-    Dumont-Thomas expansion; Zeckendorf digits for Fibonacci). Block lengths
-    are exact Python ints.
+    With the (letter, power p) of ``generate_two_sided``, the sites are a
+    prefix of rule^(pK)(right letter), or a suffix of rule^(pK)(left letter).
+    It splits top level down: rule^(k+1)(x) is the level-k blocks of the
+    letters of rule(x), the blocks that fit whole are taken from the prefix's
+    start (the suffix's end), and the first that does not is split at the
+    next level (the Dumont-Thomas expansion; Zeckendorf digits for
+    Fibonacci). Block lengths are exact Python ints.
     """
     if n < 1:
         raise DomainError("a prefix needs at least one site")
-    _check_sites(n)
-    _, x, p = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+    check_sites(n)
+    la, lb, p = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+    x = la if left else lb
     lengths = _level_lengths(rule, x, p, n)
     blocks, k, rest = [], len(lengths) - 1, n
     while rest:
@@ -305,13 +327,13 @@ def fixed_point_blocks(rule: SubstitutionRule, n: int) -> list[tuple[int, str]]:
             blocks.append((k, x))
             break
         k -= 1
-        for y in rule.images[x]:
+        for y in rule.images[x][::-1] if left else rule.images[x]:
             if lengths[k][y] > rest:
                 x = y
                 break
             blocks.append((k, y))
             rest -= lengths[k][y]
-    return blocks
+    return blocks[::-1] if left else blocks
 
 
 def _level_lengths(rule: SubstitutionRule, x: str, p: int, size: int) -> list[dict[str, int]]:
@@ -352,7 +374,7 @@ def _circle_indicator(x: np.ndarray, intervals) -> np.ndarray:
     return hit.astype(float)
 
 
-def _check_sites(n: int) -> None:
+def check_sites(n: int) -> None:
     if n > MAX_SITES:
         raise DomainError(f"{n} sites exceed the budget of {MAX_SITES}")
 
@@ -361,7 +383,7 @@ def sample_potential(spec: PotentialSpec, first: int, last: int) -> np.ndarray:
     """Values V_n for n = first..last inclusive."""
     if first > last:
         raise DomainError("empty sampling range: first > last")
-    _check_sites(last - first + 1)
+    check_sites(last - first + 1)
     n = np.arange(first, last + 1, dtype=float)
     if spec.kind == "almost-mathieu":
         return spec.lam * np.cos(2.0 * math.pi * (n * spec.alpha + spec.omega))
@@ -458,8 +480,10 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
     convergent of alpha (counting from 1 and skipping the trivial 0/1) and
     re-evaluates the formula over one period q. For the substitution kind the
     period is the level-k block rule^k(x) of the sampled fixed point's seed x
-    (``_two_sided_letters``), whose matrix ``level_matrices`` holds at level k;
-    DomainError if the k rule applications write over MAX_SUBSTITUTION_LETTERS.
+    (``_two_sided_letters``), whose matrix ``level_matrices`` holds at level k,
+    recorded as its ``level_block`` (so is a golden-mean Sturmian period, see
+    ``_convergent_period``); DomainError if the k rule applications write over
+    MAX_SUBSTITUTION_LETTERS.
     """
     if order < 1:
         raise DomainError("order must be at least 1")
@@ -476,14 +500,13 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
             raise DomainError(f"order {order} writes more than "
                               f"{MAX_SUBSTITUTION_LETTERS} letters")
         word = spec.rule.iterate(x, order)
-        return PeriodicPotential(tuple(_letter_values(word, spec.letter_values).tolist()))
+        return PeriodicPotential(tuple(_letter_values(word, spec.letter_values).tolist()),
+                                 LevelBlock(spec.rule, spec.letter_values, x, order))
     convs = _cf_convergents(spec.alpha)[1:]  # skip 0/1
     if order > len(convs):
         raise DomainError(
             f"order {order} exceeds the {len(convs)} available convergents")
-    p, q = convs[order - 1]
-    _check_sites(q)
-    return PeriodicPotential(_rational_values(spec, p, q))
+    return _convergent_period(spec, *convs[order - 1])
 
 
 def approximant_by_denominator(spec: PotentialSpec, q_max: int) -> PeriodicPotential:
@@ -493,9 +516,25 @@ def approximant_by_denominator(spec: PotentialSpec, q_max: int) -> PeriodicPoten
     convs = [c for c in _cf_convergents(spec.alpha)[1:] if c[1] <= q_max]
     if not convs:
         raise DomainError(f"no convergent with denominator <= {q_max}")
-    p, q = convs[-1]
-    _check_sites(q)
-    return PeriodicPotential(_rational_values(spec, p, q))
+    return _convergent_period(spec, *convs[-1])
+
+
+def _convergent_period(spec: PotentialSpec, p: int, q: int) -> PeriodicPotential:
+    """The period of ``_rational_values`` at the convergent p/q. For the
+    golden-mean Sturmian it is a cyclic shift of the Fibonacci level block
+    rule^k(a) with a -> lam, b -> 0 of the same length (F_(k+2) = q): a search
+    of that word doubled confirms it, and the block is recorded."""
+    check_sites(q)
+    values = _rational_values(spec, p, q)
+    block = None
+    if spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN:
+        lengths = _level_lengths(FIBONACCI_RULE, "a", 1, q)
+        word = FIBONACCI_RULE.iterate("a", len(lengths) - 1)
+        letters = "".join("a" if v == spec.lam else "b" for v in values)
+        if len(word) == q and letters in word + word:
+            block = LevelBlock(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}, "a",
+                               len(lengths) - 1)
+    return PeriodicPotential(values, block)
 
 
 # -- letter statistics ---------------------------------------------------------

@@ -28,7 +28,7 @@ from .bands import BandSet
 from .errors import DomainError
 from .numutil import BigValue, LOG_HUGE, as_float, signed_log, wrap
 from .potentials import FIBONACCI_RULE, SubstitutionRule
-from .transfer import level_matrices
+from .transfer import level_matrices, normalize_levels
 
 # Most steps of a golden-mean orbit: ln|tau_n| grows like phi^n and leaves
 # float range near n = 1470 (1478 at E = 0.3, lambda = 2; 1463 at E = 1e300),
@@ -83,10 +83,11 @@ def fibonacci_trace_orbit(E: float, lam: float, n_max: int) -> TraceOrbit:
 
 def _levels(rule: SubstitutionRule, letter_values: dict[str, float], energies,
             levels: int) -> np.ndarray:
-    """``level_matrices`` of a primitive rule whose letter values cover it."""
+    """``level_matrices`` of a primitive rule whose letter values cover it,
+    normalized."""
     if not rule.is_primitive() or set(letter_values) != set(rule.alphabet):
         raise DomainError("need a primitive rule and one value per letter")
-    return level_matrices(rule, letter_values, energies, levels)
+    return normalize_levels(level_matrices(rule, letter_values, energies, levels)[0])
 
 
 def _trace(a, d, e) -> BigValue:

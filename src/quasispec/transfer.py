@@ -13,7 +13,9 @@ renormalizes the per-letter matrices level by level (the matrix of rule^(k+1)(x)
 is the product of the level-k matrices of rule(x)), and ``fixed_point_product``
 joins the O(log n) level blocks of the prefix. ``lyapunov_grid`` takes that
 path for the specs ``potentials.fixed_point_of`` names, and ``product_grid``
-for every other.
+for every other. Each level matrix also carries its integer lift in the
+universal cover of SL(2, R), which ``ids`` turns into eigenvalue counts of
+level blocks (``block_product`` joins blocks with their lifts).
 """
 
 from __future__ import annotations
@@ -245,17 +247,24 @@ def _rescale(x, y, exps):
 
 
 def level_matrices(rule: SubstitutionRule, letter_values: dict[str, float], energies,
-                   levels: int) -> np.ndarray:
+                   levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices over the words rule^k(x), k = 0..levels, of every
-    letter x, over the energies.
+    letter x, over the energies, with their lifts.
 
-    Returns a (levels + 1, 5, r) + E.shape array: at level k and the r-th
-    letter of the alphabet, rows a, b, c, d and the exponent e of the product
-    2^e [[a, b], [c, d]], with the largest |entry| in [1/2, 1). Level 0 holds
-    the step matrices [[E - v, -1], [1, 0]]; level k+1 of x is the product of
-    the level-k matrices of the image of x in reversed order, the
-    renormalization behind the trace maps of Kohmoto-Kadanoff-Tang (1983) and
-    Suto (1989).
+    Returns ``(mats, lifts)``. ``mats`` is a (levels + 1, 5, r) + E.shape
+    array: at level k and the r-th letter of the alphabet, rows a, b, c, d and
+    the exponent e of the product 2^e [[a, b], [c, d]]. Level 0 holds the step
+    matrices [[E - v, -1], [1, 0]]; level k+1 of x is the product of the
+    level-k matrices of the image of x in reversed order, the renormalization
+    behind the trace maps of Kohmoto-Kadanoff-Tang (1983) and Suto (1989).
+    The products are formed unscaled and rescaled by powers of two only where
+    their entries could leave the exponent range (``_chain``), so the entries
+    are not normalized (``normalize_levels`` does that) and the schedule
+    changes no bit; ``iter_levels`` yields the same levels one at a time.
+    ``lifts`` (int64, (levels + 1, r) + E.shape) holds each level matrix's
+    integer lift in the universal cover of SL(2, R) (``_chain``), from which
+    the eigenvalue counts of the level blocks follow (Johnson-Moser, CMP 1982;
+    ``ids.floquet_count``, ``ids.fixed_point_count``).
 
     The entries are long doubles (a 64-bit mantissa on x86; plain doubles
     where the platform has no wider type). A level matrix can have a much
@@ -264,27 +273,125 @@ def level_matrices(rule: SubstitutionRule, letter_values: dict[str, float], ener
     where the site-by-site product keeps about 1e-12.
     """
     E = np.asarray(energies, dtype=float)
-    out = np.zeros((levels + 1, 5, len(rule.alphabet), E.size), dtype=np.longdouble)
-    for i, x in enumerate(rule.alphabet):
-        out[0, 0, i] = E.ravel() - np.longdouble(letter_values[x])
-    out[0, 1], out[0, 2] = -1.0, 1.0
-    _rescale(out[0, :2], out[0, 2:4], out[0, 4])
+    table = list(iter_levels(rule, letter_values, E.ravel(), levels))
+    mats, lifts = np.stack([m for m, _ in table]), np.stack([n for _, n in table])
+    return mats.reshape(mats.shape[:3] + E.shape), lifts.reshape(lifts.shape[:2] + E.shape)
+
+
+def iter_levels(rule: SubstitutionRule, letter_values: dict[str, float], energies,
+                levels: int):
+    """The levels k = 0..levels of ``level_matrices`` over a 1-d energy array,
+    one at a time: (5, r, M) matrices and (r, M) lifts. Only the level being
+    built and the one before it are held."""
+    r = len(rule.alphabet)
+    mats = np.zeros((5, r, len(energies)), dtype=np.longdouble)
+    mats[0] = energies - np.array([letter_values[x] for x in rule.alphabet],
+                                  dtype=np.longdouble)[:, None]
+    mats[1], mats[2] = -1.0, 1.0
+    lifts = np.zeros((r, len(energies)), dtype=np.int64)
+    # A step's row sums are at most |E - v| + 1.
+    bits = _bounded(mats, math.log2(float(np.abs(mats[0]).max(initial=0.0)) + 1.0))
     images = [[rule.alphabet.index(y) for y in rule.images[x]] for x in rule.alphabet]
-    for k in range(levels):
-        for i, image in enumerate(images):
-            out[k + 1, :, i] = _chain(out[k][:, image])
-    return out.reshape(out.shape[:3] + E.shape)
+    lower = _lower(mats[0], mats[2])
+    yield mats, lifts
+    for _ in range(levels):
+        up, up_lifts, below, top = (np.empty_like(mats), np.empty_like(lifts),
+                                    np.empty_like(lower), 0.0)
+        for i, word in enumerate(images):
+            up[:, i], up_lifts[i], b, below[i] = _chain(mats, lifts, bits, lower, word)
+            top = max(top, b)
+        mats, lifts, lower, bits = up, up_lifts, below, top
+        yield mats, lifts
 
 
-def _chain(mats: np.ndarray) -> np.ndarray:
-    """The product mats[:, -1] ... mats[:, 0] of a (5, m, M) stack in the
-    power-of-two form of ``level_matrices``, as a (5, M) array."""
-    p = mats[:, 0].copy()
-    for a, b, c, d, e in mats.transpose(1, 0, 2)[1:]:
-        p = np.stack([a * p[0] + b * p[2], a * p[1] + b * p[3],
-                      c * p[0] + d * p[2], c * p[1] + d * p[3], e + p[4]])
+def normalize_levels(mats: np.ndarray) -> np.ndarray:
+    """Scale the matrices of ``level_matrices`` (rows on axis 1) in place by
+    powers of two so that each has its largest |entry| in [1/2, 1); returns
+    ``mats``."""
+    rows = np.moveaxis(mats, 1, 0)
+    _rescale(rows[:2], rows[2:4], rows[4])
+    return mats
+
+
+# Level products are formed unscaled. A stored 2^e [[a, b], [c, d]] with
+# determinant 1 has its largest |entry| in [2^(-e - 1/2), 2^bits], where bits is
+# log2 of a bound on its row sums; it is rescaled once bits or the largest
+# exponent e passes a quarter of the exponent range, so that the product of two
+# neither overflows nor underflows (2^-8193 to 2^8192 for x86 long doubles).
+_LEVEL_BITS = np.finfo(np.longdouble).maxexp / 4
+
+
+def _bounded(p: np.ndarray, bits: float) -> float:
+    """Rescale the power-of-two matrices ``p`` (rows on axis 0) in place once
+    ``bits`` or their largest exponent passes _LEVEL_BITS; return the bound on
+    log2 of their row sums after."""
+    if not (bits <= _LEVEL_BITS and p[4].max(initial=0.0) <= _LEVEL_BITS):
         _rescale(p[:2], p[2:4], p[4])
-    return p
+        return 1.0
+    return bits
+
+
+def _chain(mats: np.ndarray, lifts: np.ndarray, bits: float, lower: np.ndarray,
+           word) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The product P = mats[:, f_m] ... mats[:, f_1] of the ``word``
+    [f_1, ..., f_m], indices into a (5, r, M) stack in the power-of-two form of
+    ``level_matrices``, as (P (5, M), its lift (M,), the bound on log2 of its
+    row sums, its ``_lower`` (M,)).
+
+    ``lifts`` (r, M) are the stack's lifts, ``bits`` the bound on log2 of its
+    row sums and ``lower`` (r, M) its ``_lower``; a partial product is
+    rescaled only when ``_bounded`` asks. A step has lift 0, and the product
+    AB has lift n_A + n_B + [s_A s_B t < 0], where t = (AB)_21, or (AB)_11
+    where (AB)_21 == 0, and s_X is the sign that turns the first column (a, c)
+    of X into the upper half plane: sign c, or sign a where c == 0 (so
+    s_AB = sign t). The test reads the stored product's own entry, so a column
+    that rounding moves across the horizontal moves its lift with it.
+    """
+    f, *rest = word
+    p, n, s, b = mats[:, f], lifts[f].copy(), lower[f], bits
+    for f in rest:
+        a, bb, c, d, e = mats[:, f]
+        q = np.empty_like(p)
+        np.multiply(a, p[:2], out=q[:2])
+        q[:2] += bb * p[2:4]
+        np.multiply(c, p[:2], out=q[2:4])
+        q[2:4] += d * p[2:4]
+        np.add(e, p[4], out=q[4])
+        t = _lower(q[0], q[2])
+        n += lifts[f]
+        n += lower[f] ^ s ^ t
+        p, s, b = q, t, _bounded(q, b + bits)
+    return p, n, b, s
+
+
+def _lower(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Where the first column (a, c) of a matrix lies in the lower half plane:
+    c < 0, or c == 0 and a < 0."""
+    lower = c < 0
+    zero = c == 0
+    if zero.any():
+        lower |= zero & (a < 0)
+    return lower
+
+
+def block_product(rule: SubstitutionRule, letter_values: dict[str, float], energies,
+                  blocks: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The transfer matrix over the level blocks rule^k(x), ``blocks`` = [(k, x),
+    ...] left to right, over a 1-d energy array, in the power-of-two form of
+    ``level_matrices`` with the largest |entry| in [1/2, 1), and its lift:
+    ((5, M), (M,)). O(len(blocks) + k) 2x2 products per energy."""
+    at = [(k, rule.alphabet.index(x)) for k, x in blocks]
+    factors = np.empty((5, len(at), len(energies)), dtype=np.longdouble)
+    lifts = np.empty((len(at), len(energies)), dtype=np.int64)
+    levels = iter_levels(rule, letter_values, energies, max(k for k, _ in at))
+    for k, (mats, level_lifts) in enumerate(levels):
+        for j, (kj, i) in enumerate(at):
+            if kj == k:
+                factors[:, j], lifts[j] = mats[:, i], level_lifts[i]
+    _rescale(factors[:2], factors[2:4], factors[4])
+    p, n, _, _ = _chain(factors, lifts, 1.0, _lower(factors[0], factors[2]), range(len(at)))
+    _rescale(p[:2], p[2:4], p[4])
+    return p, n
 
 
 def fixed_point_product(rule: SubstitutionRule, letter_values: dict[str, float], energies,
@@ -294,11 +401,9 @@ def fixed_point_product(rule: SubstitutionRule, letter_values: dict[str, float],
     sampling it: the product of the level matrices of the prefix's
     ``fixed_point_blocks``, O(log n) 2x2 products per energy.
     """
-    blocks = fixed_point_blocks(rule, n)
     E = np.asarray(energies, dtype=float)
-    levels = level_matrices(rule, letter_values, E.ravel(), blocks[0][0])
-    p = _chain(np.stack([levels[k, :, rule.alphabet.index(x)] for k, x in blocks],
-                        axis=1)).astype(float)
+    p, _ = block_product(rule, letter_values, E.ravel(), fixed_point_blocks(rule, n))
+    p = p.astype(float)
     return _normalized(p[:2], p[2:4], p[4], E.shape)
 
 

@@ -21,9 +21,11 @@ from quasispec import (
     total_bandwidth,
     trace_poly,
 )
-from quasispec.bands import CLOSED_GAP_TOL, _bisection_steps, phase_union_spectrum
-from quasispec.potentials import MAX_FLOQUET_STEPS
-from quasispec.ids import bisect_eigenvalues, count_below_periodic
+from quasispec.bands import (CLOSED_GAP_TOL, _bisection_steps, _lifted_steps,
+                             _wraparound_edges, phase_union_spectrum)
+from quasispec.potentials import (FIBONACCI_RULE, MAX_FLOQUET_STEPS, NAMED_RULES,
+                                  periodic_approximant)
+from quasispec.ids import bisect_eigenvalues, count_below_periodic, floquet_count
 
 SQ5 = math.sqrt(5.0)
 
@@ -159,7 +161,10 @@ class TestBandSpectrum:
                      id="sturmian-100-233"),
     ])
     def test_merge_matches_scalar_trace_reference(self, pot):
-        assert band_spectrum(pot).bands == scalar_merge_bands(pot)
+        # The reference takes Sturm edges, so the period goes without its
+        # level block, which would take the lifted edges.
+        plain = PeriodicPotential(pot.values)
+        assert band_spectrum(plain).bands == scalar_merge_bands(pot)
 
     def test_sturmian_approximant_gaps_all_open(self):
         for lam in (1.0, 2.0):
@@ -168,6 +173,79 @@ class TestBandSpectrum:
                 bs = band_spectrum(approximant_by_denominator(spec, q))
                 assert len(bs.bands) == q
                 assert len(bs.gaps()) == q - 1
+
+
+def lifted_edges(pot):
+    vals = np.asarray(pot.values)
+    L = len(vals)
+    return np.sort(bisect_eigenvalues(lambda E: floquet_count(pot.level_block, L, E), 2 * L,
+                                      vals.min() - 4.0, vals.max() + 4.0))
+
+
+def sturm_edges(pot):
+    vals = np.asarray(pot.values)
+    return _wraparound_edges(np.stack([vals, vals]), np.array([1.0, -1.0]),
+                             np.full(2, vals.min() - 4.0), np.full(2, vals.max() + 4.0))[0]
+
+
+def dense_edges(pot):
+    vals = np.asarray(pot.values)
+    L = len(vals)
+    H = np.diag(vals) + np.diag(np.ones(L - 1), 1) + np.diag(np.ones(L - 1), -1)
+    out = []
+    for corner in (1.0, -1.0):
+        Hc = H.copy()
+        Hc[0, L - 1] += corner
+        Hc[L - 1, 0] += corner
+        out.append(np.linalg.eigvalsh(Hc))
+    return np.sort(np.concatenate(out))
+
+
+class TestLiftedEdges:
+    """Band edges of level blocks from the lifted count, against the stacked
+    Sturm bisection and dense eigenvalues."""
+
+    @pytest.mark.parametrize("name, lv, order", [
+        ("fibonacci", {"a": 2.0, "b": 0.0}, 11),
+        ("fibonacci", {"a": -7.5, "b": 3.25}, 10),
+        ("fibonacci", {"a": 9.9, "b": -10.0}, 9),
+        ("period-doubling", {"a": 1.3, "b": -0.8}, 8),
+        ("period-doubling", {"a": -10.0, "b": 6.1}, 7),
+    ])
+    def test_equal_sturm_edges(self, name, lv, order):
+        pot = periodic_approximant(PotentialSpec.substitution(NAMED_RULES[name], lv), order)
+        lifted, sturm = lifted_edges(pot), sturm_edges(pot)
+        scale = np.maximum(1.0, np.abs(sturm))
+        assert np.max(np.abs(lifted - sturm) / scale) <= 1e-12
+        assert np.max(np.abs(lifted - dense_edges(pot)) / scale) <= 1e-9
+
+    @pytest.mark.parametrize("lv, order", [({"a": 1.0, "b": -1.0}, 8),
+                                           ({"a": 3.0, "b": 0.5}, 7)])
+    def test_thue_morse_clusters_match_dense(self, lv, order):
+        spec = PotentialSpec.substitution(NAMED_RULES["thue-morse"], lv)
+        pot = periodic_approximant(spec, order)
+        want = dense_edges(pot)
+        assert np.max(np.abs(lifted_edges(pot) - want) / np.maximum(1.0, np.abs(want))) <= 1e-9
+
+    def test_midpoint_at_a_letter_value(self):
+        # The second midpoint of the bracket [-4, 12] is exactly the letter
+        # value 8, where the level products have (AB)_21 == 0: the (AB)_11
+        # tie-break keeps the edges near 9.17445 off 8.
+        pot = approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 8.0), 233)
+        assert pot.level_block is not None
+        want = dense_edges(pot)
+        got = lifted_edges(pot)
+        assert not np.any(got == 8.0)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-9
+
+    @pytest.mark.parametrize("omega", [0.0, 0.37])
+    def test_golden_approximant_bands(self, omega):
+        pot = approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, omega), 377)
+        plain = band_spectrum(PeriodicPotential(pot.values))
+        got = band_spectrum(pot)
+        assert len(got) == len(plain)
+        np.testing.assert_allclose(np.ravel(got.bands), np.ravel(plain.bands),
+                                   rtol=0, atol=1e-12)
 
 
 class TestGapLabelsAndBandwidth:
@@ -290,6 +368,31 @@ class TestFloquetBudget:
     # rows: no q <= 124 alone takes 2e8 steps, all of them together pass 2^32.
     def test_boundary(self):
         assert _bisection_steps(1, 5982) <= MAX_FLOQUET_STEPS < _bisection_steps(1, 5983)
+
+    def test_lifted_boundary(self):
+        # The merge's L (2L - 1) trace steps pass 2^32 first: the Fibonacci
+        # level 21 block (28,657 sites) fits, level 22 (46,368 sites) does not.
+        spec = PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0})
+        fits, over = (periodic_approximant(spec, k) for k in (21, 22))
+        assert _lifted_steps(fits.level_block, fits.period) <= MAX_FLOQUET_STEPS
+        assert _lifted_steps(over.level_block, over.period) > MAX_FLOQUET_STEPS
+        assert over.period * (2 * over.period - 1) > MAX_FLOQUET_STEPS
+
+    @pytest.mark.parametrize("compute", [
+        lambda: band_spectrum(periodic_approximant(
+            PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), 22)),
+        lambda: band_spectrum(periodic_approximant(
+            PotentialSpec.substitution(NAMED_RULES["thue-morse"], {"a": 1.0, "b": 0.0}), 19)),
+        lambda: band_spectrum(approximant_by_denominator(
+            PotentialSpec.sturmian(GOLDEN_MEAN, 1.0), 100_000)),
+    ], ids=["fibonacci-level-22", "thue-morse-order-19", "golden-q-75025"])
+    def test_lifted_refused_before_any_work(self, compute, monkeypatch):
+        def no_bisection(*args):
+            raise AssertionError("bisection ran")
+
+        monkeypatch.setattr("quasispec.bands.bisect_eigenvalues", no_bisection)
+        with pytest.raises(DomainError, match="budget"):
+            compute()
 
     @pytest.mark.parametrize("compute", [
         lambda: band_spectrum(PeriodicPotential((0.0,) * 5983)),

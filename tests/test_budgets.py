@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quasispec import (GOLDEN_MEAN, PotentialSpec, approximant_by_denominator, count_below,
-                       count_below_periodic, ids, sample_potential, transfer)
+from quasispec import (GOLDEN_MEAN, THUE_MORSE_RULE, PotentialSpec,
+                       approximant_by_denominator, count_below, count_below_periodic, ids,
+                       sample_potential, transfer)
 from quasispec.transfer import product_grid
 
 WIDTHS = [1, 7, 200, 256, 257]
@@ -97,6 +98,17 @@ class TestBudgetsChangeNoBit:
 
         assert_all_equal(with_small_budgets(run), run())
 
+    def test_lifted_counts(self):
+        # The small budget slices the energies a few at a time.
+        period = approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, 0.3), 233)
+        E = np.linspace(-4.0, 6.0, 466)
+
+        def run():
+            return (ids.floquet_count(period.level_block, 233, E),
+                    ids.fixed_point_count(THUE_MORSE_RULE, {"a": 1.0, "b": -0.5}, E, 300))
+
+        assert_all_equal(with_small_budgets(run), run())
+
 
 def traced_peak(f):
     """The result of f() and the peak of the memory traced while it ran."""
@@ -140,3 +152,21 @@ class TestTransientMemory:
         diag, E, corners = edge_problem(1)
         out, peak = traced_peak(lambda: count_below_periodic(diag, E, corners))
         assert peak <= out.nbytes + self.BOUND
+
+    # The lifted counts hold two levels of level matrices, and for a window
+    # its blocks, for one slice of energies at a time: 4 MB of long doubles
+    # with their lifts. The whole level table at every energy would take 63 MB
+    # for the first count below and 153 MB for the second.
+    LIFTED_BOUND = 12 << 20
+
+    def test_floquet_count(self):
+        period = approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 2.0), 10946)
+        E = np.linspace(-4.0, 6.0, 2 * 10946)
+        out, peak = traced_peak(lambda: ids.floquet_count(period.level_block, 10946, E))
+        assert peak <= 2 * out.nbytes + self.LIFTED_BOUND
+
+    def test_fixed_point_count(self):
+        E = np.linspace(-4.0, 4.0, 100_000)
+        out, peak = traced_peak(lambda: ids.fixed_point_count(
+            THUE_MORSE_RULE, {"a": 1.0, "b": -0.5}, E, 1000))
+        assert peak <= 2 * out.nbytes + self.LIFTED_BOUND

@@ -144,3 +144,52 @@ class TestHierarchicalLabels:
         ls = LabelSet((0.5, 0.25, 0.5 + 1e-15))
         assert ls.values == (0.25, 0.5)
         assert ls.nearest(0.4) == 0.5
+
+
+def loop_label_values(values):
+    """Reference dedup: sort, then keep each label more than 1e-12 above the
+    last one kept, one Python float at a time."""
+    dedup = []
+    for x in sorted(values):
+        if not 0.0 <= x < 1.0 + 1e-12:
+            raise DomainError("labels must lie in [0, 1)")
+        if not dedup or x - dedup[-1] > 1e-12:
+            dedup.append(float(x))
+    return tuple(dedup)
+
+
+class TestVectorizedLabels:
+    """The numpy label sets equal the Python-loop construction exactly."""
+
+    @pytest.mark.parametrize("alpha", [GOLDEN_MEAN, 0.3, 0.5, 2 ** -0.5, 1e-9])
+    @pytest.mark.parametrize("k_max", [0, 1, 13, 1000, 262143])
+    def test_sturmian(self, alpha, k_max):
+        want = loop_label_values((k * alpha) % 1.0 for k in range(-k_max, k_max + 1))
+        assert sturmian_label_set(alpha, k_max).values == want
+
+    @pytest.mark.parametrize("n_max", range(13))
+    def test_hierarchical(self, n_max):
+        want = loop_label_values((2 * k - 1) / 2.0 ** (n + 1)
+                                 for n in range(n_max + 1) for k in range(1, 2 ** n + 1))
+        assert hierarchical_labels(n_max).values == want
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_clustered(self, seed):
+        # Clusters of labels spaced below 1e-12 in total over more than 1e-12,
+        # so that the greedy choice of kept labels matters, plus exact repeats.
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0.0, 1.0 - 1e-10, rng.integers(1, 20))
+        spread = rng.choice([0.0, 3e-13, 2e-12, 5e-12], centers.size)
+        pts = np.concatenate([c + np.sort(rng.uniform(0.0, s, rng.integers(1, 9)))
+                              for c, s in zip(centers, spread)])
+        pts = np.concatenate([pts, pts[:3], [0.0, 1e-13]])
+        rng.shuffle(pts)
+        values = tuple(pts.tolist())
+        got = LabelSet(values).values
+        assert got == loop_label_values(values)
+        assert all(type(x) is float for x in got)
+
+    @pytest.mark.parametrize("values", [(float("nan"),), (0.2, 1.5), (-1e-3, 0.5)])
+    def test_out_of_range_rejected(self, values):
+        with pytest.raises(DomainError):
+            LabelSet(values)

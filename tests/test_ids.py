@@ -18,7 +18,10 @@ from quasispec import (
     thouless_gamma,
 )
 from quasispec import ids
-from quasispec.ids import bisect_eigenvalues
+from quasispec.ids import bisect_eigenvalues, fixed_point_count, floquet_count
+from quasispec.potentials import periodic_approximant, sample_potential
+
+from conftest import RULES, primitive_rules
 
 
 def _dense_tridiag(diag):
@@ -161,24 +164,31 @@ class TestEigenCount:
             eigen_count([], 0.0)
 
 
+def _dense_wraparound(vals, corner):
+    """The wrap-around restriction with boundary phase 0 (corner +1) or pi
+    (corner -1), with its degenerate forms for L = 1, 2."""
+    L = len(vals)
+    H = np.diag(np.asarray(vals, dtype=float))
+    if L == 1:
+        H[0, 0] += 2 * corner
+    else:
+        H += np.diag(np.ones(L - 1), 1) + np.diag(np.ones(L - 1), -1)
+        if L == 2:
+            H[0, 1] += corner
+            H[1, 0] += corner
+        else:
+            H[0, L - 1] += corner
+            H[L - 1, 0] += corner
+    return H
+
+
 class TestPeriodicCounter:
     def test_matches_dense_solver(self, rng):
         for _ in range(60):
             L = int(rng.integers(1, 16))
             vals = rng.uniform(-3, 3, size=L)
             for corner in (1.0, -1.0):
-                H = np.diag(vals.astype(float))
-                if L == 1:
-                    H[0, 0] += 2 * corner
-                else:
-                    H += np.diag(np.ones(L - 1), 1) + np.diag(np.ones(L - 1), -1)
-                    if L == 2:
-                        H[0, 1] += corner
-                        H[1, 0] += corner
-                    else:
-                        H[0, L - 1] += corner
-                        H[L - 1, 0] += corner
-                ev = np.linalg.eigvalsh(H)
+                ev = np.linalg.eigvalsh(_dense_wraparound(vals, corner))
                 E = rng.uniform(-6, 6, size=5)
                 ref = np.array([int(np.sum(ev < e)) for e in E])
                 np.testing.assert_array_equal(
@@ -225,6 +235,74 @@ class TestStackedWraparound:
                                L, lo[b], hi[b])
             for b in range(len(corners))])
         np.testing.assert_array_equal(stacked, ref)
+
+
+@st.composite
+def level_chains(draw):
+    """A named or random primitive rule (2 or 3 letters), letter values, the
+    period of an order in 1..10 with at most 400 sites, a window half-size
+    and a generator."""
+    rule = draw(st.sampled_from(list(RULES.values())) | primitive_rules())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lv = {x: float(rng.uniform(-3.0, 3.0)) for x in rule.alphabet}
+    spec = PotentialSpec.substitution(rule, lv)
+    period = periodic_approximant(spec, 1)
+    for order in range(2, draw(st.integers(1, 10)) + 1):
+        block = period.level_block
+        if len(rule.iterate(block.letter, order)) > 400:
+            break
+        period = periodic_approximant(spec, order)
+    return spec, period, draw(st.integers(1, 300)), rng
+
+
+def _far_from(E, eigenvalues, rel=1e-9):
+    """The energies at least ``rel`` (relative) from every eigenvalue."""
+    E = np.asarray(E, dtype=float)
+    gap = np.abs(E[:, None] - eigenvalues[None, :]).min(axis=1)
+    return E[gap >= rel * np.maximum(1.0, np.abs(E))]
+
+
+class TestLiftedCounts:
+    """Counts from the lifted level matrices against the pivot counts, at
+    energies at least 1e-9 (relative) from every dense eigenvalue, and
+    against the dense counts exactly at the letter values, where level
+    products have (AB)_21 == 0."""
+
+    @given(level_chains())
+    def test_floquet_count_equals_pivot_counts(self, chain):
+        spec, period, _, rng = chain
+        vals = np.asarray(period.values)
+        ev = np.concatenate([np.linalg.eigvalsh(_dense_wraparound(vals, c)) for c in (1, -1)])
+        E = _far_from(rng.uniform(vals.min() - 4.5, vals.max() + 4.5, 60), ev)
+        want = count_below_periodic(vals, E, 1.0) + count_below_periodic(vals, E, -1.0)
+        np.testing.assert_array_equal(floquet_count(period.level_block, len(vals), E), want)
+        E = _far_from(list(spec.letter_values.values()), ev)
+        want = [np.count_nonzero(ev < e) for e in E]
+        np.testing.assert_array_equal(floquet_count(period.level_block, len(vals), E), want)
+
+    @given(level_chains())
+    def test_window_count_equals_pivot_count(self, chain):
+        spec, _, L, rng = chain
+        window = sample_potential(spec, -L, L)
+        ev = np.linalg.eigvalsh(_dense_tridiag(window))
+        E = _far_from(rng.uniform(window.min() - 3.0, window.max() + 3.0, 60), ev)
+        got = fixed_point_count(spec.rule, spec.letter_values, E, L)
+        np.testing.assert_array_equal(got, count_below(window, E))
+        E = _far_from(list(spec.letter_values.values()), ev)
+        got = fixed_point_count(spec.rule, spec.letter_values, E, L)
+        np.testing.assert_array_equal(got, [np.count_nonzero(ev < e) for e in E])
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_ids_curve_takes_the_lifted_count(self, name):
+        # 2 x 10^6 + 1 sites: the pivot sweep would take seconds.
+        spec = PotentialSpec.substitution(RULES[name], {"a": 1.0, "b": -0.5})
+        grid = np.linspace(-4.0, 4.0, 200)
+        curve = ids_curve(spec, None, 10**6, grid)
+        assert curve.size == 2 * 10**6 + 1
+        L = 3000
+        np.testing.assert_array_equal(
+            ids_curve(spec, None, L, grid).values,
+            count_below(sample_potential(spec, -L, L), grid) / (2 * L + 1))
 
 
 class TestIdsCurve:

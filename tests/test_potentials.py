@@ -21,7 +21,7 @@ from quasispec import (
     sample_potential,
 )
 from quasispec.potentials import (NAMED_RULES, TWO_SIDED_POWER_CAP, _iterate_to,
-                                  _two_sided_letters)
+                                  _two_sided_letters, fixed_point_blocks)
 
 from conftest import RULES, primitive_rules
 
@@ -267,6 +267,74 @@ class TestApproximants:
             appr = periodic_approximant(spec, order)
             assert appr.period >= 34
             np.testing.assert_allclose(np.array(appr.values)[:15], target)
+
+
+def _fibonacci_numbers(n):
+    F = [1, 1]
+    while len(F) < n:
+        F.append(F[-1] + F[-2])
+    return F  # F[k - 1] is F_k
+
+
+class TestFixedPointBlocks:
+    @given(primitive_rules() | st.sampled_from(list(RULES.values())), st.integers(1, 5000))
+    def test_blocks_spell_both_halves(self, rule, n):
+        # Prefix blocks spell sites 1..n, suffix blocks sites -n+1..0, each
+        # block no longer than the one before it (after it, for the suffix).
+        for left, window in ((False, (1, n)), (True, (1 - n, 0))):
+            blocks = fixed_point_blocks(rule, n, left=left)
+            assert "".join(rule.iterate(x, k) for k, x in blocks) == \
+                generate_two_sided(rule, *window)
+            ks = [k for k, _ in blocks]
+            assert ks == sorted(ks, reverse=not left)
+
+
+class TestLevelBlockProvenance:
+    """Golden-mean Sturmian periods are cyclic shifts of the Fibonacci level
+    block of their length, and say so; no other alpha-based period does."""
+
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    @pytest.mark.parametrize("k", range(3, 18))
+    def test_golden_periods_are_level_blocks(self, k, rounding):
+        q = _fibonacci_numbers(17)[k - 1]
+        rng = np.random.default_rng(k)
+        phases = [0.0, 1.0 / q, float(q // 2) / q, float(q - 1) / q, *rng.uniform(0, 1, 3)]
+        for omega in phases:
+            lam = float(rng.uniform(-3.0, 3.0)) or 1.0
+            spec = PotentialSpec.sturmian(GOLDEN_MEAN, lam, omega, rounding)
+            for period in (approximant_by_denominator(spec, q),
+                           periodic_approximant(spec, k - 1)):
+                block = period.level_block
+                assert period.period == q
+                assert (block.rule, block.letter_values, block.letter) == \
+                    (FIBONACCI_RULE, {"a": lam, "b": 0.0}, "a")
+                word = FIBONACCI_RULE.iterate("a", block.level)
+                letters = "".join("a" if v == lam else "b" for v in period.values)
+                assert len(word) == q and letters in word + word
+
+    def test_substitution_periods_carry_their_block(self):
+        spec = PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -1.0})
+        block = periodic_approximant(spec, 5).level_block
+        assert (block.rule, block.letter, block.level) == (THUE_MORSE_RULE, "a", 5)
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec.sturmian(2 ** 0.5 - 1, 1.5),
+        PotentialSpec.sturmian(1.0 - GOLDEN_MEAN, 1.5),
+        PotentialSpec.sturmian(0.6180339887, 1.5),
+        PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.0, 0.3),
+        PotentialSpec.circle(GOLDEN_MEAN, 1.5),
+    ], ids=["silver", "other-golden", "rounded-golden", "almost-mathieu", "circle"])
+    def test_other_periods_carry_none(self, spec):
+        for q in (13, 89, 377):
+            assert approximant_by_denominator(spec, q).level_block is None
+        assert periodic_approximant(PotentialSpec.explicit([1.0, 0.0]), 1).level_block is None
+
+    def test_block_takes_no_part_in_comparisons(self):
+        spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.0)
+        period = approximant_by_denominator(spec, 13)
+        plain = type(period)(period.values)
+        assert period.level_block is not None and plain.level_block is None
+        assert period == plain and hash(period) == hash(plain)
 
 
 class TestLetterFrequencies:

@@ -25,10 +25,13 @@ from quasispec import (
     step_matrix,
     trace_poly,
 )
+from quasispec.ids import fixed_point_count, floquet_count
 from quasispec.numutil import wrap
-from quasispec.potentials import MAX_SITES, fixed_point_blocks, fixed_point_of
-from quasispec.tracemap import identity_residual
-from quasispec.transfer import fixed_point_product, product_grid
+from quasispec.potentials import (MAX_SITES, fixed_point_blocks, fixed_point_of,
+                                  periodic_approximant)
+from quasispec.tracemap import identity_residual, letter_matrix_orbit
+from quasispec.transfer import (fixed_point_product, level_matrices, normalize_levels,
+                                product_grid)
 
 from conftest import RULES
 
@@ -409,6 +412,31 @@ class TestRenormalized:
             got = wrap(int(math.copysign(1, a + d)), math.log(abs(a + d)) + logs)
             assert identity_residual(got, want) <= 1e-9, k
             assert identity_residual(orbit.tau(k), want) <= orbit_tol, k
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_level_rescale_schedule_changes_no_bits(self, name, monkeypatch):
+        # The level products rescale only near the exponent range; rescaling
+        # after every product, as a bound of -1 bit forces, changes no bit of
+        # the products, the traces, the lifts or the counts.
+        rule, rng = RULES[name], np.random.default_rng(len(name))
+        lv = letter_values(rng)
+        E = np.concatenate([energies(rng, lv, 40), list(lv.values()), [1e200, -3e199]])
+
+        def run():
+            period = periodic_approximant(PotentialSpec.substitution(rule, lv), 6)
+            mats, lifts = level_matrices(rule, lv, E, 30)
+            arrays = [*fixed_point_product(rule, lv, E, 1_000_003),
+                      *fixed_point_product(rule, lv, E, 777), normalize_levels(mats), lifts,
+                      floquet_count(period.level_block, period.period, E),
+                      fixed_point_count(rule, lv, E, 5000)]
+            return arrays, letter_matrix_orbit(rule, lv, 0.3, 200)
+
+        lazy, lazy_traces = run()
+        monkeypatch.setattr("quasispec.transfer._LEVEL_BITS", -1)
+        eager, eager_traces = run()
+        for x, y in zip(lazy, eager):
+            assert np.array_equal(x, y)
+        assert lazy_traces == eager_traces
 
     @pytest.mark.parametrize("spec", [
         *(PotentialSpec.substitution(rule, {"a": 1.5, "b": -0.25}) for rule in RULES.values()),
