@@ -8,11 +8,11 @@ eigenvalue count, which stays robust for periods in the thousands where
 root-finding on the trace polynomial would not.
 
 A period that is (a cyclic shift of) a substitution level block, as
-``PeriodicPotential.level_block`` records for substitution and golden-mean
-Sturmian approximants, counts both restrictions at once from the lifted
-level matrix, O(log L) products per energy (``ids.floquet_count``). Every
-other period, and the almost-Mathieu, butterfly and phase-union spectra,
-take the bordered pivot counter, O(L) per energy, in one stacked
+``PeriodicPotential.level_word`` records for substitution and golden-mean
+Sturmian approximants, counts both restrictions at once from the lift of the
+one block product, ``transfer.block_product``, O(log L) products per energy
+(``ids.floquet_count``). Every other period, and the almost-Mathieu,
+butterfly and phase-union spectra, take the bordered pivot counter, O(L) per energy, in one stacked
 bisection: both restrictions of a band set, and in a butterfly all rows of
 one denominator q, are counted together, each with the arithmetic it would
 get alone. Both edge sets go through the same merge.
@@ -27,8 +27,9 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .ids import IdsCurve, bisect_eigenvalues, count_below_periodic, floquet_count
-from .potentials import MAX_FLOQUET_STEPS, LevelBlock, PeriodicPotential, cosine_period
+from .ids import (BISECTION_HALVINGS, IdsCurve, bisect_eigenvalues, count_below_periodic,
+                  floquet_count)
+from .potentials import MAX_FLOQUET_STEPS, LevelWord, PeriodicPotential, cosine_period
 from .transfer import product_grid
 
 # Gaps narrower than this are reported as closed and merged.
@@ -62,53 +63,54 @@ class BandSet:
         return len(self.bands)
 
 
-def band_spectrum(p: PeriodicPotential, tol: float = CLOSED_GAP_TOL) -> BandSet:
+def band_spectrum(p: PeriodicPotential) -> BandSet:
     """Band set of the L-periodic potential.
 
     Edges come from the phase-0 and phase-pi eigenproblems; consecutive edge
     pairs bound the bands. A gap is treated as closed, and its neighbours
-    merged, when it is narrower than CLOSED_GAP_TOL or when the trace at its
-    midpoint exceeds 2 in absolute value by less than ``tol``. A period with
-    a ``level_block`` takes all 2L edges from one bisection of the combined
-    count of its lifted level matrix (``ids.floquet_count``), every other one
-    from the stacked pivot counts. DomainError if the edges would take more
-    than MAX_FLOQUET_STEPS steps (``_bisection_steps``, ``_lifted_steps``).
+    merged, when it is narrower than CLOSED_GAP_TOL or when |trace| at its
+    midpoint exceeds 2 by less than that. A period with a ``level_word``
+    takes all 2L edges from one bisection of the combined count of its lifted
+    block product (``ids.floquet_count``), every other one from the stacked
+    pivot counts. DomainError if the edges would take more than
+    MAX_FLOQUET_STEPS steps (``_bisection_steps``, ``_lifted_steps``).
     """
-    L, vals = p.period, np.asarray(p.values, dtype=float)
-    if p.level_block is None:
+    L, vals, word = p.period, np.asarray(p.values, dtype=float), p.level_word
+    if word is None:
         _check_steps(_bisection_steps(1, L))
-        return _band_sets(vals[None, :], tol)[0]
-    _check_steps(_lifted_steps(p.level_block, L))
-    edges = bisect_eigenvalues(lambda E: floquet_count(p.level_block, L, E), 2 * L,
+        return _band_sets(vals[None, :])[0]
+    _check_steps(_lifted_steps(word))
+    edges = bisect_eigenvalues(lambda E: floquet_count(word, E), 2 * L,
                                vals.min() - 4.0, vals.max() + 4.0)
-    return _merge(vals, np.sort(edges), math.log(2.0 + tol))
+    return _merge(vals, np.sort(edges), math.log(2.0 + CLOSED_GAP_TOL))
 
 
-def _band_sets(rows: np.ndarray, tol: float) -> list[BandSet]:
+def _band_sets(rows: np.ndarray) -> list[BandSet]:
     """``band_spectrum`` of every row of ``rows`` (R periods of one length),
     with the edges of all 2R restrictions from one stacked bisection."""
     R = len(rows)
     edges = _wraparound_edges(np.repeat(rows, 2, axis=0), np.tile([1.0, -1.0], R),
                               np.repeat(rows.min(axis=1) - 4.0, 2),
                               np.repeat(rows.max(axis=1) + 4.0, 2))
-    return [_merge(vals, row_edges, math.log(2.0 + tol))
+    return [_merge(vals, row_edges, math.log(2.0 + CLOSED_GAP_TOL))
             for vals, row_edges in zip(rows, edges)]
 
 
 def _bisection_steps(R: int, L: int) -> int:
-    """Pivot steps of the stacked bisection of R band sets of period L: 60
-    halvings (``bisect_eigenvalues``) of the L edges of each of the 2R
-    restrictions, each count an L-site sweep."""
-    return 60 * 2 * R * L * L
+    """Pivot steps of the stacked bisection of R band sets of period L:
+    BISECTION_HALVINGS halvings of the L edges of each of the 2R restrictions,
+    each count an L-site sweep."""
+    return BISECTION_HALVINGS * 2 * R * L * L
 
 
-def _lifted_steps(block: LevelBlock, L: int) -> int:
-    """Steps of the lifted edges of an L-site level block: 60 halvings of 2L
-    edges, each count the k levels' products of every letter's image, and the
-    merge's trace check of up to 2L - 1 gap midpoints over L sites, which
-    dominates from a few thousand sites on."""
-    products = block.level * sum(len(w) for w in block.rule.images.values())
-    return 60 * 2 * L * products + L * (2 * L - 1)
+def _lifted_steps(word: LevelWord) -> int:
+    """Steps of the lifted edges of the L-site level block ``word``:
+    BISECTION_HALVINGS halvings of 2L edges, each count the k levels' products
+    of every letter's image, and the merge's trace check of up to 2L - 1 gap
+    midpoints over L sites, which dominates from a few thousand sites on."""
+    (level, _), = word.blocks
+    L, products = word.sites, level * sum(len(w) for w in word.rule.images.values())
+    return BISECTION_HALVINGS * 2 * L * products + L * (2 * L - 1)
 
 
 def _check_steps(steps: int) -> None:
@@ -166,14 +168,12 @@ def total_bandwidth(bands: BandSet) -> float:
     return float(sum(hi - lo for lo, hi in bands.bands))
 
 
-def butterfly(lam: float, q_max: int, omega: float = 0.0,
-              threads: int = 1) -> list[tuple[int, int, BandSet]]:
+def butterfly(lam: float, q_max: int, omega: float = 0.0) -> list[tuple[int, int, BandSet]]:
     """Band sets of the cosine chain at every reduced fraction alpha = p/q with
     q <= q_max, ordered by (q, p). q = 1 contributes the single row (0, 1).
 
     The rows of one q share one stacked bisection. DomainError, before any
     is run, if all of them would take more than MAX_FLOQUET_STEPS pivot steps.
-    ``threads`` is accepted and ignored.
     """
     if q_max < 1:
         raise DomainError("q_max must be at least 1")
@@ -186,7 +186,7 @@ def butterfly(lam: float, q_max: int, omega: float = 0.0,
     out = []
     for q, ps in fractions:
         rows = np.array([cosine_period(lam, p, q, omega) for p in ps])
-        out.extend(zip(ps, [q] * len(ps), _band_sets(rows, CLOSED_GAP_TOL)))
+        out.extend(zip(ps, [q] * len(ps), _band_sets(rows)))
     return out
 
 

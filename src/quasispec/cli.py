@@ -39,7 +39,7 @@ from .potentials import (
     PotentialSpec,
     SubstitutionRule,
     approximant_by_denominator,
-    fixed_point_of,
+    fixed_point_window,
     periodic_approximant,
 )
 from .transfer import lyapunov_grid
@@ -234,11 +234,13 @@ def _golden_mean_lambda(cfg: RunConfig) -> float:
     the golden-mean trace map covers: a -> ab, b -> a with b -> 0, that is
     the golden-mean Sturmian at omega 0 (either rounding) or a rule file of
     that rule. DomainError for every other chain."""
-    fixed = fixed_point_of(build_spec(cfg))
-    if fixed is None or fixed[0] != FIBONACCI_RULE or fixed[1]["b"] != 0.0:
+    spec = build_spec(cfg)
+    word = (None if spec.kind == "substitution" and spec.rule != FIBONACCI_RULE
+            else fixed_point_window(spec, 1, 1))  # not asked of other rules, which may raise
+    if word is None or word.letter_values["b"] != 0.0:
         raise DomainError("the golden-mean trace map needs the Fibonacci chain: "
                           "--model fibonacci or --alpha golden, at --omega 0")
-    return fixed[1]["a"]
+    return word.letter_values["a"]
 
 
 def _periodic_values(cfg: RunConfig, spec: PotentialSpec):
@@ -297,7 +299,7 @@ def _run_spectrum(cfg: RunConfig):
 
 
 def _run_butterfly(cfg: RunConfig):
-    spectra = bands_mod.butterfly(cfg.lam, cfg.qmax, cfg.omega, threads=cfg.threads)
+    spectra = bands_mod.butterfly(cfg.lam, cfg.qmax, cfg.omega)
 
     def layout(cells):
         groups = groupby(cells, key=lambda row: (row[0], row[1]))

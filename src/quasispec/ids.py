@@ -8,12 +8,12 @@ in Kahan (1966). A bordered variant handles the periodic / antiperiodic
 restrictions whose matrices carry corner entries. Counts drive both IDS
 curves and the band-edge bisection used elsewhere.
 
-Substitution level blocks and fixed-point windows are counted without a
-sweep: the count is a rotation number (Johnson-Moser, CMP 1982), read from
-the integer lift that ``transfer.level_matrices`` carries with every level
-matrix, O(log L) 2x2 products per energy (``floquet_count``,
-``fixed_point_count``). The pivot counts stay the path of every other chain
-and the oracle of the lifted ones.
+Chain segments written as substitution level blocks (``potentials.LevelWord``:
+fixed-point windows and level-block periods) are counted without a sweep:
+the count is a rotation number (Johnson-Moser, CMP 1982), read from the
+integer lift of the one block product, ``transfer.block_product``, O(log L)
+2x2 products per energy (``dirichlet_count``, ``floquet_count``). The pivot
+counts stay the path of every other chain and the oracle of the lifted ones.
 
 Both counts run one block sweep, ``_sweep``: per site only the recursion
 runs, into a block of stored pivots (and, bordered, fill-in and Schur rows).
@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import DomainError
 from .numutil import BigValue, wrap
-from .potentials import (LevelBlock, PotentialSpec, SubstitutionRule, check_sites,
-                         fixed_point_blocks, sample_potential)
-from .transfer import block_product, iter_levels, product_grid
+from . import transfer
+from .potentials import LevelWord, PotentialSpec, fixed_point_window, sample_potential
+from .transfer import block_product, product_grid
 
 # Zero pivots are nudged to this tiny positive value. Tie-breaking rule: an
 # eigenvalue lying exactly at E is not counted, keeping the strict-below
@@ -44,14 +44,14 @@ _PIVOT_FLOOR = 1e-300
 # magnitude, which keeps inf/inf out of their divisions; only the pivot signs
 # matter for the count.
 _SATURATION = 1e150
-# Elements of float64 that the block buffers of one pivot sweep take together
-# (256 KB, the budget of transfer._CHUNK).
-_CHUNK = 1 << 15
+# Halvings of every bracket in ``bisect_eigenvalues``; the Floquet step
+# budgets of ``bands`` count them.
+BISECTION_HALVINGS = 60
 
 
 @dataclass(frozen=True)
 class IdsCurve:
-    """Sampled distribution function N(E) on a strictly increasing grid."""
+    """Sampled distribution function N(E) on a nonempty, strictly increasing grid."""
 
     energies: np.ndarray
     values: np.ndarray
@@ -60,8 +60,8 @@ class IdsCurve:
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if e.ndim != 1 or e.shape != v.shape:
-            raise DomainError("energies and values must be 1d arrays of equal length")
+        if e.ndim != 1 or e.shape != v.shape or not e.size:
+            raise DomainError("energies and values must be nonempty 1d arrays of equal length")
         if not np.all(np.diff(e) > 0):
             raise DomainError("energy grid must be strictly increasing")
         if np.any(np.diff(v) < -1e-12) or v[0] < -1e-12 or v[-1] > 1.0 + 1e-12:
@@ -152,7 +152,7 @@ def _sweep(vals, E, border=None):
     and 0 elsewhere. Returns the counts (E's shape) and the final (f, s).
 
     Sites go in blocks whose pivots (and f, s) rows, with one bool row each
-    for the signs, take at most 8 * _CHUNK bytes. Per site only the
+    for the signs, take at most 8 * transfer._CHUNK bytes. Per site only the
     recursion runs. Each block is then checked once: a stored pivot in
     (-_PIVOT_FLOOR, _PIVOT_FLOOR), or an f or s beyond +-_SATURATION or NaN,
     means a guard would have acted, and the block is rerun from the state
@@ -164,7 +164,7 @@ def _sweep(vals, E, border=None):
     L = len(vals)
     # Per element of a row: an 8-byte pivot and a 1-byte sign (and 16 bytes of f, s).
     row_bytes = E.size * (9 if border is None else 25)
-    rows = max(1, min(L, 8 * _CHUNK // (row_bytes or 1)))
+    rows = max(1, min(L, 8 * transfer._CHUNK // (row_bytes or 1)))
     P = np.empty((rows,) + E.shape)  # V - E, overwritten by the pivots
     signs = np.empty(P.shape, dtype=bool)
     d = np.full(E.shape, np.inf)
@@ -237,9 +237,9 @@ def eigen_count(values, E: float) -> int:
     return int(count_below(vals, np.array([E]))[0])
 
 
-def bisect_eigenvalues(count_fn, how_many: int, lo, hi,
-                       iters: int = 60) -> np.ndarray:
-    """All ``how_many`` eigenvalues of a counting function by parallel bisection.
+def bisect_eigenvalues(count_fn, how_many: int, lo, hi) -> np.ndarray:
+    """All ``how_many`` eigenvalues of a counting function by parallel bisection,
+    BISECTION_HALVINGS halvings of each bracket.
 
     ``count_fn`` maps an energy array to strict-below counts; eigenvalue k is
     the infimum of {E : count(E) >= k}. With (B,) brackets ``lo`` and ``hi``,
@@ -250,7 +250,7 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi,
     shape = np.shape(lo) + (how_many,)
     lo_a = np.broadcast_to(np.asarray(lo, dtype=float)[..., None], shape)
     hi_a = np.broadcast_to(np.asarray(hi, dtype=float)[..., None], shape)
-    for _ in range(iters):
+    for _ in range(BISECTION_HALVINGS):
         mid = 0.5 * (lo_a + hi_a)
         ge = count_fn(mid) >= ks
         hi_a = np.where(ge, mid, hi_a)
@@ -258,82 +258,53 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi,
     return 0.5 * (lo_a + hi_a)
 
 
-def floquet_count(block: LevelBlock, L: int, energies) -> np.ndarray:
-    """Periodic plus antiperiodic eigenvalues strictly below each energy of a
-    1-d array, for the L-site period rule^k(x) that ``block`` names: the
-    counts ``count_below_periodic`` gives at corners +1 and -1, summed.
+def floquet_count(word: LevelWord, energies) -> np.ndarray:
+    """Periodic plus antiperiodic eigenvalues strictly below each energy, for
+    the period that ``word`` spells (L = ``word.sites`` sites): the counts
+    ``count_below_periodic`` gives at corners +1 and -1, summed.
 
-    They follow from the level matrix M of the block and its lift n
-    (``transfer.level_matrices``): 2(L - n) - 1 where |tr M| < 2, and
-    2(L - n - [sign c_M sign tr M < 0]) elsewhere. O(k) 2x2 products per
-    energy, where the pivot count takes L steps.
+    They follow from the product M over the period and its lift n
+    (``transfer.block_product``): 2(L - n) - 1 where |tr M| < 2, and
+    2(L - n - [sign c_M sign tr M < 0]) elsewhere. O(log L) 2x2 products
+    per energy, where the pivot count takes L steps.
     """
-    rule = block.rule
-    i = rule.alphabet.index(block.letter)
-
-    def count(E):
-        for mats, lifts in iter_levels(rule, block.letter_values, E, block.level):
-            pass  # down to the block's own level
-        a, _, c, d, e = mats[:, i]
-        n, tr = lifts[i], a + d
+    def count(p, n):
+        a, _, c, d, e = p
+        L, tr = word.sites, a + d
         # |2^e tr| < 2, with e >= 0, compared without overflow.
         inside = np.abs(tr) < np.ldexp(np.longdouble(2.0), -e.astype(np.int64))
-        return np.where(inside, 2 * (L - n) - 1,
-                        2 * (L - n - (np.sign(c) * np.sign(tr) < 0)))
+        return np.where(inside, 2 * (L - n) - 1, 2 * (L - n - (np.sign(c) * np.sign(tr) < 0)))
 
-    # Two levels of every letter are held at once.
-    return _in_slices(count, energies, 2 * len(rule.alphabet))
+    return block_product(word, energies, count)
 
 
-def fixed_point_count(rule: SubstitutionRule, letter_values: dict[str, float], energies,
-                      L: int) -> np.ndarray:
-    """``count_below`` over the window [-L, L] of the two-sided fixed point
-    that ``sample_potential`` samples for ``rule``, at each energy of a 1-d
-    array, without sampling it.
+def dirichlet_count(word: LevelWord, energies) -> np.ndarray:
+    """``count_below`` over the segment ``word`` spells, without sampling it:
+    with P = [[a, b], [c, d]] its product and n the lift of P
+    (``transfer.block_product``), ``word.sites`` - n - [c != 0 and
+    sign(c) a <= 0]. O(log L) 2x2 products per energy."""
+    def count(p, n):
+        a, _, c, _, _ = p
+        return word.sites - n - ((c != 0) & (np.sign(c) * a <= 0))
 
-    The window is the suffix blocks of the left fixed point and the prefix
-    blocks of the right one (``fixed_point_blocks``); with P = [[a, b], [c, d]]
-    their product and n its lift (``transfer.block_product``), the count is
-    (2L + 1) - n - [c != 0 and sign(c) a <= 0]. O(log L) 2x2 products per
-    energy.
-    """
-    check_sites(2 * L + 1)
-    blocks = fixed_point_blocks(rule, L + 1, left=True) + fixed_point_blocks(rule, L)
-
-    def count(E):
-        (a, _, c, _, _), n = block_product(rule, letter_values, E, blocks)
-        return 2 * L + 1 - n - ((c != 0) & (np.sign(c) * a <= 0))
-
-    # The blocks and two levels of every letter are held at once.
-    return _in_slices(count, energies, len(blocks) + 2 * len(rule.alphabet))
-
-
-def _in_slices(count, energies, matrices: int) -> np.ndarray:
-    """``count`` over a 1-d energy array in slices whose ``matrices`` level
-    matrices per energy (5 long doubles each) hold at most 8 * _CHUNK entries
-    (4 MB), so that the transient memory does not grow with the grid or the
-    period; the counts are those of one call."""
-    E = np.asarray(energies, dtype=float)
-    size = max(1, 8 * _CHUNK // (5 * matrices))
-    if E.size <= size:
-        return count(E)
-    return np.concatenate([count(E[j:j + size]) for j in range(0, E.size, size)])
+    return block_product(word, energies, count)
 
 
 def ids_curve(spec: PotentialSpec, omega: float | None, L: int, grid) -> IdsCurve:
     """Finite-volume IDS: eigenvalue counts on the window [-L, L] (2L+1 sites)
-    divided by 2L+1, evaluated at every grid energy. Substitution fixed points
-    are counted from their level blocks (``fixed_point_count``), every other
-    window from its samples."""
+    divided by 2L+1, evaluated at every grid energy. A window that
+    ``potentials.fixed_point_window`` writes as level blocks is counted from
+    them (``dirichlet_count``), every other one from its samples."""
     if L < 1:
         raise DomainError("window half-size L must be at least 1")
     if omega is not None:
         spec = spec.with_omega(omega)
     e = np.asarray(grid, dtype=float)
-    if spec.kind == "substitution":
-        counts = fixed_point_count(spec.rule, spec.letter_values, e, L)
-    else:
+    word = fixed_point_window(spec, -L, L)
+    if word is None:
         counts = count_below(sample_potential(spec, -L, L), e)
+    else:
+        counts = dirichlet_count(word, e)
     return IdsCurve(e, counts / (2 * L + 1), 2 * L + 1)
 
 

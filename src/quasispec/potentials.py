@@ -41,7 +41,7 @@ MAX_SITES = 2 ** 22
 
 # Most steps one Floquet band computation may take, summed over the periods
 # of a butterfly: about a minute of stacked bisection (pivot steps, or
-# level products and merge steps for a level block, see bands).
+# level products and merge steps for a level word, see bands).
 MAX_FLOQUET_STEPS = 2 ** 32
 
 
@@ -126,27 +126,35 @@ KINDS = _ALPHA_KINDS + ("substitution", "explicit-periodic", "constant")
 
 
 @dataclass(frozen=True)
-class LevelBlock:
-    """The level-``level`` block rule^level(letter) of a substitution with
-    ``letter_values``: the word whose transfer matrix ``transfer.level_matrices``
-    holds at that level and letter."""
+class LevelWord:
+    """A chain segment written as whole level blocks rule^k(x) of a
+    substitution with ``letter_values``, ``blocks`` = ((k, x), ...) left to
+    right: the words whose transfer matrices ``transfer.level_matrices`` holds,
+    joined by ``transfer.block_product``. ``sites`` is the segment's length."""
 
     rule: SubstitutionRule
     letter_values: dict[str, float]
-    letter: str
-    level: int
+    blocks: tuple[tuple[int, str], ...]
+    sites: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lengths = [dict.fromkeys(self.rule.alphabet, 1)]
+        for _ in range(max(k for k, _ in self.blocks)):
+            lengths.append({y: sum(lengths[-1][z] for z in self.rule.images[y])
+                            for y in self.rule.alphabet})
+        object.__setattr__(self, "sites", sum(lengths[k][x] for k, x in self.blocks))
 
 
 @dataclass(frozen=True)
 class PeriodicPotential:
     """Values of one period, V_1..V_L.
 
-    ``level_block``, where set, names a substitution level block of which the
-    period is a cyclic shift, so that both have the same Floquet spectrum; it
-    takes no part in comparisons."""
+    ``level_word``, where set, is a one-block ``LevelWord`` of which the period
+    is a cyclic shift, so that both have the same Floquet spectrum; it takes
+    no part in comparisons."""
 
     values: tuple[float, ...]
-    level_block: LevelBlock | None = field(default=None, compare=False)
+    level_word: LevelWord | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.values) < 1:
@@ -317,7 +325,6 @@ def fixed_point_blocks(rule: SubstitutionRule, n: int,
     """
     if n < 1:
         raise DomainError("a prefix needs at least one site")
-    check_sites(n)
     la, lb, p = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
     x = la if left else lb
     lengths = _level_lengths(rule, x, p, n)
@@ -350,17 +357,26 @@ def _level_lengths(rule: SubstitutionRule, x: str, p: int, size: int) -> list[di
     return lengths
 
 
-def fixed_point_of(spec: PotentialSpec) -> tuple[SubstitutionRule, dict[str, float]] | None:
-    """The (rule, letter values) whose fixed point ``sample_potential`` samples
-    on sites 1..n for every n, or None. That holds for the substitution kind
-    and for the golden-mean Sturmian at omega = 0, which is the Fibonacci
-    fixed point with a -> lam, b -> 0: with either rounding, since n alpha is
-    never an integer (pinned in the tests over MAX_SITES sites)."""
-    if spec.kind == "substitution":
-        return spec.rule, spec.letter_values
-    if spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN and spec.omega == 0.0:
-        return FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}
-    return None
+def fixed_point_window(spec: PotentialSpec, first: int, last: int) -> LevelWord | None:
+    """The ``LevelWord`` spelling what ``sample_potential`` samples on sites
+    first..last, or None. A substitution gets one on windows from site 1 or
+    holding site 0: the left fixed point's suffix blocks (sites first..0) and
+    the right one's prefix blocks (``fixed_point_blocks``). The golden-mean
+    Sturmian at omega = 0, either rounding, is the Fibonacci right fixed point
+    with a -> lam, b -> 0 (pinned in the tests over MAX_SITES sites) but not
+    the left one (its sites 0 and -1 are b and a), so it gets words from site
+    1 only. DomainError beyond MAX_SITES sites."""
+    if spec.kind == "substitution" and first <= 1 and 0 <= last and first <= last:
+        rule, letter_values = spec.rule, spec.letter_values
+    elif (spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN and spec.omega == 0.0
+          and first == 1 <= last):
+        rule, letter_values = FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}
+    else:
+        return None
+    check_sites(last - first + 1)
+    left = fixed_point_blocks(rule, 1 - first, left=True) if first <= 0 else []
+    right = fixed_point_blocks(rule, last) if last >= 1 else []
+    return LevelWord(rule, letter_values, tuple(left + right))
 
 
 # -- sampling ----------------------------------------------------------------
@@ -481,7 +497,7 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
     re-evaluates the formula over one period q. For the substitution kind the
     period is the level-k block rule^k(x) of the sampled fixed point's seed x
     (``_two_sided_letters``), whose matrix ``level_matrices`` holds at level k,
-    recorded as its ``level_block`` (so is a golden-mean Sturmian period, see
+    recorded as its ``level_word`` (so is a golden-mean Sturmian period, see
     ``_convergent_period``); DomainError if the k rule applications write over
     MAX_SUBSTITUTION_LETTERS.
     """
@@ -501,7 +517,7 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
                               f"{MAX_SUBSTITUTION_LETTERS} letters")
         word = spec.rule.iterate(x, order)
         return PeriodicPotential(tuple(_letter_values(word, spec.letter_values).tolist()),
-                                 LevelBlock(spec.rule, spec.letter_values, x, order))
+                                 LevelWord(spec.rule, spec.letter_values, ((order, x),)))
     convs = _cf_convergents(spec.alpha)[1:]  # skip 0/1
     if order > len(convs):
         raise DomainError(
@@ -526,15 +542,15 @@ def _convergent_period(spec: PotentialSpec, p: int, q: int) -> PeriodicPotential
     of that word doubled confirms it, and the block is recorded."""
     check_sites(q)
     values = _rational_values(spec, p, q)
-    block = None
+    word = None
     if spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN:
         lengths = _level_lengths(FIBONACCI_RULE, "a", 1, q)
-        word = FIBONACCI_RULE.iterate("a", len(lengths) - 1)
+        block = FIBONACCI_RULE.iterate("a", len(lengths) - 1)
         letters = "".join("a" if v == spec.lam else "b" for v in values)
-        if len(word) == q and letters in word + word:
-            block = LevelBlock(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}, "a",
-                               len(lengths) - 1)
-    return PeriodicPotential(values, block)
+        if len(block) == q and letters in block + block:
+            word = LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
+                             ((len(lengths) - 1, "a"),))
+    return PeriodicPotential(values, word)
 
 
 # -- letter statistics ---------------------------------------------------------

@@ -8,14 +8,14 @@ carries the scale as a separate prefactor, changed only by exact powers of two.
 
 ``product_grid`` forms the product over any sampled chain, over an energy grid
 and at optional prefix lengths, rescaling only as often as overflow requires.
-A prefix of a substitution fixed point needs no samples: ``level_matrices``
+A segment of a substitution fixed point needs no samples: ``level_matrices``
 renormalizes the per-letter matrices level by level (the matrix of rule^(k+1)(x)
-is the product of the level-k matrices of rule(x)), and ``fixed_point_product``
-joins the O(log n) level blocks of the prefix. ``lyapunov_grid`` takes that
-path for the specs ``potentials.fixed_point_of`` names, and ``product_grid``
-for every other. Each level matrix also carries its integer lift in the
-universal cover of SL(2, R), which ``ids`` turns into eigenvalue counts of
-level blocks (``block_product`` joins blocks with their lifts).
+is the product of the level-k matrices of rule(x)), and ``block_product``, the
+one lifted product, joins the O(log n) level blocks of a ``LevelWord`` with
+their integer lifts in the universal cover of SL(2, R). ``lyapunov_grid``
+takes it where ``potentials.fixed_point_window`` gives a word for sites 1..n,
+and ``product_grid`` elsewhere; ``ids`` turns its lifts into eigenvalue counts
+of fixed-point windows and level-block periods.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .potentials import (PotentialSpec, PeriodicPotential, SubstitutionRule,
-                         fixed_point_blocks, fixed_point_of, sample_potential)
+from .potentials import (LevelWord, PotentialSpec, PeriodicPotential, SubstitutionRule,
+                         fixed_point_window, sample_potential)
 
 TRACE_POLY_DEGREE_CAP = 64
 # A narrow grid, M <= _NARROW energies, steps J = min(_LANES // M, segments)
@@ -46,7 +46,8 @@ _SEGMENT = 256
 # below the float limit e^709. _CHUNK bounds the elements of the E - V block
 # built at once (256 KB of float64). The rescaling interval is the largest
 # multiple of the block's rows within the safe k sites, so a small block does
-# not rescale more often than a large one would.
+# not rescale more often than a large one would. ``block_product`` and ``ids``
+# size their energy slices and pivot blocks from the same budget.
 _LOG_GROWTH = 600.0
 _CHUNK = 1 << 15
 _LN2 = math.log(2.0)
@@ -263,8 +264,8 @@ def level_matrices(rule: SubstitutionRule, letter_values: dict[str, float], ener
     changes no bit; ``iter_levels`` yields the same levels one at a time.
     ``lifts`` (int64, (levels + 1, r) + E.shape) holds each level matrix's
     integer lift in the universal cover of SL(2, R) (``_chain``), from which
-    the eigenvalue counts of the level blocks follow (Johnson-Moser, CMP 1982;
-    ``ids.floquet_count``, ``ids.fixed_point_count``).
+    the eigenvalue counts of the level words follow (Johnson-Moser, CMP 1982;
+    ``ids.floquet_count``, ``ids.dirichlet_count``).
 
     The entries are long doubles (a 64-bit mantissa on x86; plain doubles
     where the platform has no wider type). A level matrix can have a much
@@ -374,37 +375,37 @@ def _lower(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return lower
 
 
-def block_product(rule: SubstitutionRule, letter_values: dict[str, float], energies,
-                  blocks: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
-    """The transfer matrix over the level blocks rule^k(x), ``blocks`` = [(k, x),
-    ...] left to right, over a 1-d energy array, in the power-of-two form of
-    ``level_matrices`` with the largest |entry| in [1/2, 1), and its lift:
-    ((5, M), (M,)). O(len(blocks) + k) 2x2 products per energy."""
-    at = [(k, rule.alphabet.index(x)) for k, x in blocks]
-    factors = np.empty((5, len(at), len(energies)), dtype=np.longdouble)
-    lifts = np.empty((len(at), len(energies)), dtype=np.int64)
-    levels = iter_levels(rule, letter_values, energies, max(k for k, _ in at))
-    for k, (mats, level_lifts) in enumerate(levels):
-        for j, (kj, i) in enumerate(at):
-            if kj == k:
-                factors[:, j], lifts[j] = mats[:, i], level_lifts[i]
-    _rescale(factors[:2], factors[2:4], factors[4])
-    p, n, _, _ = _chain(factors, lifts, 1.0, _lower(factors[0], factors[2]), range(len(at)))
-    _rescale(p[:2], p[2:4], p[4])
-    return p, n
-
-
-def fixed_point_product(rule: SubstitutionRule, letter_values: dict[str, float], energies,
-                        n: int):
-    """``product_grid`` over sites 1..n of the fixed point that
-    ``sample_potential`` samples for the substitution ``rule``, without
-    sampling it: the product of the level matrices of the prefix's
-    ``fixed_point_blocks``, O(log n) 2x2 products per energy.
-    """
+def block_product(word: LevelWord, energies, per_slice) -> np.ndarray:
+    """``per_slice`` of the transfer matrix over the segment ``word`` spells
+    (its blocks' level matrices joined, O(len(blocks) + k) 2x2 products per
+    energy) and of its lift. The energies are flattened and go in slices
+    whose level matrices, two levels of every letter and one per block, hold
+    at most 8 * _CHUNK long doubles (4 MB), so the memory beyond the results
+    does not grow with the grid; the slices change no bit. ``per_slice`` maps
+    a slice's product (5, m), in the unnormalized power-of-two form of
+    ``level_matrices``, and its lift (m,) to an array whose last axis is the
+    slice's; the results are joined on that axis, shaped as the energies."""
     E = np.asarray(energies, dtype=float)
-    p, _ = block_product(rule, letter_values, E.ravel(), fixed_point_blocks(rule, n))
-    p = p.astype(float)
-    return _normalized(p[:2], p[2:4], p[4], E.shape)
+    rule = word.rule
+    at = [(k, rule.alphabet.index(x)) for k, x in word.blocks]
+    size = max(1, 8 * _CHUNK // (5 * (len(at) + 2 * len(rule.alphabet))))
+    out = []
+    for j in range(0, max(E.size, 1), size):  # an empty grid is one empty slice
+        e = E.ravel()[j:j + size]
+        factors = np.empty((5, len(at), e.size), dtype=np.longdouble)
+        lifts = np.empty((len(at), e.size), dtype=np.int64)
+        levels = iter_levels(rule, word.letter_values, e, max(k for k, _ in at))
+        for k, (mats, level_lifts) in enumerate(levels):
+            for i, (ki, x) in enumerate(at):
+                if ki == k:
+                    factors[:, i], lifts[i] = mats[:, x], level_lifts[x]
+        p, n = factors[:, 0], lifts[0]  # a level block: its matrix as built
+        if len(at) > 1:  # the chain's bound of 1 bit takes normalized factors
+            _rescale(factors[:2], factors[2:4], factors[4])
+            p, n, _, _ = _chain(factors, lifts, 1.0, _lower(factors[0], factors[2]), range(len(at)))
+        out.append(per_slice(p, n))
+    out = np.concatenate(out, axis=-1)
+    return out.reshape(out.shape[:-1] + E.shape)
 
 
 def classify(m: Mat2, tol: float = 1e-9) -> MatClass:
@@ -427,10 +428,19 @@ def lyapunov_grid(spec: PotentialSpec, energies, n: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    fixed = fixed_point_of(spec)
-    product = (fixed_point_product(*fixed, energies, n) if fixed
-               else product_grid(sample_potential(spec, 1, n), energies))
-    return np.maximum(0.0, Mat2(*product).op_norm_log()) / n
+    word = fixed_point_window(spec, 1, n)
+    if word is None:
+        log_norm = Mat2(*product_grid(sample_potential(spec, 1, n), energies)).op_norm_log()
+    else:
+        log_norm = block_product(word, energies, _log_norm)
+    return np.maximum(0.0, log_norm) / n
+
+
+def _log_norm(p: np.ndarray, _) -> np.ndarray:
+    """ln||P|| of a ``block_product`` slice P, through its ``product_grid`` form."""
+    _rescale(p[:2], p[2:4], p[4])
+    p = p.astype(float)
+    return Mat2(*_normalized(p[:2], p[2:4], p[4], p.shape[1:])).op_norm_log()
 
 
 def lyapunov_estimate(spec: PotentialSpec, E: float, n: int) -> float:

@@ -178,7 +178,7 @@ class TestBandSpectrum:
 def lifted_edges(pot):
     vals = np.asarray(pot.values)
     L = len(vals)
-    return np.sort(bisect_eigenvalues(lambda E: floquet_count(pot.level_block, L, E), 2 * L,
+    return np.sort(bisect_eigenvalues(lambda E: floquet_count(pot.level_word, E), 2 * L,
                                       vals.min() - 4.0, vals.max() + 4.0))
 
 
@@ -232,7 +232,7 @@ class TestLiftedEdges:
         # value 8, where the level products have (AB)_21 == 0: the (AB)_11
         # tie-break keeps the edges near 9.17445 off 8.
         pot = approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 8.0), 233)
-        assert pot.level_block is not None
+        assert pot.level_word is not None
         want = dense_edges(pot)
         got = lifted_edges(pot)
         assert not np.any(got == 8.0)
@@ -303,12 +303,6 @@ class TestButterfly:
         for p, q, bs in rows:
             assert len(bs.bands) <= q
 
-    def test_threaded_result_identical(self):
-        a = butterfly(2.0, 6, omega=0.0, threads=1)
-        b = butterfly(2.0, 6, omega=0.0, threads=4)
-        assert [(p, q, bs.bands) for p, q, bs in a] == \
-            [(p, q, bs.bands) for p, q, bs in b]
-
     @pytest.mark.parametrize("lam, omega", [(2.0, 0.0), (1.3, 0.21), (0.4, 0.37)])
     def test_rows_equal_band_spectrum(self, lam, omega):
         for p, q, bs in butterfly(lam, 11, omega=omega):
@@ -374,8 +368,8 @@ class TestFloquetBudget:
         # level 21 block (28,657 sites) fits, level 22 (46,368 sites) does not.
         spec = PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0})
         fits, over = (periodic_approximant(spec, k) for k in (21, 22))
-        assert _lifted_steps(fits.level_block, fits.period) <= MAX_FLOQUET_STEPS
-        assert _lifted_steps(over.level_block, over.period) > MAX_FLOQUET_STEPS
+        assert _lifted_steps(fits.level_word) <= MAX_FLOQUET_STEPS
+        assert _lifted_steps(over.level_word) > MAX_FLOQUET_STEPS
         assert over.period * (2 * over.period - 1) > MAX_FLOQUET_STEPS
 
     @pytest.mark.parametrize("compute", [

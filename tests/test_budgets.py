@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from quasispec import (GOLDEN_MEAN, THUE_MORSE_RULE, PotentialSpec,
                        approximant_by_denominator, count_below, count_below_periodic, ids,
-                       sample_potential, transfer)
+                       ids_curve, lyapunov_grid, sample_potential, transfer)
+from quasispec.potentials import fixed_point_window
 from quasispec.transfer import product_grid
 
 WIDTHS = [1, 7, 200, 256, 257]
@@ -45,11 +46,10 @@ def edge_problem(seed):
 
 
 def with_small_budgets(f):
-    """f() with 512 lanes and 64-element blocks in both kernels."""
+    """f() with 512 lanes and 64-element blocks in every kernel."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "_LANES", 512)
         mp.setattr(transfer, "_CHUNK", 64)
-        mp.setattr(ids, "_CHUNK", 64)
         return f()
 
 
@@ -102,12 +102,32 @@ class TestBudgetsChangeNoBit:
         # The small budget slices the energies a few at a time.
         period = approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, 0.3), 233)
         E = np.linspace(-4.0, 6.0, 466)
+        window = fixed_point_window(
+            PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -0.5}), -300, 300)
 
         def run():
-            return (ids.floquet_count(period.level_block, 233, E),
-                    ids.fixed_point_count(THUE_MORSE_RULE, {"a": 1.0, "b": -0.5}, E, 300))
+            return (ids.floquet_count(period.level_word, E), ids.dirichlet_count(window, E))
 
         assert_all_equal(with_small_budgets(run), run())
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -0.5}),
+        PotentialSpec.sturmian(GOLDEN_MEAN, 2.0),
+    ], ids=["thue-morse", "golden"])
+    def test_lifted_grid_in_slices(self, spec):
+        # 20,004 energies: more than ten slices of the block product's budget
+        # at 1,000,003 sites. Calls on 1000 energies at a time, whose ends are
+        # not the slices', give the same bits; so does ids_curve on a
+        # substitution window of 2 x 10^6 + 1 sites.
+        E = np.concatenate([np.linspace(-4.0, 4.0, 20_000), [1.0, -0.5, 1e200, -1e300]])
+        parts = range(0, E.size, 1000)
+        want = np.concatenate([lyapunov_grid(spec, E[j:j + 1000], 1_000_003) for j in parts])
+        assert np.array_equal(lyapunov_grid(spec, E, 1_000_003), want)
+        if spec.kind == "substitution":
+            grid = np.sort(E[:-1])
+            want = np.concatenate([ids_curve(spec, None, 10**6, grid[j:j + 1000]).values
+                                   for j in parts])
+            assert np.array_equal(ids_curve(spec, None, 10**6, grid).values, want)
 
 
 def traced_peak(f):
@@ -153,20 +173,29 @@ class TestTransientMemory:
         out, peak = traced_peak(lambda: count_below_periodic(diag, E, corners))
         assert peak <= out.nbytes + self.BOUND
 
-    # The lifted counts hold two levels of level matrices, and for a window
-    # its blocks, for one slice of energies at a time: 4 MB of long doubles
-    # with their lifts. The whole level table at every energy would take 63 MB
-    # for the first count below and 153 MB for the second.
+    # The block product holds two levels of level matrices and one per block
+    # for one slice of energies at a time: 4 MB of long doubles with their
+    # lifts. The whole level table at every energy would take 63 MB for the
+    # first count below and 153 MB for the second.
     LIFTED_BOUND = 12 << 20
 
     def test_floquet_count(self):
         period = approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, 2.0), 10946)
         E = np.linspace(-4.0, 6.0, 2 * 10946)
-        out, peak = traced_peak(lambda: ids.floquet_count(period.level_block, 10946, E))
+        out, peak = traced_peak(lambda: ids.floquet_count(period.level_word, E))
         assert peak <= 2 * out.nbytes + self.LIFTED_BOUND
 
     def test_fixed_point_count(self):
         E = np.linspace(-4.0, 4.0, 100_000)
-        out, peak = traced_peak(lambda: ids.fixed_point_count(
-            THUE_MORSE_RULE, {"a": 1.0, "b": -0.5}, E, 1000))
+        window = fixed_point_window(
+            PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -0.5}), -1000, 1000)
+        out, peak = traced_peak(lambda: ids.dirichlet_count(window, E))
         assert peak <= 2 * out.nbytes + self.LIFTED_BOUND
+
+    def test_lyapunov_fixed_point(self):
+        # The whole grid in one block product took 48 MB here (1545 bytes
+        # per energy); in slices it takes about 7 MB.
+        spec = PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -0.5})
+        E = np.linspace(-4.0, 4.0, 1 << 15)
+        _, peak = traced_peak(lambda: lyapunov_grid(spec, E, 1_000_003))
+        assert peak <= self.LIFTED_BOUND

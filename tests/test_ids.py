@@ -18,8 +18,9 @@ from quasispec import (
     thouless_gamma,
 )
 from quasispec import ids
-from quasispec.ids import bisect_eigenvalues, fixed_point_count, floquet_count
-from quasispec.potentials import periodic_approximant, sample_potential
+from quasispec import transfer
+from quasispec.ids import bisect_eigenvalues, dirichlet_count, floquet_count
+from quasispec.potentials import fixed_point_window, periodic_approximant, sample_potential
 
 from conftest import RULES, primitive_rules
 
@@ -106,7 +107,7 @@ class TestGuardDeferredSweep:
     def test_counts_equal_site_guarded_references(self, chain):
         diag, E, corner, chunk = chain
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ids, "_CHUNK", chunk)
+            mp.setattr(transfer, "_CHUNK", chunk)
             dirichlet = count_below(diag, E)
             periodic = count_below_periodic(diag, E, corner)
         assert np.array_equal(dirichlet, site_guarded_count_below(diag, E))
@@ -248,8 +249,8 @@ def level_chains(draw):
     spec = PotentialSpec.substitution(rule, lv)
     period = periodic_approximant(spec, 1)
     for order in range(2, draw(st.integers(1, 10)) + 1):
-        block = period.level_block
-        if len(rule.iterate(block.letter, order)) > 400:
+        (_, x), = period.level_word.blocks
+        if len(rule.iterate(x, order)) > 400:
             break
         period = periodic_approximant(spec, order)
     return spec, period, draw(st.integers(1, 300)), rng
@@ -275,21 +276,22 @@ class TestLiftedCounts:
         ev = np.concatenate([np.linalg.eigvalsh(_dense_wraparound(vals, c)) for c in (1, -1)])
         E = _far_from(rng.uniform(vals.min() - 4.5, vals.max() + 4.5, 60), ev)
         want = count_below_periodic(vals, E, 1.0) + count_below_periodic(vals, E, -1.0)
-        np.testing.assert_array_equal(floquet_count(period.level_block, len(vals), E), want)
+        np.testing.assert_array_equal(floquet_count(period.level_word, E), want)
         E = _far_from(list(spec.letter_values.values()), ev)
         want = [np.count_nonzero(ev < e) for e in E]
-        np.testing.assert_array_equal(floquet_count(period.level_block, len(vals), E), want)
+        np.testing.assert_array_equal(floquet_count(period.level_word, E), want)
 
     @given(level_chains())
     def test_window_count_equals_pivot_count(self, chain):
         spec, _, L, rng = chain
         window = sample_potential(spec, -L, L)
         ev = np.linalg.eigvalsh(_dense_tridiag(window))
+        word = fixed_point_window(spec, -L, L)
         E = _far_from(rng.uniform(window.min() - 3.0, window.max() + 3.0, 60), ev)
-        got = fixed_point_count(spec.rule, spec.letter_values, E, L)
+        got = dirichlet_count(word, E)
         np.testing.assert_array_equal(got, count_below(window, E))
         E = _far_from(list(spec.letter_values.values()), ev)
-        got = fixed_point_count(spec.rule, spec.letter_values, E, L)
+        got = dirichlet_count(word, E)
         np.testing.assert_array_equal(got, [np.count_nonzero(ev < e) for e in E])
 
     @pytest.mark.parametrize("name", RULES)

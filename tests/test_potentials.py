@@ -21,7 +21,7 @@ from quasispec import (
     sample_potential,
 )
 from quasispec.potentials import (NAMED_RULES, TWO_SIDED_POWER_CAP, _iterate_to,
-                                  _two_sided_letters, fixed_point_blocks)
+                                  _two_sided_letters, fixed_point_blocks, fixed_point_window)
 
 from conftest import RULES, primitive_rules
 
@@ -277,16 +277,44 @@ def _fibonacci_numbers(n):
 
 
 class TestFixedPointBlocks:
-    @given(primitive_rules() | st.sampled_from(list(RULES.values())), st.integers(1, 5000))
-    def test_blocks_spell_both_halves(self, rule, n):
+    @given(primitive_rules() | st.sampled_from(list(RULES.values())), st.integers(1, 5000),
+           st.integers(0, 5000))
+    def test_blocks_spell_both_halves(self, rule, n, m):
         # Prefix blocks spell sites 1..n, suffix blocks sites -n+1..0, each
-        # block no longer than the one before it (after it, for the suffix).
+        # block no longer than the one before it (after it, for the suffix);
+        # the words of fixed_point_window spell the windows from site 1 and
+        # those holding site 0.
         for left, window in ((False, (1, n)), (True, (1 - n, 0))):
             blocks = fixed_point_blocks(rule, n, left=left)
             assert "".join(rule.iterate(x, k) for k, x in blocks) == \
                 generate_two_sided(rule, *window)
             ks = [k for k, _ in blocks]
             assert ks == sorted(ks, reverse=not left)
+        spec = PotentialSpec.substitution(rule, {x: 1.0 for x in rule.alphabet})
+        for window in ((1, n), (-n, n), (-m, n), (-m, 0)):
+            word = fixed_point_window(spec, *window)
+            letters = "".join(rule.iterate(x, k) for k, x in word.blocks)
+            assert letters == generate_two_sided(rule, *window)
+            assert word.sites == len(letters)
+
+
+class TestFixedPointWindow:
+    """``fixed_point_window`` gives no word where the window is not a segment
+    of the fixed point the sampler reads. The words it gives are spelled out
+    in TestFixedPointBlocks and, over MAX_SITES sites, in test_transfer, which
+    also holds the specs that get no word on any window."""
+
+    @pytest.mark.parametrize("spec, first, last", [
+        (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), -10, 10),
+        (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, rounding="ceil"), 0, 10),
+        (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), 2, 10),
+        (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), 2, 10),
+        (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), -10, -1),
+        (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), 1, 0),
+    ], ids=["golden-two-sided", "golden-from-0", "golden-from-2", "substitution-from-2",
+            "substitution-left-of-0", "empty"])
+    def test_no_word(self, spec, first, last):
+        assert fixed_point_window(spec, first, last) is None
 
 
 class TestLevelBlockProvenance:
@@ -304,18 +332,18 @@ class TestLevelBlockProvenance:
             spec = PotentialSpec.sturmian(GOLDEN_MEAN, lam, omega, rounding)
             for period in (approximant_by_denominator(spec, q),
                            periodic_approximant(spec, k - 1)):
-                block = period.level_block
-                assert period.period == q
-                assert (block.rule, block.letter_values, block.letter) == \
-                    (FIBONACCI_RULE, {"a": lam, "b": 0.0}, "a")
-                word = FIBONACCI_RULE.iterate("a", block.level)
+                word = period.level_word
+                assert period.period == q == word.sites
+                assert (word.rule, word.letter_values, word.blocks) == \
+                    (FIBONACCI_RULE, {"a": lam, "b": 0.0}, ((k - 2, "a"),))
+                block = FIBONACCI_RULE.iterate("a", k - 2)
                 letters = "".join("a" if v == lam else "b" for v in period.values)
-                assert len(word) == q and letters in word + word
+                assert len(block) == q and letters in block + block
 
     def test_substitution_periods_carry_their_block(self):
         spec = PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -1.0})
-        block = periodic_approximant(spec, 5).level_block
-        assert (block.rule, block.letter, block.level) == (THUE_MORSE_RULE, "a", 5)
+        word = periodic_approximant(spec, 5).level_word
+        assert (word.rule, word.blocks, word.sites) == (THUE_MORSE_RULE, ((5, "a"),), 32)
 
     @pytest.mark.parametrize("spec", [
         PotentialSpec.sturmian(2 ** 0.5 - 1, 1.5),
@@ -326,14 +354,14 @@ class TestLevelBlockProvenance:
     ], ids=["silver", "other-golden", "rounded-golden", "almost-mathieu", "circle"])
     def test_other_periods_carry_none(self, spec):
         for q in (13, 89, 377):
-            assert approximant_by_denominator(spec, q).level_block is None
-        assert periodic_approximant(PotentialSpec.explicit([1.0, 0.0]), 1).level_block is None
+            assert approximant_by_denominator(spec, q).level_word is None
+        assert periodic_approximant(PotentialSpec.explicit([1.0, 0.0]), 1).level_word is None
 
     def test_block_takes_no_part_in_comparisons(self):
         spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.0)
         period = approximant_by_denominator(spec, 13)
         plain = type(period)(period.values)
-        assert period.level_block is not None and plain.level_block is None
+        assert period.level_word is not None and plain.level_word is None
         assert period == plain and hash(period) == hash(plain)
 
 

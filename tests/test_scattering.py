@@ -5,11 +5,13 @@ import pytest
 
 from quasispec import (
     DomainError,
+    FIBONACCI_RULE,
     GOLDEN_MEAN,
     PotentialSpec,
     ResistanceProfile,
     approximant_by_denominator,
     band_spectrum,
+    ids_curve,
     landauer_trace_norm,
     lyapunov_estimate,
     min_resistance,
@@ -181,7 +183,11 @@ class TestResistanceProfile:
     lambda: min_resistance([], 0.3),
     lambda: resistance_profile(PotentialSpec.constant(0.0), 0.3, []),
     lambda: scatter([], 0.3),
-], ids=["landauer_trace_norm", "min_resistance", "resistance_profile", "scatter"])
+    lambda: ids_curve(PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}),
+                      None, 10, np.array([])),
+    lambda: ids_curve(PotentialSpec.sturmian(GOLDEN_MEAN, 1.0), None, 10, np.array([])),
+], ids=["landauer_trace_norm", "min_resistance", "resistance_profile", "scatter",
+        "ids_curve-fixed-point", "ids_curve-sampled"])
 def test_empty_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -25,13 +25,13 @@ from quasispec import (
     step_matrix,
     trace_poly,
 )
-from quasispec.ids import fixed_point_count, floquet_count
+from quasispec.ids import dirichlet_count, floquet_count
 from quasispec.numutil import wrap
-from quasispec.potentials import (MAX_SITES, fixed_point_blocks, fixed_point_of,
+from quasispec.potentials import (MAX_SITES, fixed_point_blocks, fixed_point_window,
                                   periodic_approximant)
 from quasispec.tracemap import identity_residual, letter_matrix_orbit
-from quasispec.transfer import (fixed_point_product, level_matrices, normalize_levels,
-                                product_grid)
+from quasispec.transfer import (_normalized, _rescale, block_product, level_matrices,
+                                normalize_levels, product_grid)
 
 from conftest import RULES
 
@@ -288,6 +288,20 @@ class TestLyapunov:
             assert m.trace_norm_sq_log() >= math.log(2.0) - 1e-12
 
 
+def fixed_point_product(rule, lv, E, n):
+    """The product over sites 1..n of the substitution's fixed point as
+    ``lyapunov_grid`` forms it: the block product of its level word, in the
+    normalized form of ``product_grid``."""
+    word = fixed_point_window(PotentialSpec.substitution(rule, lv), 1, n)
+
+    def rows(p, _):  # scaled into float range first, as lyapunov_grid does
+        _rescale(p[:2], p[2:4], p[4])
+        return p.astype(float)
+
+    p = block_product(word, np.ravel(E), rows)
+    return _normalized(p[:2], p[2:4], p[4], np.shape(E))
+
+
 def assert_renormalized_matches_direct(rule, lv, n, E):
     """The renormalized product over sites 1..n against ``product_grid`` over
     the sampled chain: at the same energies to the benchmark's bound
@@ -335,6 +349,10 @@ def long_double_log_norms(values, E):
         m = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(c), abs(d)))
         a, b, c, d, logs = a / m, b / m, c / m, d / m, logs + np.log(m)
     return (0.5 * np.log(a * a + b * b + c * c + d * d) + logs).astype(float)
+
+
+# The widest window [-HALF, HALF] within MAX_SITES.
+HALF = MAX_SITES // 2 - 1
 
 
 class TestRenormalized:
@@ -422,13 +440,15 @@ class TestRenormalized:
         lv = letter_values(rng)
         E = np.concatenate([energies(rng, lv, 40), list(lv.values()), [1e200, -3e199]])
 
+        spec = PotentialSpec.substitution(rule, lv)
+
         def run():
-            period = periodic_approximant(PotentialSpec.substitution(rule, lv), 6)
+            period = periodic_approximant(spec, 6)
             mats, lifts = level_matrices(rule, lv, E, 30)
             arrays = [*fixed_point_product(rule, lv, E, 1_000_003),
                       *fixed_point_product(rule, lv, E, 777), normalize_levels(mats), lifts,
-                      floquet_count(period.level_block, period.period, E),
-                      fixed_point_count(rule, lv, E, 5000)]
+                      floquet_count(period.level_word, E),
+                      dirichlet_count(fixed_point_window(spec, -5000, 5000), E)]
             return arrays, letter_matrix_orbit(rule, lv, 0.3, 200)
 
         lazy, lazy_traces = run()
@@ -438,19 +458,23 @@ class TestRenormalized:
             assert np.array_equal(x, y)
         assert lazy_traces == eager_traces
 
-    @pytest.mark.parametrize("spec", [
-        *(PotentialSpec.substitution(rule, {"a": 1.5, "b": -0.25}) for rule in RULES.values()),
-        PotentialSpec.sturmian(GOLDEN_MEAN, 1.5),
-        PotentialSpec.sturmian(GOLDEN_MEAN, -2.0, rounding="ceil"),
-    ], ids=[*RULES, "sturmian-floor", "sturmian-ceil"])
-    def test_fixed_point_equals_sampled_chain(self, spec):
-        rule, lv = fixed_point_of(spec)
-        blocks = fixed_point_blocks(rule, MAX_SITES)
-        word = np.frombuffer("".join(rule.iterate(x, k) for k, x in blocks).encode(), np.uint8)
-        assert len(word) == MAX_SITES
+    @pytest.mark.parametrize("spec, first, last", [
+        *((PotentialSpec.substitution(rule, {"a": 1.5, "b": -0.25}), 1, MAX_SITES)
+          for rule in RULES.values()),
+        (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), 1, MAX_SITES),
+        (PotentialSpec.sturmian(GOLDEN_MEAN, -2.0, rounding="ceil"), 1, MAX_SITES),
+        *((PotentialSpec.substitution(rule, {"a": 1.5, "b": -0.25}), -HALF, HALF)
+          for rule in RULES.values()),
+    ], ids=[*RULES, "sturmian-floor", "sturmian-ceil", *(f"{r}-two-sided" for r in RULES)])
+    def test_fixed_point_equals_sampled_chain(self, spec, first, last):
+        word = fixed_point_window(spec, first, last)
+        lv = word.letter_values
+        letters = "".join(word.rule.iterate(x, k) for k, x in word.blocks)
+        assert len(letters) == word.sites == last - first + 1
         table = np.zeros(256)
         table[[ord(x) for x in lv]] = list(lv.values())
-        assert np.array_equal(table[word], sample_potential(spec, 1, MAX_SITES))
+        assert np.array_equal(table[np.frombuffer(letters.encode(), np.uint8)],
+                              sample_potential(spec, first, last))
 
     @pytest.mark.parametrize("spec", [
         PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, omega=0.1),
@@ -463,7 +487,7 @@ class TestRenormalized:
     ], ids=["omega", "alpha", "other-golden", "almost-mathieu", "circle", "explicit",
             "constant"])
     def test_other_specs_take_the_direct_path(self, spec):
-        assert fixed_point_of(spec) is None
+        assert fixed_point_window(spec, 1, 3000) is None
         E = np.linspace(-4.0, 4.0, 9)
         direct = Mat2(*product_grid(sample_potential(spec, 1, 3000), E)).op_norm_log()
         assert np.array_equal(lyapunov_grid(spec, E, 3000), np.maximum(0.0, direct) / 3000)
