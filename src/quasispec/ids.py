@@ -5,11 +5,15 @@ LDL factorization of (H - E): for the tridiagonal Dirichlet restriction this
 is the classical Sturm pivot recursion d_i = (V_i - E) - 1/d_{i-1}
 (Barth-Martin-Wilkinson 1967), with zero pivots replaced by a tiny value as
 in Kahan (1966). A bordered variant handles the periodic / antiperiodic
-restrictions whose matrices carry corner entries. Counts drive both IDS
-curves and the band-edge bisection used elsewhere.
+restrictions whose matrices carry corner entries; there a pivot that is zero
+up to rounding is taken with the next site as one 2x2 pair in its exact
+limit, as a floored pivot would blow up the border rows and lose their
+cancellation. Counts drive both IDS curves and the band-edge bisection used
+elsewhere.
 
 Chain segments written as substitution level blocks (``potentials.LevelWord``:
-fixed-point windows and level-block periods) are counted without a sweep:
+fixed-point windows, those of the golden-mean Sturmian at omega = 0
+included, and level-block periods) are counted without a sweep:
 the count is a rotation number (Johnson-Moser, CMP 1982), read from the
 integer lift of the one block product, ``transfer.block_product``, O(log L)
 2x2 products per energy (``dirichlet_count``, ``floquet_count``). The pivot
@@ -44,6 +48,9 @@ _PIVOT_FLOOR = 1e-300
 # magnitude, which keeps inf/inf out of their divisions; only the pivot signs
 # matter for the count.
 _SATURATION = 1e150
+# A bordered pivot below this, times |E| + max|V| + 2, is taken together with
+# the next leading site as one pair in its exact limit (``_pivot_rows``).
+_PAIR_TOL = 1e-12
 # Halvings of every bracket in ``bisect_eigenvalues``; the Floquet step
 # budgets of ``bands`` count them.
 BISECTION_HALVINGS = 60
@@ -138,7 +145,8 @@ def _count_periodic(vals, E, corner):
         # and keeps it beyond the floor). f starts as the (1, L) entry, the
         # corner plus [L = 2]: at L = 2 (k = -1) the band meets the column
         # before the first pivot.
-        counts, (_, s) = _sweep(vals[:L - 1], E, (corner + (L == 2), vals[L - 1] - E, L - 3))
+        counts, (_, s) = _sweep(vals[:L - 1], E, (corner + (L == 2), vals[L - 1] - E, L - 3,
+                                                  np.abs(vals).max(axis=0)))
         return counts + (_fix_pivots(s) < 0)
 
 
@@ -147,17 +155,23 @@ def _sweep(vals, E, border=None):
     (a leading site axis, broadcasting against E), from d = +inf, so that
     1/d = 0 makes the first pivot V_1 - E.
 
-    With ``border`` = (f, s, k), each pivot d_i also eliminates the border
-    pair: s <- s - f * f / d_i and f <- c_i - f / d_i, with c_i = 1 at i = k
-    and 0 elsewhere. Returns the counts (E's shape) and the final (f, s).
+    With ``border`` = (f, s, k, vmax), each pivot d_i also eliminates the
+    border pair: s <- s - f * f / d_i and f <- c_i - f / d_i, with c_i = 1 at
+    i = k and 0 elsewhere; a guarded pivot below tol = _PAIR_TOL (|E| + vmax
+    + 2) in magnitude, vmax the largest |V| of the problem, is paired with
+    the next site instead (``_pivot_rows``). Returns the counts (E's shape)
+    and the final (f, s).
 
     Sites go in blocks whose pivots (and f, s) rows, with one bool row each
     for the signs, take at most 8 * transfer._CHUNK bytes. Per site only the
     recursion runs. Each block is then checked once: a stored pivot in
-    (-_PIVOT_FLOOR, _PIVOT_FLOOR), or an f or s beyond +-_SATURATION or NaN,
-    means a guard would have acted, and the block is rerun from the state
-    at its start with the guards applied at every site. The first site where
-    a guard acts has the same unguarded values either way, so the check
+    (-_PIVOT_FLOOR, _PIVOT_FLOOR), or with a border one that may start a
+    pair in (-lo, lo), lo a bound on every tol from the largest |E| and
+    vmax, or an f or s beyond +-_SATURATION or NaN, means a guard may have
+    acted, and the block is rerun from the state at its start with the
+    guards applied at every site; a block after one whose last site begins
+    a pair runs guarded at once. The first site where a
+    guard acts has the same unguarded values either way, so the check
     misses none; where none acts, the guards change no bit. Signs are
     counted once per block.
     """
@@ -171,9 +185,14 @@ def _sweep(vals, E, border=None):
     r, t = np.empty(E.shape), np.empty(E.shape)
     counts = np.zeros(E.shape, dtype=np.int64)
     fs = FS = None
-    k = -1
+    k, tol, lo, m, opened = -1, None, _PIVOT_FLOOR, L, False  # rows before m may start a pair
     if border is not None:
-        f, s, k = border
+        f, s, k, vmax = border
+        # Rounding is monotone, so lo bounds the tol of every lane (fmax
+        # skips NaN lanes, whose tol is NaN and pairs nothing).
+        top = [np.fmax.reduce(a, axis=None, initial=0.0) for a in (np.abs(E), vmax)]
+        lo = _PAIR_TOL * (top[0] + top[1] + 2.0)
+        m = L - 1
         fs = np.array([np.broadcast_to(f, E.shape), s])
         FS = np.empty((2,) + P.shape)  # the (f, s) rows after each pivot
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -181,17 +200,29 @@ def _sweep(vals, E, border=None):
             n = min(rows, L - b)
             p, neg = P[:n], signs[:n]
             x = None if FS is None else FS[:, :n]
-            for guard in (False, True):
+            for guard in (True,) if opened else (False, True):
+                if guard and border is not None and tol is None:
+                    tol = _PAIR_TOL * (np.abs(E) + vmax + 2.0)
                 np.subtract(vals[b:b + n], E, out=p)
-                _pivot_rows(p, d, x, fs, k - b, guard, r, t)
-                # No pivot lies in (-floor, floor) iff as many lie below
-                # floor as at or below -floor; then these are the negative ones.
-                below = np.count_nonzero(np.less(p, _PIVOT_FLOOR, out=neg))
-                negs = np.count_nonzero(np.less_equal(p, -_PIVOT_FLOOR, out=neg), axis=0)
-                if guard or below == negs.sum() and (
+                _pivot_rows(p, d, x, fs, k - b, guard, r, t, (tol, m - b))
+                if guard:
+                    negs = np.count_nonzero(np.less(p, 0.0, out=neg), axis=0)
+                    break
+                # No pivot lies in (-lo, lo) iff as many lie below lo as at
+                # or below -lo; then these are the negative ones.
+                below = np.count_nonzero(np.less(p, lo, out=neg))
+                negs = np.count_nonzero(np.less_equal(p, -lo, out=neg), axis=0)
+                if b + n > m and below != negs.sum():  # rows from m take the floor as lo
+                    last = p[m - b:]
+                    below += np.count_nonzero(last < _PIVOT_FLOOR) - np.count_nonzero(last < lo)
+                    negs += (np.count_nonzero(last <= -_PIVOT_FLOOR, axis=0)
+                             - np.count_nonzero(last <= -lo, axis=0))
+                if below == negs.sum() and (
                         x is None or (np.max(x, initial=-np.inf) <= _SATURATION
                                       and np.min(x, initial=np.inf) >= -_SATURATION)):
                     break
+            # A pair begun at the block's last site is ended by a guarded block.
+            opened = guard and x is not None and bool(np.isneginf(p[-1]).any())
             counts += negs
             np.copyto(d, p[-1])
             if x is not None:
@@ -199,16 +230,30 @@ def _sweep(vals, E, border=None):
     return counts, fs
 
 
-def _pivot_rows(P, d, FS, fs, k, guard, r, t):
+def _pivot_rows(P, d, FS, fs, k, guard, r, t, pair):
     """Overwrite the rows of P (V - E on entry) by the pivots that follow the
     pivot d, and with FS the rows FS[:, i] by the (f, s) after each pivot,
     from ``fs`` before the first. ``guard`` floors each pivot and saturates
-    each f and s as they are made; r and t are scratch rows."""
+    each f and s as they are made; r and t are scratch rows.
+
+    With FS, ``guard`` also takes a pivot d_i below tol in magnitude, for
+    ``pair`` = (tol, m) and i < m (site i + 1 still in the leading block),
+    together with site i + 1 as one pair in its exact limit d_i -> 0. The
+    pair has one negative pivot: d_i is stored as -inf and d_(i+1) as +inf,
+    so the pivot after it sees 1/d = 0. f and s pass site i unchanged, and
+    at site i + 1 become c_(i+1) - f and s + (V_(i+1) - E) f^2 - 2 c_i f,
+    the Schur complement of the pair [[0, 1], [1, V_(i+1) - E]]."""
     rows = zip(P) if FS is None else zip(P, *FS)
     for i, row in enumerate(rows):
         p = row[0]
         np.divide(1.0, d, out=r)
         np.subtract(p, r, out=p)
+        if guard and FS is not None:
+            second = np.isneginf(d)  # p is V - E there, as 1/d = -0
+            first = (np.abs(p) < pair[0]) & ~second & (i < pair[1])
+            a = p[second]
+            np.copyto(p, -np.inf, where=first)
+            np.copyto(p, np.inf, where=second)
         if guard:
             np.copyto(p, _PIVOT_FLOOR, where=np.abs(p, out=r) < _PIVOT_FLOOR)
         if FS is not None:
@@ -220,6 +265,10 @@ def _pivot_rows(P, d, FS, fs, k, guard, r, t):
             np.divide(f, p, out=t)
             np.subtract(1.0 if i == k else 0.0, t, out=f_new)
             if guard:
+                np.copyto(f_new, f, where=first)
+                u = f[second]
+                s_new[second] = s[second] + a * u * u - 2.0 * (i - 1 == k) * u
+                f_new[second] = (i == k) - u
                 for g in (f_new, s_new):
                     np.maximum(g, -_SATURATION, out=g)
                     np.minimum(g, _SATURATION, out=g)
@@ -293,7 +342,8 @@ def dirichlet_count(word: LevelWord, energies) -> np.ndarray:
 def ids_curve(spec: PotentialSpec, omega: float | None, L: int, grid) -> IdsCurve:
     """Finite-volume IDS: eigenvalue counts on the window [-L, L] (2L+1 sites)
     divided by 2L+1, evaluated at every grid energy. A window that
-    ``potentials.fixed_point_window`` writes as level blocks is counted from
+    ``potentials.fixed_point_window`` writes as level blocks (substitution
+    fixed points and the golden-mean Sturmian at omega = 0) is counted from
     them (``dirichlet_count``), every other one from its samples."""
     if L < 1:
         raise DomainError("window half-size L must be at least 1")

@@ -9,6 +9,10 @@ Phase convention for the Sturmian kind: the circle map is evaluated at
 (n+1)*alpha + omega, so that omega = 0 with the golden mean reproduces the
 sequence 1,0,1,1,0,... (the image of the fixed point of a->ab, b->a under
 f(a)=1, f(b)=0). The circle kind evaluates at n*alpha + omega.
+
+Every fixed-point word (sampled window, approximant period or ``LevelWord``)
+is spelled from level blocks rule^k(x) by one speller, ``_spell``, with
+lengths from one exact table, ``_level_lengths``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -129,7 +134,7 @@ KINDS = _ALPHA_KINDS + ("substitution", "explicit-periodic", "constant")
 class LevelWord:
     """A chain segment written as whole level blocks rule^k(x) of a
     substitution with ``letter_values``, ``blocks`` = ((k, x), ...) left to
-    right: the words whose transfer matrices ``transfer.level_matrices`` holds,
+    right: the words whose transfer matrices ``transfer.iter_levels`` builds,
     joined by ``transfer.block_product``. ``sites`` is the segment's length."""
 
     rule: SubstitutionRule
@@ -138,10 +143,8 @@ class LevelWord:
     sites: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lengths = [dict.fromkeys(self.rule.alphabet, 1)]
-        for _ in range(max(k for k, _ in self.blocks)):
-            lengths.append({y: sum(lengths[-1][z] for z in self.rule.images[y])
-                            for y in self.rule.alphabet})
+        levels = max(k for k, _ in self.blocks) + 1
+        lengths = list(islice(_level_lengths(self.rule), levels))
         object.__setattr__(self, "sites", sum(lengths[k][x] for k, x in self.blocks))
 
 
@@ -246,6 +249,30 @@ class PotentialSpec:
 # -- substitution words ------------------------------------------------------
 
 
+def _level_lengths(rule: SubstitutionRule):
+    """The one length table: |rule^k(y)| of every letter y as exact ints, one
+    dict per level k = 0, 1, 2, ... DomainError if no image is longer than
+    one letter, as the iterates then never grow."""
+    if all(len(w) == 1 for w in rule.images.values()):
+        raise DomainError("substitution does not grow from its seed")
+    lengths = dict.fromkeys(rule.alphabet, 1)
+    while True:
+        yield lengths
+        lengths = {y: sum(lengths[z] for z in rule.images[y]) for y in rule.alphabet}
+
+
+def _first_level(rule: SubstitutionRule, x: str, size: int, p: int = 1) -> int:
+    """The least multiple k of ``p`` with |rule^k(x)| >= ``size``, for a
+    primitive rule."""
+    return next(k for k, level in enumerate(_level_lengths(rule))
+                if k % p == 0 and level[x] >= size)
+
+
+def _spell(rule: SubstitutionRule, blocks) -> str:
+    """The one speller: the letters of the level blocks ((k, x), ...)."""
+    return "".join(rule.iterate(x, k) for k, x in blocks)
+
+
 def generate_substitution_word(rule: SubstitutionRule, seed: str, min_length: int) -> str:
     """Prefix of the one-sided fixed point of ``rule`` starting from ``seed``.
 
@@ -259,7 +286,7 @@ def generate_substitution_word(rule: SubstitutionRule, seed: str, min_length: in
         raise DomainError(f"image of {seed!r} does not start with it; no fixed point")
     if not rule.is_primitive():
         raise DomainError("substitution rule is not primitive")
-    return _iterate_to(rule, seed, 1, min_length)
+    return _spell(rule, ((_first_level(rule, seed, min_length), seed),))
 
 
 def _two_sided_letters(rule: SubstitutionRule, power_cap: int) -> tuple[str, str, int]:
@@ -278,105 +305,74 @@ def _two_sided_letters(rule: SubstitutionRule, power_cap: int) -> tuple[str, str
 
 def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int,
                        power_cap: int = TWO_SIDED_POWER_CAP) -> str:
-    """Letters of a two-sided fixed-point sequence on the window lo..hi.
-
-    Built as uv where u is a left fixed point occupying n <= 0 (ending at
-    index 0) and v a right fixed point occupying n >= 1, both of the same
-    power of the rule. The (left letter, right letter, power) choice is the
-    lexicographically first valid one at the smallest power.
-    """
+    """Letters of a two-sided fixed-point sequence on the window lo..hi: a
+    left fixed point on n <= 0 and a right one on n >= 1, grown from the
+    seeds of ``_two_sided_letters``. They are sliced from the spelled blocks
+    of the window min(lo, 1)..max(hi, 0), which starts at site 1 or holds
+    site 0; DomainError if that window has over MAX_SITES sites."""
     if hi < lo:
         return ""
-    la, lb, n = _two_sided_letters(rule, power_cap)
-    # Each iterate of u ends with the previous one, and each of v starts with
-    # it. Site i <= 0 is u[len(u) - 1 + i], site i >= 1 is v[i - 1].
-    left = right = ""
-    if lo <= 0:
-        u = _iterate_to(rule, la, n, 1 - lo)
-        left = u[len(u) - 1 + lo:len(u) + min(hi, 0)]
-    if hi >= 1:
-        right = _iterate_to(rule, lb, n, hi)[max(lo, 1) - 1:hi]
-    return left + right
+    first, last = min(lo, 1), max(hi, 0)
+    check_sites(last - first + 1)
+    blocks = fixed_point_blocks(rule, _two_sided_letters(rule, power_cap), first, last)
+    return _spell(rule, blocks)[lo - first:hi - first + 1]
 
 
-def _iterate_to(rule: SubstitutionRule, w: str, n: int, size: int) -> str:
-    """Apply rule^n to ``w`` until it has at least ``size`` letters."""
-    while len(w) < size:
-        grown = rule.iterate(w, n)
-        if len(grown) == len(w):
-            raise DomainError("substitution does not grow from its seed")
-        w = grown
-    return w
+def fixed_point_blocks(rule: SubstitutionRule, seeds: tuple[str, str, int], first: int,
+                       last: int) -> tuple[tuple[int, str], ...]:
+    """Sites first..last (first <= 1, 0 <= last) of the two-sided fixed point
+    grown from ``seeds`` = (left letter, right letter, power p), as whole
+    level blocks rule^k(x), left to right: sites first..0 are a suffix of
+    rule^(pK)(left letter), sites 1..last a prefix of rule^(pK)(right letter).
 
-
-def fixed_point_blocks(rule: SubstitutionRule, n: int,
-                       left: bool = False) -> list[tuple[int, str]]:
-    """Sites 1..n of the right fixed point that ``generate_two_sided`` builds,
-    or with ``left`` sites -n+1..0 of its left fixed point, as whole level
-    blocks rule^k(x), left to right.
-
-    With the (letter, power p) of ``generate_two_sided``, the sites are a
-    prefix of rule^(pK)(right letter), or a suffix of rule^(pK)(left letter).
-    It splits top level down: rule^(k+1)(x) is the level-k blocks of the
-    letters of rule(x), the blocks that fit whole are taken from the prefix's
-    start (the suffix's end), and the first that does not is split at the
-    next level (the Dumont-Thomas expansion; Zeckendorf digits for
+    Each half splits top level down: rule^(k+1)(x) is the level-k blocks of
+    the letters of rule(x), the blocks that fit whole are taken from the
+    prefix's start (the suffix's end), and the first that does not is split
+    at the next level (the Dumont-Thomas expansion; Zeckendorf digits for
     Fibonacci). Block lengths are exact Python ints.
     """
-    if n < 1:
-        raise DomainError("a prefix needs at least one site")
-    la, lb, p = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
-    x = la if left else lb
-    lengths = _level_lengths(rule, x, p, n)
-    blocks, k, rest = [], len(lengths) - 1, n
-    while rest:
-        if lengths[k][x] == rest:
-            blocks.append((k, x))
-            break
-        k -= 1
-        for y in rule.images[x][::-1] if left else rule.images[x]:
-            if lengths[k][y] > rest:
-                x = y
+    left_letter, right_letter, p = seeds
+    halves = []
+    for x, n, left in ((left_letter, 1 - first, True), (right_letter, last, False)):
+        k = _first_level(rule, x, n, p)
+        lengths = list(islice(_level_lengths(rule), k + 1))
+        blocks, rest = [], n
+        while rest:
+            if lengths[k][x] == rest:
+                blocks.append((k, x))
                 break
-            blocks.append((k, y))
-            rest -= lengths[k][y]
-    return blocks[::-1] if left else blocks
-
-
-def _level_lengths(rule: SubstitutionRule, x: str, p: int, size: int) -> list[dict[str, int]]:
-    """lengths[k][y] = |rule^k(y)| as exact ints, for k = 0 up to the first
-    multiple of ``p`` at which |rule^k(x)| >= ``size``."""
-    lengths = [dict.fromkeys(rule.alphabet, 1)]
-    while lengths[-1][x] < size:
-        start = lengths[-1][x]
-        for _ in range(p):
-            lengths.append({y: sum(lengths[-1][z] for z in rule.images[y])
-                            for y in rule.alphabet})
-        if lengths[-1][x] == start:
-            raise DomainError("substitution does not grow from its seed")
-    return lengths
+            k -= 1
+            for y in rule.images[x][::-1] if left else rule.images[x]:
+                if lengths[k][y] > rest:
+                    x = y
+                    break
+                blocks.append((k, y))
+                rest -= lengths[k][y]
+        halves.append(blocks)
+    return tuple(halves[0][::-1] + halves[1])
 
 
 def fixed_point_window(spec: PotentialSpec, first: int, last: int) -> LevelWord | None:
     """The ``LevelWord`` spelling what ``sample_potential`` samples on sites
-    first..last, or None. A substitution gets one on windows from site 1 or
-    holding site 0: the left fixed point's suffix blocks (sites first..0) and
-    the right one's prefix blocks (``fixed_point_blocks``). The golden-mean
-    Sturmian at omega = 0, either rounding, is the Fibonacci right fixed point
-    with a -> lam, b -> 0 (pinned in the tests over MAX_SITES sites) but not
-    the left one (its sites 0 and -1 are b and a), so it gets words from site
-    1 only. DomainError beyond MAX_SITES sites."""
-    if spec.kind == "substitution" and first <= 1 and 0 <= last and first <= last:
+    first..last, or None. Windows that start at site 1 or hold site 0 get
+    one (``fixed_point_blocks``), for a substitution, from the seeds of
+    ``_two_sided_letters``, and for the golden-mean Sturmian at omega = 0:
+    the Fibonacci fixed point with a -> lam, b -> 0 grown by the square of
+    the rule from the right letter a and the left letter b (floor) or a
+    (ceil), pinned in the tests over MAX_SITES sites. DomainError beyond
+    MAX_SITES sites."""
+    if not (first <= 1 and 0 <= last and first <= last):
+        return None
+    if spec.kind == "substitution":
         rule, letter_values = spec.rule, spec.letter_values
-    elif (spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN and spec.omega == 0.0
-          and first == 1 <= last):
+        seeds = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+    elif spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN and spec.omega == 0.0:
         rule, letter_values = FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}
+        seeds = ("b" if spec.rounding == "floor" else "a", "a", 2)
     else:
         return None
     check_sites(last - first + 1)
-    left = fixed_point_blocks(rule, 1 - first, left=True) if first <= 0 else []
-    right = fixed_point_blocks(rule, last) if last >= 1 else []
-    return LevelWord(rule, letter_values, tuple(left + right))
+    return LevelWord(rule, letter_values, fixed_point_blocks(rule, seeds, first, last))
 
 
 # -- sampling ----------------------------------------------------------------
@@ -402,7 +398,7 @@ def sample_potential(spec: PotentialSpec, first: int, last: int) -> np.ndarray:
     check_sites(last - first + 1)
     n = np.arange(first, last + 1, dtype=float)
     if spec.kind == "almost-mathieu":
-        return spec.lam * np.cos(2.0 * math.pi * (n * spec.alpha + spec.omega))
+        return spec.lam * np.cos(2.0 * math.pi * (n * spec.alpha + math.fmod(spec.omega, 1.0)))
     if spec.kind == "sturmian":
         rnd = np.floor if spec.rounding == "floor" else np.ceil
         hi = rnd((n + 1.0) * spec.alpha + spec.omega)
@@ -461,7 +457,8 @@ def convergents(alpha: float, q_max: int) -> list[tuple[int, int]]:
 
 def cosine_period(lam: float, p: int, q: int, omega: float) -> tuple[float, ...]:
     """One period V_n = lam cos(2 pi (n p/q + omega)), n = 1..q, of the cosine
-    chain at alpha = p/q."""
+    chain at alpha = p/q, with omega reduced mod 1 (exactly, by ``fmod``)."""
+    omega = math.fmod(omega, 1.0)
     return tuple(lam * math.cos(2.0 * math.pi * (n * p / q + omega)) for n in range(1, q + 1))
 
 
@@ -496,8 +493,8 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
     convergent of alpha (counting from 1 and skipping the trivial 0/1) and
     re-evaluates the formula over one period q. For the substitution kind the
     period is the level-k block rule^k(x) of the sampled fixed point's seed x
-    (``_two_sided_letters``), whose matrix ``level_matrices`` holds at level k,
-    recorded as its ``level_word`` (so is a golden-mean Sturmian period, see
+    (``_two_sided_letters``), whose matrix ``transfer.iter_levels`` builds at
+    level k, recorded as its ``level_word`` (so is a golden-mean Sturmian period, see
     ``_convergent_period``); DomainError if the k rule applications write over
     MAX_SUBSTITUTION_LETTERS.
     """
@@ -508,16 +505,17 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
     if spec.kind == "explicit-periodic":
         return PeriodicPotential(tuple(float(v) for v in spec.values))
     if spec.kind == "substitution":
-        _, x, p = _two_sided_letters(spec.rule, TWO_SIDED_POWER_CAP)
-        # Application j writes level j. The table ends past the budget, so an
-        # order beyond its last level is refused too.
-        lengths = _level_lengths(spec.rule, x, p, MAX_SUBSTITUTION_LETTERS + 1)
-        if sum(level[x] for level in lengths[1:order + 1]) > MAX_SUBSTITUTION_LETTERS:
+        _, x, _ = _two_sided_letters(spec.rule, TWO_SIDED_POWER_CAP)
+        # Application j writes level j, at least one letter, so the running
+        # sum passes the budget by level MAX_SUBSTITUTION_LETTERS + 1.
+        last = min(order, MAX_SUBSTITUTION_LETTERS + 1)
+        written = accumulate(level[x] for level in islice(_level_lengths(spec.rule), 1, last + 1))
+        if any(w > MAX_SUBSTITUTION_LETTERS for w in written):
             raise DomainError(f"order {order} writes more than "
                               f"{MAX_SUBSTITUTION_LETTERS} letters")
-        word = spec.rule.iterate(x, order)
-        return PeriodicPotential(tuple(_letter_values(word, spec.letter_values).tolist()),
-                                 LevelWord(spec.rule, spec.letter_values, ((order, x),)))
+        word = LevelWord(spec.rule, spec.letter_values, ((order, x),))
+        letters = _spell(word.rule, word.blocks)
+        return PeriodicPotential(tuple(_letter_values(letters, spec.letter_values).tolist()), word)
     convs = _cf_convergents(spec.alpha)[1:]  # skip 0/1
     if order > len(convs):
         raise DomainError(
@@ -544,12 +542,12 @@ def _convergent_period(spec: PotentialSpec, p: int, q: int) -> PeriodicPotential
     values = _rational_values(spec, p, q)
     word = None
     if spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN:
-        lengths = _level_lengths(FIBONACCI_RULE, "a", 1, q)
-        block = FIBONACCI_RULE.iterate("a", len(lengths) - 1)
+        word = LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
+                         ((_first_level(FIBONACCI_RULE, "a", q), "a"),))
+        block = _spell(word.rule, word.blocks)
         letters = "".join("a" if v == spec.lam else "b" for v in values)
-        if len(block) == q and letters in block + block:
-            word = LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
-                             ((len(lengths) - 1, "a"),))
+        if not (word.sites == q and letters in block + block):
+            word = None
     return PeriodicPotential(values, word)
 
 

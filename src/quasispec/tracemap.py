@@ -1,7 +1,7 @@
 """Trace-map dynamics for substitution chains.
 
 Traces are read from the renormalized per-letter transfer matrices of
-``transfer.level_matrices`` (level k+1 of a letter is the product of the
+``transfer.iter_levels`` (level k+1 of a letter is the product of the
 level-k matrices of its image, in reversed order), each long-double trace
 scaled by its exact power of two: integer traces come out exact, values
 beyond ``HUGE`` as (sign, log) pairs. For the golden-mean chain (a -> ab,
@@ -28,7 +28,7 @@ from .bands import BandSet
 from .errors import DomainError
 from .numutil import BigValue, LOG_HUGE, as_float, signed_log, wrap
 from .potentials import FIBONACCI_RULE, SubstitutionRule
-from .transfer import level_matrices, normalize_levels
+from .transfer import _rescale, iter_levels
 
 # Most steps of a golden-mean orbit: ln|tau_n| grows like phi^n and leaves
 # float range near n = 1470 (1478 at E = 0.3, lambda = 2; 1463 at E = 1e300),
@@ -82,12 +82,18 @@ def fibonacci_trace_orbit(E: float, lam: float, n_max: int) -> TraceOrbit:
 
 
 def _levels(rule: SubstitutionRule, letter_values: dict[str, float], energies,
-            levels: int) -> np.ndarray:
-    """``level_matrices`` of a primitive rule whose letter values cover it,
-    normalized."""
+            levels: int) -> list[np.ndarray]:
+    """The levels 0..levels of ``iter_levels`` over the energies, for a
+    primitive rule whose letter values cover it: a copy of each (5, r, M)
+    level matrix, scaled by powers of two to its largest |entry| in [1/2, 1)."""
     if not rule.is_primitive() or set(letter_values) != set(rule.alphabet):
         raise DomainError("need a primitive rule and one value per letter")
-    return normalize_levels(level_matrices(rule, letter_values, energies, levels)[0])
+    out = []
+    for mats, _ in iter_levels(rule, letter_values, np.asarray(energies, dtype=float), levels):
+        m = mats.copy()
+        _rescale(m[:2], m[2:4], m[4])
+        out.append(m)
+    return out
 
 
 def _trace(a, d, e) -> BigValue:
@@ -108,11 +114,11 @@ def letter_matrix_orbit(rule: SubstitutionRule, letter_values: dict[str, float],
 
     Level 0 holds the single-site step matrices; level k+1 replaces each
     letter's matrix by the product of the level-k matrices of its image word
-    in reversed order (``transfer.level_matrices``). Returns, per letter, the
+    in reversed order (``transfer.iter_levels``). Returns, per letter, the
     true traces at levels 0..n_max (floats, or (sign, log) pairs once huge).
     """
-    levels = _levels(rule, letter_values, float(E), max(n_max, 0))
-    return {x: [_trace(m[0, i], m[3, i], m[4, i]) for m in levels]
+    levels = _levels(rule, letter_values, [float(E)], max(n_max, 0))
+    return {x: [_trace(*m[[0, 3, 4], i, 0]) for m in levels]
             for i, x in enumerate(rule.alphabet)}
 
 

@@ -8,7 +8,7 @@ carries the scale as a separate prefactor, changed only by exact powers of two.
 
 ``product_grid`` forms the product over any sampled chain, over an energy grid
 and at optional prefix lengths, rescaling only as often as overflow requires.
-A segment of a substitution fixed point needs no samples: ``level_matrices``
+A segment of a substitution fixed point needs no samples: ``iter_levels``
 renormalizes the per-letter matrices level by level (the matrix of rule^(k+1)(x)
 is the product of the level-k matrices of rule(x)), and ``block_product``, the
 one lifted product, joins the O(log n) level blocks of a ``LevelWord`` with
@@ -247,25 +247,25 @@ def _rescale(x, y, exps):
     exps += e
 
 
-def level_matrices(rule: SubstitutionRule, letter_values: dict[str, float], energies,
-                   levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer matrices over the words rule^k(x), k = 0..levels, of every
-    letter x, over the energies, with their lifts.
+def iter_levels(rule: SubstitutionRule, letter_values: dict[str, float], energies,
+                levels: int):
+    """Transfer matrices over the words rule^k(x) of every letter x, over a
+    1-d energy array, with their lifts, yielded one level k = 0..levels at a
+    time; only the level being built and the one before it are held.
 
-    Returns ``(mats, lifts)``. ``mats`` is a (levels + 1, 5, r) + E.shape
-    array: at level k and the r-th letter of the alphabet, rows a, b, c, d and
-    the exponent e of the product 2^e [[a, b], [c, d]]. Level 0 holds the step
-    matrices [[E - v, -1], [1, 0]]; level k+1 of x is the product of the
-    level-k matrices of the image of x in reversed order, the renormalization
-    behind the trace maps of Kohmoto-Kadanoff-Tang (1983) and Suto (1989).
-    The products are formed unscaled and rescaled by powers of two only where
-    their entries could leave the exponent range (``_chain``), so the entries
-    are not normalized (``normalize_levels`` does that) and the schedule
-    changes no bit; ``iter_levels`` yields the same levels one at a time.
-    ``lifts`` (int64, (levels + 1, r) + E.shape) holds each level matrix's
-    integer lift in the universal cover of SL(2, R) (``_chain``), from which
-    the eigenvalue counts of the level words follow (Johnson-Moser, CMP 1982;
-    ``ids.floquet_count``, ``ids.dirichlet_count``).
+    Each level is a (5, r, M) long-double array, at the r-th letter of the
+    alphabet rows a, b, c, d and the exponent e of the product
+    2^e [[a, b], [c, d]], and an (r, M) int64 array of lifts. Level 0 holds
+    the step matrices [[E - v, -1], [1, 0]]; level k+1 of x is the product of
+    the level-k matrices of the image of x in reversed order, the
+    renormalization behind the trace maps of Kohmoto-Kadanoff-Tang (1983)
+    and Suto (1989). The products are formed unscaled and rescaled by powers
+    of two only where their entries could leave the exponent range
+    (``_chain``), so the entries are not normalized and the schedule changes
+    no bit. The lifts are each level matrix's integer lift in the universal
+    cover of SL(2, R) (``_chain``), from which the eigenvalue counts of the
+    level words follow (Johnson-Moser, CMP 1982; ``ids.floquet_count``,
+    ``ids.dirichlet_count``).
 
     The entries are long doubles (a 64-bit mantissa on x86; plain doubles
     where the platform has no wider type). A level matrix can have a much
@@ -273,17 +273,6 @@ def level_matrices(rule: SubstitutionRule, letter_values: dict[str, float], ener
     doubles lost up to 8e-10 relative in log-norm over a few thousand sites,
     where the site-by-site product keeps about 1e-12.
     """
-    E = np.asarray(energies, dtype=float)
-    table = list(iter_levels(rule, letter_values, E.ravel(), levels))
-    mats, lifts = np.stack([m for m, _ in table]), np.stack([n for _, n in table])
-    return mats.reshape(mats.shape[:3] + E.shape), lifts.reshape(lifts.shape[:2] + E.shape)
-
-
-def iter_levels(rule: SubstitutionRule, letter_values: dict[str, float], energies,
-                levels: int):
-    """The levels k = 0..levels of ``level_matrices`` over a 1-d energy array,
-    one at a time: (5, r, M) matrices and (r, M) lifts. Only the level being
-    built and the one before it are held."""
     r = len(rule.alphabet)
     mats = np.zeros((5, r, len(energies)), dtype=np.longdouble)
     mats[0] = energies - np.array([letter_values[x] for x in rule.alphabet],
@@ -303,15 +292,6 @@ def iter_levels(rule: SubstitutionRule, letter_values: dict[str, float], energie
             top = max(top, b)
         mats, lifts, lower, bits = up, up_lifts, below, top
         yield mats, lifts
-
-
-def normalize_levels(mats: np.ndarray) -> np.ndarray:
-    """Scale the matrices of ``level_matrices`` (rows on axis 1) in place by
-    powers of two so that each has its largest |entry| in [1/2, 1); returns
-    ``mats``."""
-    rows = np.moveaxis(mats, 1, 0)
-    _rescale(rows[:2], rows[2:4], rows[4])
-    return mats
 
 
 # Level products are formed unscaled. A stored 2^e [[a, b], [c, d]] with
@@ -336,7 +316,7 @@ def _chain(mats: np.ndarray, lifts: np.ndarray, bits: float, lower: np.ndarray,
            word) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """The product P = mats[:, f_m] ... mats[:, f_1] of the ``word``
     [f_1, ..., f_m], indices into a (5, r, M) stack in the power-of-two form of
-    ``level_matrices``, as (P (5, M), its lift (M,), the bound on log2 of its
+    ``iter_levels``, as (P (5, M), its lift (M,), the bound on log2 of its
     row sums, its ``_lower`` (M,)).
 
     ``lifts`` (r, M) are the stack's lifts, ``bits`` the bound on log2 of its
@@ -383,7 +363,7 @@ def block_product(word: LevelWord, energies, per_slice) -> np.ndarray:
     at most 8 * _CHUNK long doubles (4 MB), so the memory beyond the results
     does not grow with the grid; the slices change no bit. ``per_slice`` maps
     a slice's product (5, m), in the unnormalized power-of-two form of
-    ``level_matrices``, and its lift (m,) to an array whose last axis is the
+    ``iter_levels``, and its lift (m,) to an array whose last axis is the
     slice's; the results are joined on that axis, shaped as the energies."""
     E = np.asarray(energies, dtype=float)
     rule = word.rule

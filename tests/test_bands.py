@@ -201,6 +201,15 @@ def dense_edges(pot):
     return np.sort(np.concatenate(out))
 
 
+class TestTinyBorderedPivot:
+    def test_three_site_spectrum(self):
+        # The bracket [-4, 12] of (0, 8, 0) puts a bisection midpoint exactly
+        # on E = 0, where the first pivot of both restrictions is zero.
+        pot = PeriodicPotential((0.0, 8.0, 0.0))
+        np.testing.assert_allclose(np.ravel(band_spectrum(pot).bands), dense_edges(pot),
+                                   rtol=0, atol=1e-12)
+
+
 class TestLiftedEdges:
     """Band edges of level blocks from the lifted count, against the stacked
     Sturm bisection and dense eigenvalues."""

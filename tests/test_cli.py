@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -106,6 +107,18 @@ class TestSchemas:
         lines = out.strip().splitlines()
         assert lines[0] == "E,gamma"
         assert len(lines) == 401
+
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    def test_ids_fixed_point_beyond_a_million_sites(self, capsys, rounding):
+        # 2,000,001 sites of the golden-mean Sturmian at omega 0, counted from
+        # the lifted level products of its two-sided Fibonacci word.
+        start = time.perf_counter()
+        code, out, _ = run_cli(["ids", "--model", "fibonacci", "--lambda", "2", "--size",
+                                "1000000", "--grid", "200", "--rounding", rounding], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "145516db4a912d6ffe126cd89f7cde8c6463105cf75d802ab158ebc2e222b1fd"
 
     def test_gaps_report(self, capsys):
         code, out, _ = run_cli(["gaps", "--model", "fibonacci", "--lambda", "4",

@@ -49,8 +49,12 @@ def site_guarded_count_below(diag, energies):
 
 def site_guarded_count_periodic(diag, energies, corner):
     """Reference wrap-around count for L >= 2: the bordered elimination with
-    the pivot floor and the +-1e150 saturation of f and s at every site, and
-    for L = 2 the 2 x 2 pivots with the corner added to the off-diagonal."""
+    the guards at every site, and for L = 2 the 2 x 2 pivots with the corner
+    added to the off-diagonal. The guards: a pivot below 1e-12 (|E| + max|V|
+    + 2) in magnitude whose next site is still in the leading block is taken
+    with that site as one pair in its exact limit, which has one negative
+    pivot and leaves 1/d = 0 for the pivot after it; any other pivot is
+    floored, and f and s are saturated at +-1e150."""
     vals = np.asarray(diag, dtype=float)
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     L = len(vals)
@@ -64,18 +68,26 @@ def site_guarded_count_periodic(diag, energies, corner):
             d1 = fix(vals[0] - E)
             d2 = fix((vals[1] - E) - off * off / d1)
             return (d1 < 0).astype(np.int64) + (d2 < 0)
-        d = fix(vals[0] - E)
-        counts = (d < 0).astype(np.int64)
+        tol = 1e-12 * (np.abs(E) + np.abs(vals).max() + 2.0)
+        counts = np.zeros(E.shape, dtype=np.int64)
         f = np.broadcast_to(float(corner), E.shape)
         s = vals[L - 1] - E
-        for k in range(L - 2):
-            s = s - f * f / d
-            f = (1.0 if k + 1 == L - 2 else 0.0) - f / d
+        inv, second = np.zeros(E.shape), np.zeros(E.shape, dtype=bool)
+        for j in range(L - 1):  # the leading sites; row j + 1 meets the column at j = L - 3
+            a = vals[j] - E
+            d = a - inv
+            first = (np.abs(d) < tol) & ~second & (j < L - 2)
+            d = np.where(first | second, d, fix(d))
+            c_before, c = float(j - 1 == L - 3), float(j == L - 3)
+            s = np.where(first, s, np.where(second, s + a * f * f - 2.0 * c_before * f,
+                                            s - f * f / d))
+            f = np.where(first, f, np.where(second, c - f, c - f / d))
             f = np.minimum(np.maximum(f, -1e150), 1e150)
             s = np.minimum(np.maximum(s, -1e150), 1e150)
-            d = fix((vals[k + 1] - E) - 1.0 / d)
-            counts += d < 0
-        counts += fix(s - f * f / d) < 0
+            counts += first | (~second & (d < 0))
+            inv = np.where(first | second, 0.0, 1.0 / d)
+            second = first
+        counts += fix(s) < 0
     return counts
 
 
@@ -138,6 +150,28 @@ class TestGuardDeferredSweep:
         np.testing.assert_array_equal(count_below_periodic([], [0.0, 1.0], 1.0), [0, 0])
         stacked = count_below_periodic(np.empty((0, 2)), np.zeros((2, 3)), [1.0, -1.0])
         assert stacked.shape == (2, 3) and not stacked.any()
+
+
+class TestTinyBorderedPivot:
+    """A bordered pivot that is zero, or zero up to rounding, is taken with
+    the next site as one pair, and the counts keep to the dense eigenvalues."""
+
+    @pytest.mark.parametrize("corner", [1.0, -1.0])
+    def test_zero_first_pivot(self, corner):
+        assert count_below_periodic([0.0, 8.0, 0.0], [0.0], corner)[0] == 1
+
+    @pytest.mark.parametrize("corner", [1.0, -1.0])
+    def test_energy_at_every_value(self, rng, corner):
+        # Half-integer periods make zero pivots; an energy that is itself an
+        # eigenvalue has no strict count to compare.
+        for _ in range(400):
+            vals = rng.integers(-6, 7, size=int(rng.integers(1, 13))) / 2.0
+            E = np.unique(vals)
+            eig = np.linalg.eigvalsh(_dense_wraparound(vals, corner))
+            want = np.sum(eig[None, :] < E[:, None], axis=1)
+            off = np.min(np.abs(eig[None, :] - E[:, None]), axis=1) > 1e-9
+            got = count_below_periodic(vals, E, corner)
+            assert np.array_equal(got[off], want[off]), vals
 
 
 class TestEigenCount:
@@ -293,6 +327,17 @@ class TestLiftedCounts:
         E = _far_from(list(spec.letter_values.values()), ev)
         got = dirichlet_count(word, E)
         np.testing.assert_array_equal(got, [np.count_nonzero(ev < e) for e in E])
+
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    def test_golden_window_count_equals_pivot_count(self, rounding):
+        # The golden-mean Sturmian at omega = 0 gets two-sided words too.
+        spec = PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, rounding=rounding)
+        E = np.random.default_rng(17).uniform(-3.0, 5.0, 200)
+        for L in (1, 2, 3, 10, 1000, 54321):
+            word = fixed_point_window(spec, -L, L)
+            assert word.sites == 2 * L + 1
+            np.testing.assert_array_equal(dirichlet_count(word, E),
+                                          count_below(sample_potential(spec, -L, L), E))
 
     @pytest.mark.parametrize("name", RULES)
     def test_ids_curve_takes_the_lifted_count(self, name):

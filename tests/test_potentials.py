@@ -20,20 +20,30 @@ from quasispec import (
     periodic_approximant,
     sample_potential,
 )
-from quasispec.potentials import (NAMED_RULES, TWO_SIDED_POWER_CAP, _iterate_to,
-                                  _two_sided_letters, fixed_point_blocks, fixed_point_window)
+from quasispec.potentials import (NAMED_RULES, TWO_SIDED_POWER_CAP, _two_sided_letters,
+                                  cosine_period, fixed_point_window)
 
 from conftest import RULES, primitive_rules
 
 TRIBONACCI_RULE = SubstitutionRule(("a", "b", "c"), {"a": "ab", "b": "ac", "c": "a"})
 
 
+def iterate_to(rule, w, n, size):
+    """Apply rule^n to ``w``, one letter image at a time, until it has at
+    least ``size`` letters."""
+    while len(w) < size:
+        for _ in range(n):
+            w = "".join(rule.images[ch] for ch in w)
+    return w
+
+
 def site_by_site_window(rule, lo, hi):
-    """Reference two-sided window: u and v as ``generate_two_sided`` builds
-    them, read one site at a time."""
+    """Reference two-sided window, read one site at a time from a left fixed
+    point u (ending at site 0) and a right one v (from site 1), grown by whole
+    string iteration from the sampler's seeds."""
     la, lb, n = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
-    u = _iterate_to(rule, la, n, 1 - lo) if lo <= 0 else ""
-    v = _iterate_to(rule, lb, n, hi) if hi >= 1 else ""
+    u = iterate_to(rule, la, n, 1 - lo) if lo <= 0 else ""
+    v = iterate_to(rule, lb, n, hi) if hi >= 1 else ""
     return "".join(u[len(u) - 1 + i] if i <= 0 else v[i - 1] for i in range(lo, hi + 1))
 
 
@@ -119,6 +129,23 @@ class TestSlicedWindows:
         want = np.array([lv[ch] for ch in word], dtype=float)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", RULES)
+    def test_sampled_windows_equal_string_iteration(self, name):
+        # Windows from site 1, holding site 0, and off the origin on either side.
+        rule = RULES[name]
+        lv = {x: float(i) + 0.25 for i, x in enumerate(rule.alphabet)}
+        spec = PotentialSpec.substitution(rule, lv)
+        for n, m in ((2, 1), (3, 2), (377, 610), (5000, 4321)):
+            for lo, hi in ((1, n), (-n, n), (-m, 0), (2, n), (-m, -1)):
+                want = [lv[ch] for ch in site_by_site_window(rule, lo, hi)]
+                assert sample_potential(spec, lo, hi).tolist() == want, (lo, hi)
+
+    def test_budget_counts_the_spelled_window(self):
+        # 11 sites far from the origin spell the whole window from site 1.
+        spec = PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": 0.0})
+        with pytest.raises(DomainError, match="budget"):
+            sample_potential(spec, 10 ** 9, 10 ** 9 + 10)
+
     def test_single_site_windows(self):
         for i in (-2, 0, 1, 5):
             assert generate_two_sided(FIBONACCI_RULE, i, i) == site_by_site_window(
@@ -134,6 +161,14 @@ class TestSampling:
         spec = PotentialSpec.almost_mathieu(0.5, 2.0)
         np.testing.assert_allclose(sample_potential(spec, 1, 4),
                                    [-2, 2, -2, 2], atol=1e-12)
+
+    def test_cosine_phase_is_reduced_mod_1(self):
+        # 1e308 is an integer, and 2 pi 1e308 overflows to inf.
+        for omega, reduced in ((1e308, 0.0), (3.25, 0.25), (-2.75, -0.75)):
+            assert cosine_period(2.0, 3, 8, omega) == cosine_period(2.0, 3, 8, reduced)
+            spec = PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.0, omega)
+            assert np.array_equal(sample_potential(spec, -5, 5),
+                                  sample_potential(spec.with_omega(reduced), -5, 5))
 
     def test_constant_zero(self):
         spec = PotentialSpec.constant(0.0)
@@ -284,35 +319,44 @@ class TestFixedPointBlocks:
         # block no longer than the one before it (after it, for the suffix);
         # the words of fixed_point_window spell the windows from site 1 and
         # those holding site 0.
+        spec = PotentialSpec.substitution(rule, {x: 1.0 for x in rule.alphabet})
         for left, window in ((False, (1, n)), (True, (1 - n, 0))):
-            blocks = fixed_point_blocks(rule, n, left=left)
+            blocks = fixed_point_window(spec, *window).blocks
             assert "".join(rule.iterate(x, k) for k, x in blocks) == \
-                generate_two_sided(rule, *window)
+                site_by_site_window(rule, *window)
             ks = [k for k, _ in blocks]
             assert ks == sorted(ks, reverse=not left)
-        spec = PotentialSpec.substitution(rule, {x: 1.0 for x in rule.alphabet})
         for window in ((1, n), (-n, n), (-m, n), (-m, 0)):
             word = fixed_point_window(spec, *window)
             letters = "".join(rule.iterate(x, k) for k, x in word.blocks)
-            assert letters == generate_two_sided(rule, *window)
+            assert letters == site_by_site_window(rule, *window)
             assert word.sites == len(letters)
 
 
 class TestFixedPointWindow:
-    """``fixed_point_window`` gives no word where the window is not a segment
-    of the fixed point the sampler reads. The words it gives are spelled out
-    in TestFixedPointBlocks and, over MAX_SITES sites, in test_transfer, which
-    also holds the specs that get no word on any window."""
+    """``fixed_point_window`` gives a word on the windows from site 1 or
+    holding site 0, the golden-mean Sturmian at omega = 0 included, and none
+    where the window is not a segment of the fixed point the sampler reads.
+    The words it gives are spelled out in TestFixedPointBlocks and, over
+    MAX_SITES sites, in test_transfer, which also holds the specs that get no
+    word on any window."""
 
     @pytest.mark.parametrize("spec, first, last", [
         (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), -10, 10),
         (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, rounding="ceil"), 0, 10),
+    ], ids=["golden-two-sided", "golden-from-0"])
+    def test_golden_word(self, spec, first, last):
+        word = fixed_point_window(spec, first, last)
+        letters = "".join(word.rule.iterate(x, k) for k, x in word.blocks)
+        values = [word.letter_values[ch] for ch in letters]
+        assert values == sample_potential(spec, first, last).tolist()
+
+    @pytest.mark.parametrize("spec, first, last", [
         (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), 2, 10),
         (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), 2, 10),
         (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), -10, -1),
         (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), 1, 0),
-    ], ids=["golden-two-sided", "golden-from-0", "golden-from-2", "substitution-from-2",
-            "substitution-left-of-0", "empty"])
+    ], ids=["golden-from-2", "substitution-from-2", "substitution-left-of-0", "empty"])
     def test_no_word(self, spec, first, last):
         assert fixed_point_window(spec, first, last) is None
 

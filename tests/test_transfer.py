@@ -27,11 +27,9 @@ from quasispec import (
 )
 from quasispec.ids import dirichlet_count, floquet_count
 from quasispec.numutil import wrap
-from quasispec.potentials import (MAX_SITES, fixed_point_blocks, fixed_point_window,
-                                  periodic_approximant)
+from quasispec.potentials import MAX_SITES, fixed_point_window, periodic_approximant
 from quasispec.tracemap import identity_residual, letter_matrix_orbit
-from quasispec.transfer import (_normalized, _rescale, block_product, level_matrices,
-                                normalize_levels, product_grid)
+from quasispec.transfer import _normalized, _rescale, block_product, iter_levels, product_grid
 
 from conftest import RULES
 
@@ -444,9 +442,12 @@ class TestRenormalized:
 
         def run():
             period = periodic_approximant(spec, 6)
-            mats, lifts = level_matrices(rule, lv, E, 30)
+            levels = list(iter_levels(rule, lv, E, 30))
+            for mats, _ in levels:  # normalized, as their schedules differ
+                _rescale(mats[:2], mats[2:4], mats[4])
             arrays = [*fixed_point_product(rule, lv, E, 1_000_003),
-                      *fixed_point_product(rule, lv, E, 777), normalize_levels(mats), lifts,
+                      *fixed_point_product(rule, lv, E, 777),
+                      *(a for level in levels for a in level),
                       floquet_count(period.level_word, E),
                       dirichlet_count(fixed_point_window(spec, -5000, 5000), E)]
             return arrays, letter_matrix_orbit(rule, lv, 0.3, 200)
@@ -465,7 +466,10 @@ class TestRenormalized:
         (PotentialSpec.sturmian(GOLDEN_MEAN, -2.0, rounding="ceil"), 1, MAX_SITES),
         *((PotentialSpec.substitution(rule, {"a": 1.5, "b": -0.25}), -HALF, HALF)
           for rule in RULES.values()),
-    ], ids=[*RULES, "sturmian-floor", "sturmian-ceil", *(f"{r}-two-sided" for r in RULES)])
+        (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), -HALF, HALF),
+        (PotentialSpec.sturmian(GOLDEN_MEAN, -2.0, rounding="ceil"), -HALF, HALF),
+    ], ids=[*RULES, "sturmian-floor", "sturmian-ceil", *(f"{r}-two-sided" for r in RULES),
+            "sturmian-floor-two-sided", "sturmian-ceil-two-sided"])
     def test_fixed_point_equals_sampled_chain(self, spec, first, last):
         word = fixed_point_window(spec, first, last)
         lv = word.letter_values
@@ -502,10 +506,10 @@ class TestRenormalized:
         F = [1, 2]
         while F[-1] < 10**6:
             F.append(F[-1] + F[-2])
+        spec = PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0})
         for n in (1, 4, 12, 100, 999_999):
-            lengths = [F[k] for k, _ in fixed_point_blocks(FIBONACCI_RULE, n)]
-            assert sum(lengths) == n
-            ks = [k for k, _ in fixed_point_blocks(FIBONACCI_RULE, n)]
+            ks = [k for k, _ in fixed_point_window(spec, 1, n).blocks]
+            assert sum(F[k] for k in ks) == n
             assert all(k1 >= k2 + 2 for k1, k2 in zip(ks, ks[1:]))
 
 
