@@ -139,10 +139,13 @@ def _merge(vals: np.ndarray, edges: np.ndarray, log_bound: float) -> BandSet:
     that is narrower than CLOSED_GAP_TOL or at whose midpoint the trace over
     the period ``vals`` is at most e^log_bound in absolute value."""
     lo, hi = edges[0::2], edges[1::2]
-    # Gap k lies between raw bands k and k+1; the merge decides each gap on its own.
-    closed = lo[1:] - hi[:-1] <= CLOSED_GAP_TOL
+    # Gap k lies between raw bands k and k+1; the merge decides each gap on its
+    # own. A width that overflows to inf is an open gap; its midpoint is summed
+    # from halves, which cannot overflow.
+    with np.errstate(over="ignore"):
+        closed = lo[1:] - hi[:-1] <= CLOSED_GAP_TOL
     check = np.flatnonzero(~closed)
-    a, _, _, d, logs = product_grid(vals, 0.5 * (lo[1:][check] + hi[:-1][check]))
+    a, _, _, d, logs = product_grid(vals, 0.5 * lo[1:][check] + 0.5 * hi[:-1][check])
     # Compared in the log domain, which cannot overflow.
     with np.errstate(divide="ignore"):
         closed[check] = np.log(np.abs(a + d)) + logs <= log_bound

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .constants import MAX_SITES
 from .errors import DomainError
-from .potentials import MAX_SITES
 
 _DIGIT_CAP = 52  # 2^-53 < 1e-15, enough for full float accuracy
 

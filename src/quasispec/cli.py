@@ -11,6 +11,11 @@ back (null for inf and nan), with integer cells as ints and flags as bools.
 free-form values included; flags override file entries. Exit codes: 0
 success, 2 bad flags, config values or domain errors, 3 an unreadable input
 file or unwritable output.
+
+Parsing and validation need only the standard library and the numpy-free
+``constants``: bad input exits 2, and ``--dump-config`` prints, before numpy
+or any numeric module is imported. Each subcommand then imports the library
+modules it calls, and no others.
 """
 
 from __future__ import annotations
@@ -18,32 +23,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import groupby
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import bands as bands_mod
-from . import cantor as cantor_mod
-from . import ids as ids_mod
-from . import scattering as scat_mod
-from . import tracemap as trace_mod
+from .constants import GOLDEN_MEAN, MAX_SITES
 from .errors import DomainError
-from .numutil import as_float
-from .potentials import (
-    FIBONACCI_RULE,
-    GOLDEN_MEAN,
-    MAX_SITES,
-    NAMED_RULES,
-    PotentialSpec,
-    SubstitutionRule,
-    approximant_by_denominator,
-    fixed_point_window,
-    periodic_approximant,
-)
-from .transfer import lyapunov_grid
-from .tracemap import fibonacci_trace_orbit, fricke_invariant
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .potentials import PotentialSpec
 
 COMMANDS = ("spectrum", "butterfly", "ids", "lyapunov", "resistance",
             "tracemap", "gaps", "cantor")
@@ -170,7 +162,7 @@ def _read(path: str) -> str:
 
 def _fmt(x) -> str:
     """Fixed 12-significant-digit float formatting (platform-stable)."""
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     x = float(x)
     if math.isinf(x):
@@ -191,6 +183,8 @@ def _jround(x) -> float | None:
 
 def build_spec(cfg: RunConfig) -> PotentialSpec:
     """Translate CLI model flags into a potential description."""
+    from .potentials import NAMED_RULES, PotentialSpec, SubstitutionRule
+
     model = cfg.model
     if model == "free":
         return PotentialSpec.constant(0.0)
@@ -234,6 +228,8 @@ def _golden_mean_lambda(cfg: RunConfig) -> float:
     the golden-mean trace map covers: a -> ab, b -> a with b -> 0, that is
     the golden-mean Sturmian at omega 0 (either rounding) or a rule file of
     that rule. DomainError for every other chain."""
+    from .potentials import FIBONACCI_RULE, fixed_point_window
+
     spec = build_spec(cfg)
     word = (None if spec.kind == "substitution" and spec.rule != FIBONACCI_RULE
             else fixed_point_window(spec, 1, 1))  # not asked of other rules, which may raise
@@ -244,6 +240,8 @@ def _golden_mean_lambda(cfg: RunConfig) -> float:
 
 
 def _periodic_values(cfg: RunConfig, spec: PotentialSpec):
+    from .potentials import approximant_by_denominator, periodic_approximant
+
     if spec.kind in ("constant", "explicit-periodic"):
         return periodic_approximant(spec, 1)
     if spec.kind == "substitution":
@@ -261,6 +259,8 @@ def _check_grid(cfg: RunConfig) -> None:
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
+    import numpy as np
+
     _check_grid(cfg)
     if cfg.emax <= cfg.emin:
         raise DomainError("need emax > emin")
@@ -285,21 +285,27 @@ def _records(key, header, **tail):
 def _run_spectrum(cfg: RunConfig):
     header = ("band_lo", "band_hi")
     if cfg.method == "bounded":
+        from .tracemap import bounded_spectrum
+
         lam = _golden_mean_lambda(cfg)
         window = (cfg.emin, cfg.emax) if cfg.emin < cfg.emax else \
             (-2.0 - abs(lam) - 1.0, 2.0 + abs(lam) + 1.0)
-        bs = trace_mod.bounded_spectrum(lam, window, cfg.depth, cfg.nmax)
+        bs = bounded_spectrum(lam, window, cfg.depth, cfg.nmax)
         return header, bs.bands, lambda rows: {"bands": rows, "gap_labels": []}
+    from .bands import band_spectrum, gap_labels
+
     spec = build_spec(cfg)
     periodic = _periodic_values(cfg, spec)
-    bs = bands_mod.gap_labels(bands_mod.band_spectrum(periodic), periodic.period)
+    bs = gap_labels(band_spectrum(periodic), periodic.period)
     return header, bs.bands, lambda rows: {
         "period": periodic.period, "bands": rows,
         "gap_labels": [_jround(x) for x in (bs.gap_labels or ())]}
 
 
 def _run_butterfly(cfg: RunConfig):
-    spectra = bands_mod.butterfly(cfg.lam, cfg.qmax, cfg.omega)
+    from .bands import butterfly
+
+    spectra = butterfly(cfg.lam, cfg.qmax, cfg.omega)
 
     def layout(cells):
         groups = groupby(cells, key=lambda row: (row[0], row[1]))
@@ -311,16 +317,20 @@ def _run_butterfly(cfg: RunConfig):
 
 
 def _run_ids(cfg: RunConfig):
+    from .ids import ids_curve
+
     spec = build_spec(cfg)
     grid = _grid(cfg)
     # The library counts strictly below E; the emitted convention is
     # "at or below", obtained by a +1e-12 shift of the count points.
-    curve = ids_mod.ids_curve(spec, None, cfg.size, grid + 1e-12)
+    curve = ids_curve(spec, None, cfg.size, grid + 1e-12)
     return (("E", "N"), zip(grid, curve.values),
             _columns("energies", "values", size=curve.size))
 
 
 def _run_lyapunov(cfg: RunConfig):
+    from .transfer import lyapunov_grid
+
     spec = build_spec(cfg)
     grid = _grid(cfg)
     gam = lyapunov_grid(spec, grid, cfg.n)
@@ -328,14 +338,19 @@ def _run_lyapunov(cfg: RunConfig):
 
 
 def _run_resistance(cfg: RunConfig):
+    from .scattering import resistance_profile
+
     spec = build_spec(cfg)
     leads = {"pi-half": "at-energy", "zero": "zero"}[cfg.leads]
-    profile = scat_mod.resistance_profile(spec, cfg.energy, _parse_lengths(cfg.lengths), leads)
+    profile = resistance_profile(spec, cfg.energy, _parse_lengths(cfg.lengths), leads)
     return (("L", "log10R"), [(p.length, p.log10_resistance) for p in profile],
             lambda rows: {"profile": rows})
 
 
 def _run_tracemap(cfg: RunConfig):
+    from .numutil import as_float
+    from .tracemap import fibonacci_trace_orbit, fricke_invariant
+
     orbit = fibonacci_trace_orbit(cfg.energy, _golden_mean_lambda(cfg), cfg.steps)
     header = ("n", "tau", "invariant")
 
@@ -348,10 +363,17 @@ def _run_tracemap(cfg: RunConfig):
 
 
 def _run_gaps(cfg: RunConfig):
+    import numpy as np
+
+    from .bands import band_spectrum, match_gap_labels
+    from .cantor import sturmian_label_set
+    from .ids import ids_curve
+    from .potentials import PotentialSpec
+
     header = ("gap_index", "energy", "ids_value", "label", "deviation", "within_tol")
     spec = build_spec(cfg)
     periodic = _periodic_values(cfg, spec)
-    bs = bands_mod.band_spectrum(periodic)
+    bs = band_spectrum(periodic)
     if len(bs.bands) < 2:
         return header, [], _records("gaps", header)
     span = bs.bands[-1][1] - bs.bands[0][0]
@@ -359,34 +381,36 @@ def _run_gaps(cfg: RunConfig):
     # the counts across the band edges.
     mids = [0.5 * (lo + hi) for lo, hi in bs.gaps()]
     grid = np.array([bs.bands[0][0] - 0.1 * span] + mids + [bs.bands[-1][1] + 0.1 * span])
-    curve = ids_mod.ids_curve(PotentialSpec.explicit(periodic.values), None,
-                              cfg.size, grid)
+    curve = ids_curve(PotentialSpec.explicit(periodic.values), None, cfg.size, grid)
     if cfg.labels == "sturmian":
-        labels = cantor_mod.sturmian_label_set(_resolve_alpha(cfg.alpha),
-                                               cfg.kmax).values
+        labels = sturmian_label_set(_resolve_alpha(cfg.alpha), cfg.kmax).values
     else:
         labels = [k / periodic.period for k in range(1, periodic.period)]
-    report = bands_mod.match_gap_labels(bs, curve, labels, cfg.tol)
+    report = match_gap_labels(bs, curve, labels, cfg.tol)
     rows = [(m.gap_index, m.energy, m.ids_value, m.label, m.deviation, m.within_tol)
             for m in report]
     return header, rows, _records("gaps", header)
 
 
 def _run_cantor(cfg: RunConfig):
+    import numpy as np
+
+    from .cantor import cantor_alpha, cantor_fourier, hierarchical_labels, sturmian_label_set
+
     if cfg.what in ("function", "fourier"):
         _check_grid(cfg)
     if cfg.what == "function":
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
-        return (("x", "alpha"), [(x, cantor_mod.cantor_alpha(float(x))) for x in xs],
+        return (("x", "alpha"), [(x, cantor_alpha(float(x))) for x in xs],
                 _columns("x", "alpha"))
     if cfg.what == "fourier":
         ts = np.linspace(0.0, cfg.tmax, cfg.grid)
-        zs = [cantor_mod.cantor_fourier(float(t), cfg.factors) for t in ts]
+        zs = [cantor_fourier(float(t), cfg.factors) for t in ts]
         return (("t", "re", "im", "abs"),
                 [(t, z.real, z.imag, abs(z)) for t, z in zip(ts, zs)],
                 lambda rows: {"rows": rows})
-    ls = (cantor_mod.sturmian_label_set(_resolve_alpha(cfg.alpha), cfg.kmax)
-          if cfg.what == "labels" else cantor_mod.hierarchical_labels(cfg.kmax))
+    ls = (sturmian_label_set(_resolve_alpha(cfg.alpha), cfg.kmax)
+          if cfg.what == "labels" else hierarchical_labels(cfg.kmax))
     return ("label",), [(v,) for v in ls.values], _columns("labels")
 
 
@@ -407,19 +431,34 @@ _RUNNERS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a DomainError (one ``error:`` line, exit 2)
-    instead of printing the usage text; subparsers inherit the class."""
+    instead of printing the usage text."""
 
     def error(self, message):
         raise DomainError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _CommandParser(_Parser):
+    """A subcommand's parser, which reads every token that starts with ``-``
+    and a digit or ``.`` as a value (``-1e-3``, ``-2.5,0.5``, ``-1e308``):
+    no option looks like that."""
+
+    def _parse_optional(self, arg_string):
+        if len(arg_string) > 1 and arg_string[0] == "-" and arg_string[1] in "0123456789.":
+            return None
+        return super()._parse_optional(arg_string)
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of ``command``: every subcommand is registered, so a bad one
+    is named among the choices, but only ``command`` gets the options."""
     parser = _Parser(prog="quasispec", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name in COMMANDS:
         # SUPPRESS keeps flags that were not given out of the namespace, so
         # the file and RunConfig defaults show through.
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        if name != command:
+            continue
         p.add_argument("--config")
         for f in _OPTIONS:
             p.add_argument(_flag(f), dest=f.name,
@@ -446,7 +485,7 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def parse_config(argv) -> RunConfig:
-    given = vars(_build_parser().parse_args(argv))
+    given = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
     command, path = given.pop("command"), given.pop("config", None)
     dump = given.pop("dump_config", False)
     raw = {**(_load_config_file(path) if path else {}), **given}

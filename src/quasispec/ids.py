@@ -299,12 +299,14 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi) -> np.ndarray:
     shape = np.shape(lo) + (how_many,)
     lo_a = np.broadcast_to(np.asarray(lo, dtype=float)[..., None], shape)
     hi_a = np.broadcast_to(np.asarray(hi, dtype=float)[..., None], shape)
+    # Halves before the sum, which cannot overflow near the float limit; in
+    # range the result is the same float as 0.5 * (lo + hi).
     for _ in range(BISECTION_HALVINGS):
-        mid = 0.5 * (lo_a + hi_a)
+        mid = 0.5 * lo_a + 0.5 * hi_a
         ge = count_fn(mid) >= ks
         hi_a = np.where(ge, mid, hi_a)
         lo_a = np.where(ge, lo_a, mid)
-    return 0.5 * (lo_a + hi_a)
+    return 0.5 * lo_a + 0.5 * hi_a
 
 
 def floquet_count(word: LevelWord, energies) -> np.ndarray:

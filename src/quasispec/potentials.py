@@ -24,9 +24,10 @@ from itertools import accumulate, islice
 
 import numpy as np
 
+# The constants live in a numpy-free module, which the command line reads
+# before numpy loads; they stay importable from here under the same names.
+from .constants import GOLDEN_MEAN, MAX_FLOQUET_STEPS, MAX_SITES, MAX_SUBSTITUTION_LETTERS
 from .errors import DomainError
-
-GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Continued-fraction expansion stops once the residual drops below this;
 # smaller residuals are float noise and would produce garbage convergents.
@@ -35,19 +36,6 @@ _CF_MAX_TERMS = 64
 
 # Largest substitution power tried when searching for a two-sided fixed point.
 TWO_SIDED_POWER_CAP = 6
-
-# Most letters a substitution approximant may write. Each rule application
-# rewrites the whole word, so the budget counts the letters of every step:
-# that bounds the time as well as the memory, also for rules that grow slowly.
-MAX_SUBSTITUTION_LETTERS = 2 ** 20
-
-# Most sites a sample or an approximant period may have: 32 MB of float64.
-MAX_SITES = 2 ** 22
-
-# Most steps one Floquet band computation may take, summed over the periods
-# of a butterfly: about a minute of stacked bisection (pivot steps, or
-# level products and merge steps for a level word, see bands).
-MAX_FLOQUET_STEPS = 2 ** 32
 
 
 @dataclass(frozen=True)

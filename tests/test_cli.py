@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -443,3 +444,30 @@ class TestErrors:
         cfg_file.write_text("nonsense = 3\n")
         code, _, err = run_cli(["ids", "--config", str(cfg_file)], capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--emin", "-1e-3"],
+    ["spectrum", "--model", "explicit", "--values", "-2.5,0.5"],
+    ["spectrum", "--model", "constant", "--value", "-1e308"],
+    ["cantor", "--xmin", "-.5"],
+])
+def test_negative_values_parse_like_the_equals_spelling(argv):
+    *head, flag, value = argv
+    assert parse_config(argv) == parse_config([*head, f"{flag}={value}"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "constant", "--value", "1e308"],
+    ["spectrum", "--model", "explicit", "--values", "1e308,-1e308"],
+    ["butterfly", "--lambda", "1e308", "--qmax", "2"],
+    ["spectrum", "--model", "almost-mathieu", "--lambda", "1e308", "--approx-q", "5"],
+])
+def test_band_edges_near_the_float_limit_stay_finite(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err == "" and not caught, [str(w.message) for w in caught]
+    cells = [x for line in out.splitlines()[1:] for x in line.split(",")]
+    assert cells and all(math.isfinite(float(x)) for x in cells)

@@ -3,13 +3,14 @@
 Subcommands and flags are drawn from the one option table, ``RunConfig``,
 with in-range, boundary and hostile values, and each run goes in-process
 under a time limit. Whatever the values, a run exits 0, 2 or 3; on 2 or 3
-it prints one line on stderr; and with ``--format json`` a successful run
-prints strict JSON.
+it prints one line on stderr and on 0 nothing there, and it raises no
+warning; and with ``--format json`` a successful run prints strict JSON.
 """
 
 import json
 import random
 import signal
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -23,8 +24,8 @@ SECONDS_PER_RUN = 5
 # non-finite, out of every budget).
 INTS = ["1", "2", "3", "5", "8", "13", "0", "-1", "-7", "4194305", "10" * 12,
         "1.5", "abc", "", "0x10", " 4"]
-FLOATS = ["0", "0.5", "-1.5", "2", "3.7", "1e-300", "-1e300", "1e308", "1e400", "nan",
-          "inf", "abc", "", "2,3"]
+FLOATS = ["0", "0.5", "-1.5", "2", "3.7", "1e-300", "-1e300", "1e308", "-1e308", "-1e-3",
+          "-2.5e-1", "1e400", "nan", "inf", "abc", "", "2,3"]
 FREE_FORM = {
     "alpha": ["golden", "0.3", "0.618", "0.25", "0", "1", "1.5", "nan", "abc", ""],
     "values": ["0,8,0", "1,2,3", "1", "-2.5,0.5", "", "1,,2", "nan", "1e308,-1e308", "x"],
@@ -89,7 +90,9 @@ def test_cli_contract(tmp_path, capsys):
             argv = _argv(rng, options, tmp_path)
             signal.alarm(SECONDS_PER_RUN)
             try:
-                code = main(argv)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(argv)
             except _Timeout:
                 pytest.fail(f"over {SECONDS_PER_RUN} s: {argv}")
             except (Exception, SystemExit) as exc:  # any escape breaks the contract
@@ -98,9 +101,13 @@ def test_cli_contract(tmp_path, capsys):
                 signal.alarm(0)
             out, err = capsys.readouterr()
             assert code in (0, 2, 3), argv
+            # A warning would print on stderr outside this test's capture.
+            assert not caught, (argv, [str(w.message) for w in caught])
             if code:
                 assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
-            elif "--format" in argv and argv[argv.index("--format") + 1] == "json" \
+                continue
+            assert err == "", (argv, err)
+            if "--format" in argv and argv[argv.index("--format") + 1] == "json" \
                     and "--dump-config" not in argv and "--out" not in argv:
                 json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {argv}"))
     finally:
