@@ -228,15 +228,15 @@ def _golden_mean_lambda(cfg: RunConfig) -> float:
     the golden-mean trace map covers: a -> ab, b -> a with b -> 0, that is
     the golden-mean Sturmian at omega 0 (either rounding) or a rule file of
     that rule. DomainError for every other chain."""
-    from .potentials import FIBONACCI_RULE, fixed_point_window
+    from .potentials import FIBONACCI_RULE
 
     spec = build_spec(cfg)
-    word = (None if spec.kind == "substitution" and spec.rule != FIBONACCI_RULE
-            else fixed_point_window(spec, 1, 1))  # not asked of other rules, which may raise
-    if word is None or word.letter_values["b"] != 0.0:
+    golden = spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN and spec.omega == 0.0
+    if not (golden or spec.kind == "substitution" and spec.rule == FIBONACCI_RULE
+            and spec.letter_values["b"] == 0.0):
         raise DomainError("the golden-mean trace map needs the Fibonacci chain: "
                           "--model fibonacci or --alpha golden, at --omega 0")
-    return word.letter_values["a"]
+    return spec.lam if golden else spec.letter_values["a"]
 
 
 def _periodic_values(cfg: RunConfig, spec: PotentialSpec):
@@ -431,16 +431,13 @@ _RUNNERS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a DomainError (one ``error:`` line, exit 2)
-    instead of printing the usage text."""
+    instead of printing the usage text, and reads every token that starts
+    with ``-`` and a digit or ``.`` as a value (``-1e-3``, ``-2.5,0.5``,
+    ``-1e308``): no option looks like that. So a first token such as
+    ``-1e3`` is an invalid command, as ``-1`` is."""
 
     def error(self, message):
         raise DomainError(message)
-
-
-class _CommandParser(_Parser):
-    """A subcommand's parser, which reads every token that starts with ``-``
-    and a digit or ``.`` as a value (``-1e-3``, ``-2.5,0.5``, ``-1e308``):
-    no option looks like that."""
 
     def _parse_optional(self, arg_string):
         if len(arg_string) > 1 and arg_string[0] == "-" and arg_string[1] in "0123456789.":
@@ -452,7 +449,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of ``command``: every subcommand is registered, so a bad one
     is named among the choices, but only ``command`` gets the options."""
     parser = _Parser(prog="quasispec", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in COMMANDS:
         # SUPPRESS keeps flags that were not given out of the namespace, so
         # the file and RunConfig defaults show through.

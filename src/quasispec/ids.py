@@ -12,7 +12,7 @@ cancellation. Counts drive both IDS curves and the band-edge bisection used
 elsewhere.
 
 Chain segments written as substitution level blocks (``potentials.LevelWord``:
-fixed-point windows, those of the golden-mean Sturmian at omega = 0
+fixed-point windows, those of the golden-mean Sturmian at every phase
 included, and level-block periods) are counted without a sweep:
 the count is a rotation number (Johnson-Moser, CMP 1982), read from the
 integer lift of the one block product, ``transfer.block_product``, O(log L)
@@ -345,8 +345,8 @@ def ids_curve(spec: PotentialSpec, omega: float | None, L: int, grid) -> IdsCurv
     """Finite-volume IDS: eigenvalue counts on the window [-L, L] (2L+1 sites)
     divided by 2L+1, evaluated at every grid energy. A window that
     ``potentials.fixed_point_window`` writes as level blocks (substitution
-    fixed points and the golden-mean Sturmian at omega = 0) is counted from
-    them (``dirichlet_count``), every other one from its samples."""
+    fixed points and the golden-mean Sturmian at every phase) is counted
+    from them (``dirichlet_count``), every other one from its samples."""
     if L < 1:
         raise DomainError("window half-size L must be at least 1")
     if omega is not None:

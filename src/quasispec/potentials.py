@@ -12,7 +12,11 @@ f(a)=1, f(b)=0). The circle kind evaluates at n*alpha + omega.
 
 Every fixed-point word (sampled window, approximant period or ``LevelWord``)
 is spelled from level blocks rule^k(x) by one speller, ``_spell``, with
-lengths from one exact table, ``_level_lengths``.
+lengths from one exact table, ``_level_lengths``. ``fixed_point_window``
+writes any window of a substitution fixed point, and any window of the
+golden-mean Sturmian at any phase, as level blocks: at omega = 0 from site 1
+or around site 0 without sampling, elsewhere as a shifted factor window of
+the Fibonacci fixed point whose letters are checked against the samples.
 """
 
 from __future__ import annotations
@@ -256,9 +260,21 @@ def _first_level(rule: SubstitutionRule, x: str, size: int, p: int = 1) -> int:
                 if k % p == 0 and level[x] >= size)
 
 
-def _spell(rule: SubstitutionRule, blocks) -> str:
-    """The one speller: the letters of the level blocks ((k, x), ...)."""
-    return "".join(rule.iterate(x, k) for k, x in blocks)
+def _spell(rule: SubstitutionRule, blocks: tuple[tuple[int, str], ...]) -> str:
+    """The one speller: the letters of the level blocks ((k, x), ...). Level
+    by level from the letters up, rule^k(x) is joined from the level-(k-1)
+    words of the letters of rule(x), for the words the blocks need only."""
+    need = [set() for _ in range(max(k for k, _ in blocks) + 1)]
+    for k, x in blocks:
+        need[k].add(x)
+    for k in range(len(need) - 1, 0, -1):
+        for x in need[k]:
+            need[k - 1].update(rule.images[x])
+    words, level = dict.fromkeys(blocks), {}
+    for k, letters in enumerate(need):
+        level = {x: "".join(level[y] for y in rule.images[x]) if k else x for x in letters}
+        words.update(((k, x), level[x]) for x in letters if (k, x) in words)
+    return "".join(words[b] for b in blocks)
 
 
 def generate_substitution_word(rule: SubstitutionRule, seed: str, min_length: int) -> str:
@@ -308,59 +324,133 @@ def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int,
 
 def fixed_point_blocks(rule: SubstitutionRule, seeds: tuple[str, str, int], first: int,
                        last: int) -> tuple[tuple[int, str], ...]:
-    """Sites first..last (first <= 1, 0 <= last) of the two-sided fixed point
-    grown from ``seeds`` = (left letter, right letter, power p), as whole
-    level blocks rule^k(x), left to right: sites first..0 are a suffix of
-    rule^(pK)(left letter), sites 1..last a prefix of rule^(pK)(right letter).
+    """Sites first..last (first <= last) of the two-sided fixed point grown
+    from ``seeds`` = (left letter, right letter, power p), as whole level
+    blocks rule^k(x), left to right: sites n <= 0 end rule^(pK)(left letter)
+    at site 0, sites n >= 1 start rule^(pK)(right letter) at site 1, each
+    with the least K whose block holds its part of the window.
 
-    Each half splits top level down: rule^(k+1)(x) is the level-k blocks of
-    the letters of rule(x), the blocks that fit whole are taken from the
-    prefix's start (the suffix's end), and the first that does not is split
-    at the next level (the Dumont-Thomas expansion; Zeckendorf digits for
-    Fibonacci). Block lengths are exact Python ints.
+    One window split (``_window_blocks``) writes each part: a block the
+    window covers whole is kept, and a block it cuts is split into the
+    level-(k-1) blocks of the letters of its image, so at most two blocks
+    split per level. A window from site 1 gives the Dumont-Thomas expansion
+    of its length (Zeckendorf digits for Fibonacci). Block lengths are exact
+    Python ints.
     """
-    left_letter, right_letter, p = seeds
-    halves = []
-    for x, n, left in ((left_letter, 1 - first, True), (right_letter, last, False)):
-        k = _first_level(rule, x, n, p)
-        lengths = list(islice(_level_lengths(rule), k + 1))
-        blocks, rest = [], n
-        while rest:
-            if lengths[k][x] == rest:
-                blocks.append((k, x))
-                break
-            k -= 1
-            for y in rule.images[x][::-1] if left else rule.images[x]:
-                if lengths[k][y] > rest:
-                    x = y
-                    break
-                blocks.append((k, y))
-                rest -= lengths[k][y]
-        halves.append(blocks)
-    return tuple(halves[0][::-1] + halves[1])
+    left, right, p = seeds
+    top_left = _first_level(rule, left, 1 - first, p) if first <= 0 else 0
+    top_right = _first_level(rule, right, last, p) if last >= 1 else 0
+    lengths = list(islice(_level_lengths(rule), max(top_left, top_right) + 1))
+    blocks = []
+    if first <= 0:
+        size = lengths[top_left][left]
+        blocks += _window_blocks(rule, lengths, top_left, left, size - 1 + first,
+                                 size + min(last, 0))
+    if last >= 1:
+        blocks += _window_blocks(rule, lengths, top_right, right, max(first, 1) - 1, last)
+    return tuple(blocks)
+
+
+def _window_blocks(rule: SubstitutionRule, lengths, k: int, x: str, lo: int,
+                   hi: int) -> list[tuple[int, str]]:
+    """Letters lo..hi-1 of rule^k(x) as whole level blocks, left to right,
+    with ``lengths`` the level lengths up to k."""
+    blocks, todo = [], [(k, x, lo, hi)]
+    while todo:  # a stack, not recursion: slow-growing rules have many levels
+        k, x, lo, hi = todo.pop()
+        if lo == 0 and hi == lengths[k][x]:
+            blocks.append((k, x))
+            continue
+        parts, start = [], 0
+        for y in rule.images[x]:
+            end = start + lengths[k - 1][y]
+            if lo < end and start < hi:
+                parts.append((k - 1, y, max(lo - start, 0), min(hi, end) - start))
+            start = end
+        todo += reversed(parts)
+    return blocks
 
 
 def fixed_point_window(spec: PotentialSpec, first: int, last: int) -> LevelWord | None:
     """The ``LevelWord`` spelling what ``sample_potential`` samples on sites
-    first..last, or None. Windows that start at site 1 or hold site 0 get
-    one (``fixed_point_blocks``), for a substitution, from the seeds of
-    ``_two_sided_letters``, and for the golden-mean Sturmian at omega = 0:
-    the Fibonacci fixed point with a -> lam, b -> 0 grown by the square of
+    first..last, or None (always for an empty window). DomainError beyond
+    MAX_SITES sites.
+
+    A substitution gets its window of the two-sided fixed point grown from
+    the seeds of ``_two_sided_letters``, unsampled. So does the golden-mean
+    Sturmian at omega = 0 (mod 1) on a window from site 1 or holding site 0:
+    the Fibonacci fixed point with a -> lam, b -> 0, grown by the square of
     the rule from the right letter a and the left letter b (floor) or a
-    (ceil), pinned in the tests over MAX_SITES sites. DomainError beyond
-    MAX_SITES sites."""
-    if not (first <= 1 and 0 <= last and first <= last):
+    (ceil), pinned in the tests over MAX_SITES sites. On every other window
+    and phase, the golden-mean Sturmian is a shifted factor window of the
+    right fixed point (``_shifted_golden_window``), which costs O(n) to
+    sample and check, against O(log n) for the level products."""
+    if first > last:
         return None
     if spec.kind == "substitution":
         rule, letter_values = spec.rule, spec.letter_values
         seeds = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
-    elif spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN and spec.omega == 0.0:
+    elif spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN:
         rule, letter_values = FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}
         seeds = ("b" if spec.rounding == "floor" else "a", "a", 2)
+        if not (math.fmod(spec.omega, 1.0) == 0.0 and first <= 1 and 0 <= last):
+            return _shifted_golden_window(spec, first, last, seeds)
     else:
         return None
     check_sites(last - first + 1)
     return LevelWord(rule, letter_values, fixed_point_blocks(rule, seeds, first, last))
+
+
+def _shifted_golden_window(spec: PotentialSpec, first: int, last: int,
+                           seeds: tuple[str, str, int]) -> LevelWord | None:
+    """The golden-mean Sturmian on sites first..last as the factor window
+    first+m..last+m of the right Fibonacci fixed point, or None.
+
+    Every golden-mean Sturmian sequence has the language of the Fibonacci
+    substitution (Damanik-Killip-Lenz, CMP 2000). In exact arithmetic the
+    window's letters depend on the phase only through its cell: the arc
+    between the window's discontinuities {-k alpha}, k = first..last+1. The
+    phase {m alpha} of the fixed point shifted by m is in omega's cell for
+    the least such m >= 1 - first (``_golden_shift``). Floats can move a
+    sample across a discontinuity, so the word is returned only if its
+    values equal the samples exactly."""
+    values = sample_potential(spec, first, last)
+    m = _golden_shift(spec, first, last)
+    if m is None:
+        return None
+    word = LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
+                     fixed_point_blocks(FIBONACCI_RULE, seeds, first + m, last + m))
+    letters = np.frombuffer(_spell(word.rule, word.blocks).encode(), np.uint8)
+    return word if np.array_equal(np.where(letters == ord("a"), spec.lam, 0.0), values) else None
+
+
+def _golden_shift(spec: PotentialSpec, first: int, last: int) -> int | None:
+    """The least m >= 1 - first with {m alpha} strictly inside omega's cell
+    between the window's discontinuities {-k alpha}, k = first..last+1, in
+    floats; None if none is found.
+
+    The cell is read off the sampler's own arguments x_k = k alpha + omega,
+    negated for ceil rounding: it reaches min {x_k} below omega and
+    1 - max {x_k} above it (the other way round for ceil). So a phase on a
+    discontinuity lies at the end of the cell that its rounding picks. The
+    candidates go in runs of n: by the three-gap theorem every cell of n
+    points holds one of the next few n multiples, and one run found it in
+    most draws."""
+    omega = math.fmod(spec.omega, 1.0)
+    x = np.arange(first, last + 2, dtype=float) * spec.alpha + omega
+    if spec.rounding == "ceil":
+        x = -x
+    x -= np.floor(x)
+    near = x.min()
+    width = near + (1.0 - x.max())
+    low = omega - near if spec.rounding == "floor" else omega + near - width
+    for start in range(1 - first, 1 - first + 4 * len(x), len(x)):
+        y = np.arange(start, start + len(x), dtype=float) * spec.alpha - low
+        y -= np.floor(y)
+        hit = np.flatnonzero((y > 0.0) & (y < width))
+        if hit.size:
+            return start + int(hit[0])
+    return None
 
 
 # -- sampling ----------------------------------------------------------------
@@ -385,15 +475,17 @@ def sample_potential(spec: PotentialSpec, first: int, last: int) -> np.ndarray:
         raise DomainError("empty sampling range: first > last")
     check_sites(last - first + 1)
     n = np.arange(first, last + 1, dtype=float)
+    # The phase is reduced mod 1 exactly (``fmod``), which leaves any |omega| < 1 as it is.
+    omega = math.fmod(spec.omega, 1.0)
     if spec.kind == "almost-mathieu":
-        return spec.lam * np.cos(2.0 * math.pi * (n * spec.alpha + math.fmod(spec.omega, 1.0)))
+        return spec.lam * np.cos(2.0 * math.pi * (n * spec.alpha + omega))
     if spec.kind == "sturmian":
         rnd = np.floor if spec.rounding == "floor" else np.ceil
-        hi = rnd((n + 1.0) * spec.alpha + spec.omega)
-        lo = rnd(n * spec.alpha + spec.omega)
+        hi = rnd((n + 1.0) * spec.alpha + omega)
+        lo = rnd(n * spec.alpha + omega)
         return spec.lam * (hi - lo)
     if spec.kind == "circle":
-        return spec.lam * _circle_indicator(n * spec.alpha + spec.omega, spec.intervals)
+        return spec.lam * _circle_indicator(n * spec.alpha + omega, spec.intervals)
     if spec.kind == "substitution":
         return _letter_values(generate_two_sided(spec.rule, first, last), spec.letter_values)
     if spec.kind == "explicit-periodic":

@@ -109,6 +109,20 @@ class TestSchemas:
         assert lines[0] == "E,gamma"
         assert len(lines) == 401
 
+    def test_lyapunov_shifted_beyond_a_million_sites(self, capsys):
+        # The golden-mean Sturmian at omega 0.3 is a shifted factor window of
+        # the Fibonacci fixed point: sampled and checked once, then O(log n)
+        # level products per energy.
+        start = time.perf_counter()
+        code, out, _ = run_cli(["lyapunov", "--model", "fibonacci", "--lambda", "2",
+                                "--omega", "0.3", "--n", "2178309", "--emin", "-3",
+                                "--emax", "4", "--grid", "400"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "E,gamma"
+        assert len(lines) == 401
+
     @pytest.mark.parametrize("rounding", ["floor", "ceil"])
     def test_ids_fixed_point_beyond_a_million_sites(self, capsys, rounding):
         # 2,000,001 sites of the golden-mean Sturmian at omega 0, counted from
@@ -396,6 +410,8 @@ class TestErrors:
         ["tracemap", "--model", "sturmian", "--alpha", "0.3", "--lambda", "2", "--energy",
          "0.5", "--steps", "4"],
         ["spectrum", "--model", "fibonacci", "--omega", "0.4", "--method", "bounded"],
+        ["tracemap", "--model", "fibonacci", "--omega", "0.4"],
+        ["tracemap", "--model", "sturmian", "--omega", "1", "--rounding", "ceil"],
         ["tracemap", "--model", "fibonacci", "--steps", "100000"],
         ["ids", "--model", "free", "--alpha", "foo", "--grid", "3", "--size", "5"],
         ["ids", "--model", "free", "--values", "abc", "--letter-values", "zzz"],
@@ -428,6 +444,16 @@ class TestErrors:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("token", ["-1", "-1e3", "-.5"])
+    def test_negative_first_token_is_an_invalid_command(self, token, capsys):
+        code, out, err = run_cli([token], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: argument command: invalid choice: '{token}' (choose from "
+            "'spectrum', 'butterfly', 'ids', 'lyapunov', 'resistance', 'tracemap', 'gaps', "
+            "'cantor')"]
 
     def test_unreadable_input_exits_3_with_one_line(self, tmp_path, capsys):
         for argv in (["ids", "--config", str(tmp_path / "missing.cfg")],

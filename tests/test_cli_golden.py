@@ -3,7 +3,8 @@
 The commands are the eight README examples (their ``--out`` files dropped, so
 the data goes to stdout), a butterfly as JSON, an almost-Mathieu spectrum at
 q = 377, and small runs that give every subcommand and every ``cantor --what``
-mode in both formats, with both ``--leads`` and ``--method bounded``. Any
+mode in both formats, with both ``--leads`` and ``--method bounded``, and
+the golden-mean IDS at a phase other than 0 in both roundings. Any
 change to a printed digit changes a hash; a kernel change that is meant to
 keep the output must keep every hash. Every JSON output must also be strict
 JSON, which has no NaN or Infinity.
@@ -78,6 +79,10 @@ GOLDEN = {
         "fd098c4ee7a33fd940667d49d6bd510a5e108654ec64317e74128b475187abb7",
     "cantor --what hierarchical --kmax 3 --format json":
         "40466bc5ab53d9ea11a5e1ab8e0c12aca6436498110bef64422e15e4b419ca14",
+    "ids --model fibonacci --lambda 2 --omega 0.3 --size 100000 --grid 200":
+        "7db5d4e1fe9266cadf1af7f2cc86189684f30d4a703af5d68adcf44f5f68e2cb",
+    "ids --model fibonacci --lambda 2 --omega 0.3 --size 100000 --grid 200 --rounding ceil":
+        "7db5d4e1fe9266cadf1af7f2cc86189684f30d4a703af5d68adcf44f5f68e2cb",
 }
 
 

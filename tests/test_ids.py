@@ -339,6 +339,21 @@ class TestLiftedCounts:
             np.testing.assert_array_equal(dirichlet_count(word, E),
                                           count_below(sample_potential(spec, -L, L), E))
 
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    def test_shifted_golden_ids_equals_pivot_count(self, rounding):
+        # Every golden phase: ids_curve counts a shifted factor window of the
+        # Fibonacci fixed point from its level products.
+        rng = np.random.default_rng(23)
+        for omega, L in ((0.3, 400), (-0.8, 333), (7.25, 500), (float(rng.uniform()), 1)):
+            spec = PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, omega, rounding)
+            window = sample_potential(spec, -L, L)
+            assert fixed_point_window(spec, -L, L) is not None
+            ev = np.linalg.eigvalsh(_dense_tridiag(window))
+            E = _far_from(np.sort(np.concatenate([rng.uniform(-3.0, 5.0, 200), [0.0, 2.0]])), ev)
+            curve = ids_curve(spec, None, L, E)
+            np.testing.assert_array_equal(np.rint(curve.values * (2 * L + 1)),
+                                          count_below(window, E))
+
     @pytest.mark.parametrize("name", RULES)
     def test_ids_curve_takes_the_lifted_count(self, name):
         # 2 x 10^6 + 1 sites: the pivot sweep would take seconds.

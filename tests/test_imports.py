@@ -53,6 +53,15 @@ def test_subcommand_imports_only_its_modules(argv, code, absent):
     assert not absent & (loaded | ({"numpy"} & modules))
 
 
+def test_shifted_phase_imports_nothing_more():
+    # The golden-mean Sturmian at omega != 0 takes the lifted path with the
+    # modules that omega = 0 loads.
+    argv = ["lyapunov", "--model", "fibonacci", "--n", "50", "--grid", "5"]
+    code, shifted = _run(argv + ["--omega", "0.3"])
+    assert code == 0
+    assert shifted <= _run(argv)[1]
+
+
 def test_lazy_namespace_matches_the_modules():
     assert len(quasispec.__all__) == 60
     for name in quasispec.__all__:

@@ -20,12 +20,16 @@ from quasispec import (
     periodic_approximant,
     sample_potential,
 )
-from quasispec.potentials import (NAMED_RULES, TWO_SIDED_POWER_CAP, _two_sided_letters,
-                                  cosine_period, fixed_point_window)
+from quasispec import potentials
+from quasispec.potentials import (MAX_SITES, NAMED_RULES, TWO_SIDED_POWER_CAP,
+                                  _first_level, _level_lengths, _two_sided_letters,
+                                  cosine_period, fixed_point_blocks, fixed_point_window)
 
 from conftest import RULES, primitive_rules
 
 TRIBONACCI_RULE = SubstitutionRule(("a", "b", "c"), {"a": "ab", "b": "ac", "c": "a"})
+# The half-width of the widest two-sided window within MAX_SITES.
+HALF = MAX_SITES // 2 - 1
 
 
 def iterate_to(rule, w, n, size):
@@ -45,6 +49,40 @@ def site_by_site_window(rule, lo, hi):
     u = iterate_to(rule, la, n, 1 - lo) if lo <= 0 else ""
     v = iterate_to(rule, lb, n, hi) if hi >= 1 else ""
     return "".join(u[len(u) - 1 + i] if i <= 0 else v[i - 1] for i in range(lo, hi + 1))
+
+
+def spelled_values(word):
+    """The values of the letters of ``word``, each block spelled by string
+    iteration and looked up through a table of code points."""
+    letters = "".join(word.rule.iterate(x, k) for k, x in word.blocks)
+    table = np.zeros(256)
+    table[[ord(x) for x in word.letter_values]] = list(word.letter_values.values())
+    return table[np.frombuffer(letters.encode(), np.uint8)]
+
+
+def prefix_suffix_blocks(rule, seeds, first, last):
+    """Reference blocks of a window from site 1 or holding site 0: the
+    greedy split of the suffix (sites first..0) of the left block and the
+    prefix (sites 1..last) of the right one, top level down."""
+    left_letter, right_letter, p = seeds
+    halves = []
+    for x, n, left in ((left_letter, 1 - first, True), (right_letter, last, False)):
+        k = _first_level(rule, x, n, p)
+        lengths = [level for _, level in zip(range(k + 1), _level_lengths(rule))]
+        blocks, rest = [], n
+        while rest:
+            if lengths[k][x] == rest:
+                blocks.append((k, x))
+                break
+            k -= 1
+            for y in rule.images[x][::-1] if left else rule.images[x]:
+                if lengths[k][y] > rest:
+                    x = y
+                    break
+                blocks.append((k, y))
+                rest -= lengths[k][y]
+        halves.append(blocks)
+    return tuple(halves[0][::-1] + halves[1])
 
 
 class TestSubstitutionWords:
@@ -169,6 +207,19 @@ class TestSampling:
             spec = PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.0, omega)
             assert np.array_equal(sample_potential(spec, -5, 5),
                                   sample_potential(spec.with_omega(reduced), -5, 5))
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec.sturmian(GOLDEN_MEAN, 1.5),
+        PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, rounding="ceil"),
+        PotentialSpec.circle(0.3, 1.5),
+    ], ids=["sturmian-floor", "sturmian-ceil", "circle"])
+    def test_two_valued_phase_is_reduced_mod_1(self, spec):
+        # Both phases are exact floats, and fmod reduces the second exactly.
+        assert np.array_equal(sample_potential(spec.with_omega(0.25 + 2.0 ** 40), -50, 50),
+                              sample_potential(spec.with_omega(0.25), -50, 50))
+        # 1e17 is an integer: the chain at omega 0, not a value of 16 lambda.
+        assert np.array_equal(sample_potential(spec.with_omega(1e17), 1, 12),
+                              sample_potential(spec, 1, 12))
 
     def test_constant_zero(self):
         spec = PotentialSpec.constant(0.0)
@@ -334,12 +385,11 @@ class TestFixedPointBlocks:
 
 
 class TestFixedPointWindow:
-    """``fixed_point_window`` gives a word on the windows from site 1 or
-    holding site 0, the golden-mean Sturmian at omega = 0 included, and none
-    where the window is not a segment of the fixed point the sampler reads.
-    The words it gives are spelled out in TestFixedPointBlocks and, over
-    MAX_SITES sites, in test_transfer, which also holds the specs that get no
-    word on any window."""
+    """``fixed_point_window`` gives a word on every nonempty window of a
+    substitution and of the golden-mean Sturmian, and none on an empty one.
+    The words it gives are spelled out here, in TestWindowSplit and
+    TestShiftedGoldenWindows and, over MAX_SITES sites, in test_transfer,
+    which also holds the specs that get no word on any window."""
 
     @pytest.mark.parametrize("spec, first, last", [
         (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), -10, 10),
@@ -355,10 +405,116 @@ class TestFixedPointWindow:
         (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), 2, 10),
         (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), 2, 10),
         (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), -10, -1),
+    ], ids=["golden-from-2", "substitution-from-2", "substitution-left-of-0"])
+    def test_off_origin_word(self, spec, first, last):
+        word = fixed_point_window(spec, first, last)
+        assert np.array_equal(spelled_values(word), sample_potential(spec, first, last))
+
+    @pytest.mark.parametrize("spec, first, last", [
         (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}), 1, 0),
-    ], ids=["golden-from-2", "substitution-from-2", "substitution-left-of-0", "empty"])
+    ], ids=["empty"])
     def test_no_word(self, spec, first, last):
         assert fixed_point_window(spec, first, last) is None
+
+
+class TestWindowSplit:
+    """``fixed_point_blocks`` writes any window of the two-sided fixed point,
+    and those from site 1 or holding site 0 as the prefix and suffix splits
+    did."""
+
+    @given(primitive_rules() | st.sampled_from(list(RULES.values())),
+           st.integers(-5000, 5000), st.integers(0, 3000))
+    def test_any_window_equals_site_by_site(self, rule, first, size):
+        spec = PotentialSpec.substitution(rule, {x: 1.0 for x in rule.alphabet})
+        word = fixed_point_window(spec, first, first + size)
+        letters = "".join(rule.iterate(x, k) for k, x in word.blocks)
+        assert letters == site_by_site_window(rule, first, first + size)
+        assert word.sites == size + 1
+
+    @given(primitive_rules() | st.sampled_from(list(RULES.values())),
+           st.integers(-5000, 1), st.integers(0, 5000))
+    def test_windows_at_the_origin_keep_their_blocks(self, rule, first, last):
+        seeds = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+        assert fixed_point_blocks(rule, seeds, first, last) == \
+            prefix_suffix_blocks(rule, seeds, first, last)
+
+    @pytest.mark.parametrize("first, last", [(1, 1), (0, 0), (-HALF, HALF),
+                                             (1, MAX_SITES), (-10**9, 10**9)])
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    def test_golden_blocks_at_omega_0_are_unchanged(self, first, last, rounding):
+        seeds = ("b" if rounding == "floor" else "a", "a", 2)
+        assert fixed_point_blocks(FIBONACCI_RULE, seeds, first, last) == \
+            prefix_suffix_blocks(FIBONACCI_RULE, seeds, first, last)
+
+
+def _cuts(first, last):
+    """The window's discontinuities {-k alpha}, k = first..last+1, in floats."""
+    return np.mod(-GOLDEN_MEAN * np.arange(first, last + 2, dtype=float), 1.0)
+
+
+class TestShiftedGoldenWindows:
+    """The golden-mean Sturmian at every phase is a factor window of the
+    right Fibonacci fixed point (Damanik-Killip-Lenz); every word
+    ``fixed_point_window`` gives spells the samples exactly, and a wrong
+    shift is refused."""
+
+    WINDOWS = [(1, 1), (1, 2), (1, 3000), (-1, 1), (-1500, 1500), (2, 10), (-10, -1),
+               (777, 5000), (-90_000, -80_000), (10**7, 10**7 + 4181)]
+
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    def test_random_negative_and_large_phases(self, rounding):
+        rng = np.random.default_rng(29)
+        phases = [*rng.uniform(0.0, 1.0, 4), *rng.uniform(-3.0, 0.0, 2),
+                  *rng.uniform(1.0, 1e6, 2), 1.0 - 2.0 ** -53, -0.5]
+        for omega in phases:
+            spec = PotentialSpec.sturmian(GOLDEN_MEAN, float(rng.uniform(-3.0, 3.0)),
+                                          float(omega), rounding)
+            for first, last in self.WINDOWS:
+                word = fixed_point_window(spec, first, last)
+                assert word is not None, (omega, first, last)
+                assert word.sites == last - first + 1
+                assert np.array_equal(spelled_values(word), sample_potential(spec, first, last))
+
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    def test_integer_phases(self, rounding):
+        # omega = 0 mod 1 keeps the unsampled word on windows from site 1 or
+        # holding site 0; a window ending at site -1 ends on a discontinuity.
+        for omega in (0.0, -0.0, 1.0, -3.0, 2.0 ** 40):
+            spec = PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, omega, rounding)
+            for first, last in self.WINDOWS:
+                word = fixed_point_window(spec, first, last)
+                assert np.array_equal(spelled_values(word), sample_potential(spec, first, last))
+
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    @pytest.mark.parametrize("first, last", [(1, 500), (-250, 250), (4000, 4300),
+                                             (-7000, -6001)])
+    def test_on_and_one_ulp_from_every_discontinuity(self, first, last, rounding):
+        # The cell is read off the sampler's own arguments, so a phase on
+        # either side of a discontinuity, or on it, gets its word too.
+        for cut in _cuts(first, last):
+            for omega in (np.nextafter(cut, -1.0), cut, np.nextafter(cut, 2.0)):
+                spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, float(omega), rounding)
+                word = fixed_point_window(spec, first, last)
+                assert np.array_equal(spelled_values(word), sample_potential(spec, first, last))
+
+    @pytest.mark.parametrize("first, last, omega", [
+        (1, MAX_SITES, 0.3),
+        (-HALF, HALF, -0.71),
+        (3 * 10**6, 3 * 10**6 + MAX_SITES - 1, 5.5),
+        (-10**8, -10**8 + 2**20, 0.123),
+    ], ids=["from-1", "two-sided", "off-origin", "left-off-origin"])
+    def test_long_windows(self, first, last, omega):
+        rounding = "ceil" if first < 0 else "floor"
+        spec = PotentialSpec.sturmian(GOLDEN_MEAN, -2.0, omega, rounding)
+        word = fixed_point_window(spec, first, last)
+        assert np.array_equal(spelled_values(word), sample_potential(spec, first, last))
+
+    def test_a_wrong_shift_is_refused(self, monkeypatch):
+        spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, 0.4)
+        shift = potentials._golden_shift
+        assert fixed_point_window(spec, -300, 300) is not None
+        monkeypatch.setattr(potentials, "_golden_shift", lambda *a: shift(*a) + 1)
+        assert fixed_point_window(spec, -300, 300) is None
 
 
 class TestLevelBlockProvenance:

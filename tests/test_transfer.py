@@ -27,6 +27,7 @@ from quasispec import (
 )
 from quasispec.ids import dirichlet_count, floquet_count
 from quasispec.numutil import wrap
+from quasispec import potentials
 from quasispec.potentials import MAX_SITES, fixed_point_window, periodic_approximant
 from quasispec.tracemap import identity_residual, letter_matrix_orbit
 from quasispec.transfer import _normalized, _rescale, block_product, iter_levels, product_grid
@@ -468,8 +469,9 @@ class TestRenormalized:
           for rule in RULES.values()),
         (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5), -HALF, HALF),
         (PotentialSpec.sturmian(GOLDEN_MEAN, -2.0, rounding="ceil"), -HALF, HALF),
+        (PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, omega=0.1), 1, 3000),
     ], ids=[*RULES, "sturmian-floor", "sturmian-ceil", *(f"{r}-two-sided" for r in RULES),
-            "sturmian-floor-two-sided", "sturmian-ceil-two-sided"])
+            "sturmian-floor-two-sided", "sturmian-ceil-two-sided", "omega"])
     def test_fixed_point_equals_sampled_chain(self, spec, first, last):
         word = fixed_point_window(spec, first, last)
         lv = word.letter_values
@@ -481,18 +483,46 @@ class TestRenormalized:
                               sample_potential(spec, first, last))
 
     @pytest.mark.parametrize("spec", [
-        PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, omega=0.1),
         PotentialSpec.sturmian(0.618, 1.5),
         PotentialSpec.sturmian(1.0 - GOLDEN_MEAN, 1.5),
         PotentialSpec.almost_mathieu(GOLDEN_MEAN, 2.0),
         PotentialSpec.circle(GOLDEN_MEAN, 1.5),
         PotentialSpec.explicit([1.0, 0.0, 1.0]),
         PotentialSpec.constant(0.5),
-    ], ids=["omega", "alpha", "other-golden", "almost-mathieu", "circle", "explicit",
-            "constant"])
+    ], ids=["alpha", "other-golden", "almost-mathieu", "circle", "explicit", "constant"])
     def test_other_specs_take_the_direct_path(self, spec):
         assert fixed_point_window(spec, 1, 3000) is None
         E = np.linspace(-4.0, 4.0, 9)
+        direct = Mat2(*product_grid(sample_potential(spec, 1, 3000), E)).op_norm_log()
+        assert np.array_equal(lyapunov_grid(spec, E, 3000), np.maximum(0.0, direct) / 3000)
+
+    @pytest.mark.parametrize("rounding", ["floor", "ceil"])
+    def test_shifted_golden_chain_matches_direct(self, rounding):
+        # Every golden phase takes the block product: against the kernel's
+        # sequential path (300 energies), 1e-12 relative in ln||P|| off the
+        # spectrum and the benchmark's 1e-9 bound in gamma everywhere.
+        rng = np.random.default_rng(41 if rounding == "floor" else 43)
+        phases = [*rng.uniform(0.0, 1.0, 3), *rng.uniform(-5.0, 0.0, 2), *rng.uniform(1.0, 1e9, 2)]
+        for omega, n in zip(phases, (1, 2, 89, 3000, 10_000, 25_000, 54_321)):
+            lam = float(rng.uniform(-3.0, 3.0))
+            spec = PotentialSpec.sturmian(GOLDEN_MEAN, lam, float(omega), rounding)
+            assert fixed_point_window(spec, 1, n) is not None
+            E = np.sort(rng.uniform(min(lam, 0.0) - 2.5, max(lam, 0.0) + 2.5, 300))
+            got = lyapunov_grid(spec, E, n) * n
+            direct = Mat2(*product_grid(sample_potential(spec, 1, n), E)).op_norm_log()
+            want = np.maximum(0.0, direct)
+            assert np.all(np.abs(got - want) / n <= 1e-9 * np.maximum(1.0, want / n))
+            off = want / n > 1e-3
+            assert np.all(np.abs(got - want)[off] <= 1e-12 * want[off])
+
+    def test_a_refused_word_takes_the_direct_path(self, monkeypatch):
+        # A wrong shift spells another word, which the check refuses; the
+        # samples then take the direct path, bit for bit.
+        spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, 0.4)
+        E = np.linspace(-4.0, 4.0, 9)
+        shift = potentials._golden_shift
+        monkeypatch.setattr(potentials, "_golden_shift", lambda *a: shift(*a) + 1)
+        assert fixed_point_window(spec, 1, 3000) is None
         direct = Mat2(*product_grid(sample_potential(spec, 1, 3000), E)).op_norm_log()
         assert np.array_equal(lyapunov_grid(spec, E, 3000), np.maximum(0.0, direct) / 3000)
 
