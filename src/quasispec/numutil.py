@@ -47,7 +47,3 @@ def as_float(x: BigValue) -> float:
             return math.inf * s
         return s * math.exp(la)
     return x
-
-
-def log_abs(x: BigValue) -> float:
-    return signed_log(x)[1]

@@ -95,17 +95,15 @@ class SubstitutionRule:
         return m
 
     def is_primitive(self) -> bool:
-        """True if some power of the occurrence matrix is entrywise positive."""
+        """True if some power of the occurrence matrix is entrywise positive:
+        then, by Wielandt's bound, every power from (r-1)^2 + 1 on is, so the
+        pattern is squared until its exponent passes that bound."""
         r = len(self.alphabet)
-        b = self.matrix() > 0
-        # Wielandt bound: a primitive r x r matrix has a positive power
-        # no later than (r-1)^2 + 1.
-        p = np.eye(r, dtype=bool)
-        for _ in range((r - 1) ** 2 + 1):
-            p = (p.astype(np.int64) @ b.astype(np.int64)) > 0
-            if p.all():
-                return True
-        return False
+        p, e = self.matrix() > 0, 1
+        while e < (r - 1) ** 2 + 1:
+            p = (p.astype(np.int64) @ p.astype(np.int64)) > 0
+            e *= 2
+        return bool(p.all())
 
 
 FIBONACCI_RULE = SubstitutionRule(("a", "b"), {"a": "ab", "b": "a"})
@@ -296,30 +294,32 @@ def generate_substitution_word(rule: SubstitutionRule, seed: str, min_length: in
 def _two_sided_letters(rule: SubstitutionRule, power_cap: int) -> tuple[str, str, int]:
     """Smallest power n <= cap and lexicographically first (left, right) letters
     with rule^n(left) ending in left and rule^n(right) starting with right,
-    the seeds of every fixed point here. DomainError unless primitive."""
+    the seeds of every fixed point here: rule^n(x) starts with f^n(x) and
+    ends with l^n(x), f and l the first and last letters of the images, so
+    nothing is spelled. DomainError unless primitive."""
     if not rule.is_primitive():
         raise DomainError("substitution rule is not primitive")
+    letters = heads = tails = sorted(rule.alphabet)
     for n in range(1, power_cap + 1):
-        left = [x for x in sorted(rule.alphabet) if rule.iterate(x, n).endswith(x)]
-        right = [y for y in sorted(rule.alphabet) if rule.iterate(y, n).startswith(y)]
+        heads = [rule.images[y][0] for y in heads]
+        tails = [rule.images[y][-1] for y in tails]
+        left = [x for x, y in zip(letters, tails) if x == y]
+        right = [x for x, y in zip(letters, heads) if x == y]
         if left and right:
             return left[0], right[0], n
     raise DomainError(f"no two-sided fixed point found for powers up to {power_cap}")
 
 
-def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int,
-                       power_cap: int = TWO_SIDED_POWER_CAP) -> str:
+def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int) -> str:
     """Letters of a two-sided fixed-point sequence on the window lo..hi: a
     left fixed point on n <= 0 and a right one on n >= 1, grown from the
-    seeds of ``_two_sided_letters``. They are sliced from the spelled blocks
-    of the window min(lo, 1)..max(hi, 0), which starts at site 1 or holds
-    site 0; DomainError if that window has over MAX_SITES sites."""
+    seeds of ``_two_sided_letters``. Only the window's own blocks are
+    spelled; DomainError if it has over MAX_SITES sites."""
     if hi < lo:
         return ""
-    first, last = min(lo, 1), max(hi, 0)
-    check_sites(last - first + 1)
-    blocks = fixed_point_blocks(rule, _two_sided_letters(rule, power_cap), first, last)
-    return _spell(rule, blocks)[lo - first:hi - first + 1]
+    check_sites(hi - lo + 1)
+    seeds = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+    return _spell(rule, fixed_point_blocks(rule, seeds, lo, hi))
 
 
 def fixed_point_blocks(rule: SubstitutionRule, seeds: tuple[str, str, int], first: int,

@@ -20,6 +20,19 @@ NON_PRIMITIVE_RULE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "b"},
 TWO_CHARACTER_LETTER_RULE = ('{"alphabet": ["a", "bb"], "images": {"a": "a", "bb": "a"}, '
                              '"letter_values": {"a": 1, "bb": 0}}')
 
+# Six letters with 40-letter images that start with their letter and end in
+# a 6-cycle, so the fixed point's left seed needs the 6th power of the rule,
+# whose images have 40^6 letters.
+WIDE_IMAGE_RULE = json.dumps({
+    "alphabet": list("abcdef"),
+    "images": {x: x + ("abcdef" * 7)[i:i + 38] + "bcdefa"[i] for i, x in enumerate("abcdef")},
+    "letter_values": {x: float(i) for i, x in enumerate("abcdef")}})
+# 150 letters, each mapped to itself twice: not primitive.
+DOUBLING_RULE = json.dumps({
+    "alphabet": [chr(0x100 + i) for i in range(150)],
+    "images": {chr(0x100 + i): 2 * chr(0x100 + i) for i in range(150)},
+    "letter_values": {chr(0x100 + i): 1.0 for i in range(150)}})
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -470,6 +483,21 @@ class TestErrors:
         cfg_file.write_text("nonsense = 3\n")
         code, _, err = run_cli(["ids", "--config", str(cfg_file)], capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("rule, want", [(WIDE_IMAGE_RULE, 0), (DOUBLING_RULE, 2)],
+                         ids=["wide-images", "150-letters"])
+@pytest.mark.parametrize("argv", [["lyapunov", "--n", "100"], ["ids", "--size", "100"],
+                                  ["resistance", "--lengths", "1:100"],
+                                  ["spectrum", "--order", "1"]])
+def test_rule_files_end_within_the_budget(rule, want, argv, tmp_path, capsys):
+    path = tmp_path / "rule.json"
+    path.write_text(rule)
+    start = time.perf_counter()
+    code, _, err = run_cli(argv + ["--model", "substitution", "--rule-file", str(path)],
+                           capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == want and len(err.splitlines()) == (1 if want else 0)
 
 
 @pytest.mark.parametrize("argv", [

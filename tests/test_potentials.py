@@ -51,6 +51,49 @@ def site_by_site_window(rule, lo, hi):
     return "".join(u[len(u) - 1 + i] if i <= 0 else v[i - 1] for i in range(lo, hi + 1))
 
 
+def seeds_by_iteration(rule, cap):
+    """Reference seeds, read off the spelled string iterates rule^n(x)."""
+    if not rule.is_primitive():
+        raise DomainError("substitution rule is not primitive")
+    for n in range(1, cap + 1):
+        left = [x for x in sorted(rule.alphabet) if rule.iterate(x, n).endswith(x)]
+        right = [x for x in sorted(rule.alphabet) if rule.iterate(x, n).startswith(x)]
+        if left and right:
+            return left[0], right[0], n
+    raise DomainError(f"no two-sided fixed point found for powers up to {cap}")
+
+
+def primitive_by_linear_powers(rule):
+    """Reference primitivity: every power of the occurrence pattern up to
+    Wielandt's bound (r-1)^2 + 1, one product at a time."""
+    r = len(rule.alphabet)
+    b = (rule.matrix() > 0).astype(np.int64)
+    p = np.eye(r, dtype=np.int64)
+    for _ in range((r - 1) ** 2 + 1):
+        p = ((p @ b) > 0).astype(np.int64)
+        if p.all():
+            return True
+    return False
+
+
+@st.composite
+def any_rules(draw, max_letters):
+    """Random rules on 2 to ``max_letters`` letters with images of 1 to 4
+    letters, primitive or not."""
+    alphabet = "abcdefgh"[:draw(st.integers(2, max_letters))]
+    word = st.text(alphabet, min_size=1, max_size=4)
+    return SubstitutionRule(tuple(alphabet), {x: draw(word) for x in alphabet})
+
+
+def wielandt_rule(r):
+    """x_i -> x_(i+1), x_r -> x_1 x_2: cycles of lengths r and r-1, so the
+    occurrence matrix is first positive at Wielandt's bound (r-1)^2 + 1."""
+    letters = [chr(0x100 + i) for i in range(r)]
+    images = {x: letters[i + 1] for i, x in enumerate(letters[:-1])}
+    images[letters[-1]] = letters[0] + letters[1]
+    return SubstitutionRule(tuple(letters), images)
+
+
 def spelled_values(word):
     """The values of the letters of ``word``, each block spelled by string
     iteration and looked up through a table of code points."""
@@ -117,6 +160,23 @@ class TestSubstitutionWords:
         with pytest.raises(DomainError):
             SubstitutionRule(alphabet, {a: "a" for a in alphabet})
 
+    @given(any_rules(8))
+    def test_primitivity_by_squaring_equals_linear_powers(self, rule):
+        assert rule.is_primitive() == primitive_by_linear_powers(rule)
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 8])
+    def test_primitive_exactly_at_the_wielandt_bound(self, r):
+        rule = wielandt_rule(r)
+        m = (rule.matrix() > 0).astype(np.int64)
+        power = np.linalg.matrix_power(m, (r - 1) ** 2)
+        assert not power.all() and (power @ m).all()
+        assert rule.is_primitive() and primitive_by_linear_powers(rule)
+
+    def test_wide_alphabets(self):
+        letters = tuple(chr(0x100 + i) for i in range(150))
+        assert not SubstitutionRule(letters, {x: x + x for x in letters}).is_primitive()
+        assert wielandt_rule(150).is_primitive()
+
 
 class TestTwoSided:
     def test_empty_window(self):
@@ -141,7 +201,25 @@ class TestTwoSided:
         # A pure cyclic rotation has no prolongable letter at small powers.
         rule = SubstitutionRule(("a", "b"), {"a": "b", "b": "a"})
         with pytest.raises(DomainError):
-            generate_two_sided(rule, -2, 2, power_cap=1)
+            _two_sided_letters(rule, 1)
+
+    def test_seeds_at_the_power_cap(self):
+        # First letters fixed, last letters one 6-cycle.
+        rule = SubstitutionRule(tuple("abcdef"), {x: x + "abcdef" + "bcdefa"[i]
+                                                  for i, x in enumerate("abcdef")})
+        assert _two_sided_letters(rule, 6) == seeds_by_iteration(rule, 6) == ("a", "a", 6)
+        with pytest.raises(DomainError):
+            _two_sided_letters(rule, 5)
+
+    @given(any_rules(4) | st.sampled_from(list(RULES.values())))
+    def test_seeds_equal_string_iteration(self, rule):
+        try:
+            want = seeds_by_iteration(rule, TWO_SIDED_POWER_CAP)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=str(exc)):
+                _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+        else:
+            assert _two_sided_letters(rule, TWO_SIDED_POWER_CAP) == want
 
     @pytest.mark.parametrize("lo, hi", [(1, 2), (-1, 1)])
     def test_rule_that_does_not_grow(self, lo, hi):
@@ -151,8 +229,8 @@ class TestTwoSided:
 
 
 class TestSlicedWindows:
-    """Windows sliced from u and v, and letter values looked up by code point,
-    equal the site-by-site reference bit for bit."""
+    """Windows spelled from their own level blocks, and letter values looked
+    up by code point, equal the site-by-site reference bit for bit."""
 
     @given(st.sampled_from([*NAMED_RULES.values(), TRIBONACCI_RULE, RULES["ba-ab"]]),
            st.integers(-3000, 3000), st.integers(0, 3000), st.data())
@@ -178,11 +256,28 @@ class TestSlicedWindows:
                 want = [lv[ch] for ch in site_by_site_window(rule, lo, hi)]
                 assert sample_potential(spec, lo, hi).tolist() == want, (lo, hi)
 
-    def test_budget_counts_the_spelled_window(self):
-        # 11 sites far from the origin spell the whole window from site 1.
+    def test_far_window_spells_its_own_blocks(self):
+        # 11 sites at 10^9 are three level blocks; no earlier site is spelled.
+        spec = PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": 0.0})
+        word = fixed_point_window(spec, 10 ** 9, 10 ** 9 + 10)
+        assert word.blocks == ((0, "b"), (3, "b"), (1, "a"))
+        got = sample_potential(spec, 10 ** 9, 10 ** 9 + 10)
+        assert np.array_equal(got, spelled_values(word))
+        assert got.tolist() == [0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0]
+
+    @pytest.mark.parametrize("first", [-MAX_SITES, -HALF, 1, 2, 10 ** 9, -10 ** 12])
+    def test_budget_counts_the_window(self, first):
         spec = PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": 0.0})
         with pytest.raises(DomainError, match="budget"):
-            sample_potential(spec, 10 ** 9, 10 ** 9 + 10)
+            sample_potential(spec, first, first + MAX_SITES)
+        with pytest.raises(DomainError, match="budget"):
+            generate_two_sided(THUE_MORSE_RULE, first, first + MAX_SITES)
+
+    @given(st.sampled_from([*RULES.values(), TRIBONACCI_RULE]), st.integers(-3000, 1),
+           st.integers(0, 3000))
+    def test_windows_from_site_1_or_holding_0(self, rule, first, size):
+        last = max(first, 0) + size
+        assert generate_two_sided(rule, first, last) == site_by_site_window(rule, first, last)
 
     def test_single_site_windows(self):
         for i in (-2, 0, 1, 5):
