@@ -162,7 +162,7 @@ def _read(path: str) -> str:
 
 def _fmt(x) -> str:
     """Fixed 12-significant-digit float formatting (platform-stable)."""
-    if isinstance(x, numbers.Integral):
+    if not isinstance(x, float) and isinstance(x, numbers.Integral):  # the ABC check is slow
         return str(int(x))
     x = float(x)
     if math.isinf(x):
@@ -343,7 +343,7 @@ def _run_resistance(cfg: RunConfig):
     spec = build_spec(cfg)
     leads = {"pi-half": "at-energy", "zero": "zero"}[cfg.leads]
     profile = resistance_profile(spec, cfg.energy, _parse_lengths(cfg.lengths), leads)
-    return (("L", "log10R"), [(p.length, p.log10_resistance) for p in profile],
+    return (("L", "log10R"), zip(profile.lengths.tolist(), profile.log10_resistance.tolist()),
             lambda rows: {"profile": rows})
 
 

@@ -7,7 +7,25 @@ regimes grow exponentially, so a product keeps its entries normalized and
 carries the scale as a separate prefactor, changed only by exact powers of two.
 
 ``product_grid`` forms the product over any sampled chain, over an energy grid
-and at optional prefix lengths, rescaling only as often as overflow requires.
+and at optional prefix lengths (marks), rescaling only as often as overflow
+requires. A site grows the entries by at most max|E| + max|V| + 2, so they are
+rescaled every k sites, at the start of an E - V block, by powers of two whose
+exponents are summed as integers; the schedule changes no bit of the result
+outside the subnormal range. A narrow grid steps up to _LANES // M chain
+segments of _SEGMENT sites side by side, each site one multiply per matrix row
+against its (J, M) E - V row, and joins the segments' products in one prefix
+pass of 2x2 products with one power-of-two rescale each; segments start at the
+same sites whatever the lane count, so a mark's row equals the call on that
+prefix bit for bit. A block's marks are captured in one gather after it: the
+exponents change only at block starts, and a mark's rows (c, d) are the rows
+(a, b) of the step before, so the lanes holding marks are stashed only at the
+steps that reach a mark and the ones just before. The transient memory is the
+(J, M) lanes, one E - V block (_CHUNK elements, or one row of a wider grid),
+one padded segment and that stash: the lanes from the first one holding a
+mark, at no more than one block's steps (up to twice the block where every
+step reaches a mark; two steps of one lane without marks). Beyond the outputs
+and a capture and a prefix per mark, it does not grow with the chain.
+
 A segment of a substitution fixed point needs no samples: ``iter_levels``
 renormalizes the per-letter matrices level by level (the matrix of rule^(k+1)(x)
 is the product of the level-k matrices of rule(x)), and ``block_product``, the
@@ -36,11 +54,11 @@ TRACE_POLY_DEGREE_CAP = 64
 # A narrow grid, M <= _NARROW energies, steps J = min(_LANES // M, segments)
 # chain segments of _SEGMENT sites side by side, as one (J, M) array; a wider
 # grid steps the whole chain as one segment. The segments start at the same
-# sites whatever J is, so J changes no bit. Lane sweep on a 2-core x86
-# machine, almost-Mathieu 25,000 sites x 200 energies / golden Sturmian 10^4
-# sites x 240 energies: 512 lanes 73 / 26 ms, 1024 40 / 21, 2048 32 / 18,
-# 4096 32 / 14, 8192 25 / 13. 8192 lanes gain a little more but double the
-# lanes' memory.
+# sites whatever J is, so J changes no bit. Lane sweep (scripts/lane_sweep.py,
+# best of 7 calls, two runs) on a 2-core x86 machine, almost-Mathieu 25,000
+# sites x 200 energies / golden Sturmian 10^4 sites x 240 energies: 512 lanes
+# 27 / 12 ms, 1024 17 / 10, 2048 19 / 9.5, 4096 17 / 8.6, 8192 16 / 11. 8192
+# lanes are no faster on the golden chain and double the lanes' memory.
 _NARROW = 256
 _LANES = 4096
 _SEGMENT = 256
@@ -137,24 +155,12 @@ def propagate(E: float, values) -> Mat2:
 
 
 def product_grid(values, energies, marks=None):
-    """Scaled products T_n ... T_1 over the chain ``values`` at every energy.
-
-    Returns normalized entry arrays (a, b, c, d) and the log scale ``logs``,
-    all of the energies' shape: the true product is e^logs [[a, b], [c, d]],
-    with the largest |entry| equal to 1. With ``marks``, increasing prefix
-    lengths (K,), each array gains a leading (K,) axis holding the product
-    over the first marks[k] sites.
-
-    A site grows the entries by at most max|E| + max|V| + 2, so they are
-    rescaled only every k sites, by powers of two whose exponents are summed
-    as integers; the schedule therefore changes no bit of the result outside
-    the subnormal range. A narrow grid steps up to _LANES // M chain segments
-    side by side and joins their products in one prefix pass; segments start
-    at multiples of _SEGMENT, so a mark row equals the call on that prefix bit
-    for bit, and neither the lane count nor the E - V block size changes a bit.
-    The transient memory is the (J, M) lanes, one block and one padded
-    segment; it does not grow with the chain.
-    """
+    """Scaled products T_n ... T_1 over the chain ``values`` at every energy:
+    normalized entry arrays (a, b, c, d) and the log scale ``logs``, all of the
+    energies' shape, the product being e^logs [[a, b], [c, d]] with its largest
+    |entry| 1. With ``marks``, increasing prefix lengths (K,), each array gains
+    a leading (K,) axis: the product over the first marks[k] sites, bit for bit
+    the call on that prefix. The module docstring describes the kernel."""
     vals = np.asarray(values, dtype=float).ravel()
     E = np.asarray(energies, dtype=float)
     ends = np.asarray([len(vals)] if marks is None else marks, dtype=np.int64).ravel()
@@ -167,62 +173,74 @@ def product_grid(values, energies, marks=None):
     s = _SEGMENT if narrow else n
     nseg = -(-n // s)
     J = min(_LANES // M, nseg) if narrow else 1
-    # E - V blocks of `rows` sites; a rescale every `every` <= k sites.
     vals = vals[:n]
     grow = np.abs(e).max(initial=0.0) + np.maximum(vals.max(), -vals.min()) + 2.0
     k = max(1, int(_LOG_GROWTH / math.log(grow))) if grow < math.inf else 1
-    rows = min(k, max(1, _CHUNK // (J * M or 1)))
-    every = k - k % rows
-    seg = (ends - 1) // s  # the segment holding each end
-    off = (ends - seg * s).tolist()
+    rows = min(k, max(1, _CHUNK // (J * M or 1)))  # the sites of an E - V block
+    every = k - k % rows  # the sites between rescales, at most k
+    seg, off = np.divmod(ends - 1, s)  # each end's segment, and its step there less 1
     # Rows a, b, c, d and the exponent (an integer, exact in a float) of the
-    # raw product at each end, and of the segments before the end's own.
-    cap, pre = np.empty((5, K, M)), np.empty((5, K, M))
+    # raw product at each end; the rows of the segments before the end's own.
+    cap, pre = np.empty((5, K, M)), np.empty((2, 2, K, M))
     block = np.empty((min(rows, s), J, M))  # E - V over `rows` sites of each lane
-    run = np.zeros((5, M))
-    run[0] = run[3] = 1.0
+    lanes = np.empty((3, 2, J, M))  # x, y, z: the lanes' rows (a, b) at three steps
+    run, run_exp = np.zeros((2, 2, M)), np.zeros(M)
+    run[0, 0] = run[1, 1] = 1.0
     for g0 in range(0, nseg, J):
-        Jb = min(J, nseg - g0)
-        # Whole segments are a view of the chain; only a last partial one
-        # is copied, padded with zeros to a whole segment.
+        Jb, steps = min(J, nseg - g0), min(s, n - g0 * s)
+        # Whole segments are a view of the chain; a last partial one is padded.
         V = vals[g0 * s:(g0 + Jb) * s]
         whole = len(V) // s
         tail = np.zeros(s if whole < Jb else 0)
         tail[:len(V) - whole * s] = V[whole * s:]
         V = V[:whole * s].reshape(whole, s).T
         bounds = np.searchsorted(seg, np.arange(g0, g0 + Jb + 1))
-        hits = {}  # step -> the ends reached after it
-        for i in range(bounds[0], bounds[-1]):
-            hits.setdefault(off[i], []).append(i)
-        x, y = np.zeros((2, Jb, M)), np.zeros((2, Jb, M))  # rows (a, b) and (c, d)
-        x[0] = y[1] = 1.0
-        z, x_exp = np.empty_like(x), np.zeros((Jb, M))
-        steps = min(s, n - g0 * s)
-        for t0 in range(0, steps, rows):
+        by_step = bounds[0] + np.argsort(off[bounds[0]:bounds[-1]], kind="stable")
+        lane0 = seg[bounds[0]] - g0 if len(by_step) else Jb  # the first lane holding an end
+        reach, lane_of = off[by_step] + 1, seg[by_step] - (g0 + lane0)
+        cuts = np.searchsorted(reach, np.arange(0, steps + rows, rows), side="right").tolist()
+        # Lanes holding ends, stashed at each end's step and the one before.
+        need = np.zeros(steps + 1, dtype=np.intp)
+        need[reach] = need[reach - 1] = 1
+        wanted, before = need.tolist(), need.cumsum() - need
+        stash = np.empty((2, min(before[-1] + 1, min(rows, steps) + 1), Jb - lane0, M))
+        lanes.fill(0.0)
+        bufs = list(zip(lanes[:, :, :Jb], lanes[:, 0, :Jb], lanes[:, 1, :Jb]))
+        x, y, z = bufs[steps % 3:] + bufs[:steps % 3]  # the last step writes lanes[0]
+        x[1][:] = y[2][:] = 1.0
+        x_exp = np.zeros((Jb, M))
+        for t0, lo, hi in zip(range(0, steps, rows), cuts, cuts[1:]):
             if t0 and t0 % every == 0:
-                _rescale(x, y, x_exp)
+                _rescale(x[0], y[0], x_exp)
             r = min(rows, steps - t0)
             ev_rows = block[:r, :Jb]
             np.subtract(e, V[t0:t0 + r, :, None], out=ev_rows[:, :whole])
             if len(tail):
                 np.subtract(e, tail[t0:t0 + r, None], out=ev_rows[:, whole])
-            for t, ev in enumerate(ev_rows, t0 + 1):
-                np.multiply(ev, x, out=z)
-                np.subtract(z, y, out=z)
+            for t, ev in enumerate(ev_rows, t0):
+                if wanted[t]:
+                    stash[:, before[t] - before[t0]] = x[0][:, lane0:]
+                np.multiply(ev, x[1], out=z[1])
+                np.multiply(ev, x[2], out=z[2])
+                np.subtract(z[0], y[0], out=z[0])
                 x, y, z = z, x, y
-                if t in hits:
-                    js = seg[hits[t]] - g0
-                    cap[:, hits[t]] = np.concatenate([x[:, js], y[:, js], x_exp[None, js]])
-        for j in range(Jb):  # the prefix pass over this block's segments
-            pre[:, bounds[j]:bounds[j + 1]] = run[:, None]
+            if wanted[t0 + r]:
+                stash[:, before[t0 + r] - before[t0]] = x[0][:, lane0:]
+            if lo < hi:  # the block's ends in one gather; x_exp changes only at block starts
+                i, at, js = by_step[lo:hi], before[reach[lo:hi]] - before[t0], lane_of[lo:hi]
+                cap[:2, i], cap[2:4, i] = stash[:, at, js], stash[:, at - 1, js]
+                cap[4, i] = x_exp[lane0:][js]
+        del stash  # not held through the prefix pass and the final products
+        for j in range(Jb):  # the prefix pass over this group's segments
+            pre[:, :, bounds[j]:bounds[j + 1]] = run[:, :, None]
+            cap[4, bounds[j]:bounds[j + 1]] += run_exp  # the ends' whole exponents
             if g0 + j + 1 < nseg:
-                run = np.concatenate([x[0, j] * run[:2] + x[1, j] * run[2:4],
-                                      y[0, j] * run[:2] + y[1, j] * run[2:4],
-                                      [run[4] + x_exp[j]]])
-                _rescale(run[:2], run[2:4], run[4])
-    ab = cap[0] * pre[:2] + cap[1] * pre[2:4]
-    cd = cap[2] * pre[:2] + cap[3] * pre[2:4]
-    return _normalized(ab, cd, cap[4] + pre[4], ((K,) if marks is not None else ()) + E.shape)
+                run = lanes[:2, :1, j] * run[0] + lanes[:2, 1:, j] * run[1]
+                e_j = np.frexp(np.abs(run).max(axis=(0, 1)))[1]
+                np.ldexp(run, -e_j, out=run)
+                run_exp = run_exp + x_exp[j] + e_j
+    return _normalized(cap[0] * pre[0] + cap[1] * pre[1], cap[2] * pre[0] + cap[3] * pre[1],
+                       cap[4], ((K,) if marks is not None else ()) + E.shape)
 
 
 def _normalized(ab, cd, exps, shape):
@@ -230,8 +248,8 @@ def _normalized(ab, cd, exps, shape):
     2^exps [[ab], [cd]]: power-of-two scaling first, so that the exponent does
     not depend on how the product was formed, then the largest entry divided
     to exactly 1."""
-    _rescale(ab, cd, exps)
-    m = np.maximum(np.abs(ab).max(axis=0), np.abs(cd).max(axis=0))
+    m, e = _rescale(ab, cd, exps)
+    m = np.ldexp(m, -e)  # the largest |entry| after the scaling, exactly
     m[m == 0.0] = 1.0
     ab /= m
     cd /= m
@@ -241,12 +259,13 @@ def _normalized(ab, cd, exps, shape):
 def _rescale(x, y, exps):
     """Scale the row pairs ``x`` and ``y`` in place by one power of two per
     lane so that their largest |entry| lies in [1/2, 1); add its exponent to
-    ``exps``."""
+    ``exps``. Returns that largest |entry| before the scaling and the exponent."""
     m = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
     e = np.frexp(m)[1]
     np.ldexp(x, -e, out=x)
     np.ldexp(y, -e, out=y)
     exps += e
+    return m, e
 
 
 def iter_levels(rule: SubstitutionRule, letter_values: dict[str, float], energies,

@@ -31,3 +31,12 @@ def test_bandwidth_shrinkage(monkeypatch, capsys):
     assert [int(row[0]) for row in rows] == [2, 3, 5, 8, 13]
     fixed = [float(row[1]) for row in rows]
     assert all(a > b for a, b in zip(fixed, fixed[1:]))
+
+
+def test_lane_sweep(monkeypatch, capsys):
+    args = ["--lanes", "512,1024", "--scale", "0.02", "--repeats", "1"]
+    lines = run_script("lane_sweep.py", args, monkeypatch, capsys)
+    assert lines[0].split() == ["lanes", "almost-mathieu", "ms", "golden", "ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == [512, 1024]
+    assert all(float(x) > 0.0 for row in rows for x in row[1:])

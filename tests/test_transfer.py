@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from quasispec import (
 )
 from quasispec.ids import dirichlet_count, floquet_count
 from quasispec.numutil import wrap
-from quasispec import potentials
+from quasispec import potentials, transfer
 from quasispec.potentials import MAX_SITES, fixed_point_window, periodic_approximant
 from quasispec.tracemap import identity_residual, letter_matrix_orbit
 from quasispec.transfer import _normalized, _rescale, block_product, iter_levels, product_grid
@@ -69,6 +70,44 @@ def random_chains(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 2000))
     return rng.uniform(-3.0, 3.0, n), draw(st.sampled_from([1, 7, 300])), rng
+
+
+def pinned_digest(M, huge=False):
+    """sha256 of product_grid over prefixes of one random chain at M energies:
+    lengths on both sides of the 256-site segments, marks absent, on the
+    segment edges and inside the padded last segment, and at every site where
+    the output stays small. a, b, c, d go in bit for bit, logs rounded to 13
+    significant digits (np.log may differ in the last bit between builds)."""
+    rng = np.random.default_rng(M)
+    values, E = rng.uniform(-3.0, 3.0, 10_003), rng.uniform(-4.5, 4.5, M)
+    if huge:
+        E[0] = 1e200
+    h = hashlib.sha256()
+    for n in (1, 255, 256, 257, 10_003):
+        edges = [m for m in (1, 255, 256, 257, 511, 512, 513, 9985, 9990, n) if m <= n]
+        for marks in (None, sorted(set(edges)), np.arange(1, n + 1)):
+            if marks is not None and len(marks) == n and n * M > 2**17:
+                continue
+            *entries, logs = product_grid(values[:n], E, marks)
+            for r in entries:
+                h.update(np.ascontiguousarray(r).tobytes())
+            h.update(" ".join(f"{v:.12e}" for v in logs.ravel().tolist()).encode())
+    return h.hexdigest()
+
+
+# Recorded before the kernel's block captures, segment joins and per-row
+# steps were written; each of those changes must keep every bit.
+PINNED = {
+    "grid-1": "d1a870d67969b7136a0415f50db4a7812faa72b74a7dc2cd81167f2cd4b4fa24",
+    "grid-7": "9e9465a81219f97cf837f4733cd0391da424d0c34c036dfd3e4d45a25c947dfc",
+    "grid-200": "aef53911145f2e0f5bb80a9e860ba5bbb1767d11282261f4a14051d1a5e8abf2",
+    "grid-256": "8bbc9afa6dcb6de086e22ac48a585963dc17603a03b9e6eaedbaf4ea49b399f6",
+    "grid-257": "4732a636e508216beda13005742c59fc46413a5ef76585c7aae6df7c15db1549",
+    "grid-400": "b8c1bee6b727a1dbc2dd16495daed3216de907f27a19266cf47f363884ed557d",
+    "huge-7": "8762f961730bf5447430893cba3955b0fd5da5262ab8dc358a3828d2fee016d7",
+    "small-1": "d1a870d67969b7136a0415f50db4a7812faa72b74a7dc2cd81167f2cd4b4fa24",
+    "small-3": "d3ecaaad70dc55e8c94e71bb3500ac8d30b34c7e28fa0b18fd4cf89752f23ee4",
+}
 
 
 class TestStepAndProducts:
@@ -181,6 +220,17 @@ class TestProductKernel:
         for k, m in enumerate(marks):
             for got, want in zip(rows, product_grid(values[:m], E)):
                 assert np.array_equal(got[k], want)
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_bits_pinned(self, case, monkeypatch):
+        # "small" has 8 lanes and 64-element blocks, as with_small_budgets in
+        # test_budgets, so marks cross lane groups and rescales fall inside
+        # marked blocks; "huge" adds an energy of 1e200, a rescale every site.
+        kind, M = case.split("-")
+        if kind == "small":
+            monkeypatch.setattr(transfer, "_LANES", 8)
+            monkeypatch.setattr(transfer, "_CHUNK", 64)
+        assert pinned_digest(int(M), huge=kind == "huge") == PINNED[case]
 
     @pytest.mark.parametrize("values, marks", [
         ([], None), ([1.0, 2.0], []), ([1.0, 2.0], [0]), ([1.0, 2.0], [3]),
