@@ -15,7 +15,9 @@ one block product, ``transfer.block_product``, O(log L) products per energy
 butterfly and phase-union spectra, take the bordered pivot counter, O(L) per energy, in one stacked
 bisection: both restrictions of a band set, and in a butterfly all rows of
 one denominator q, are counted together, each with the arithmetic it would
-get alone. Both edge sets go through the same merge.
+get alone. Both edge sets go through the same merge. Both backends bisect
+with ``ids.bisect_eigenvalues``, which takes several halvings per count
+(multisection) and gives the edges of one halving per count bit for bit.
 """
 
 from __future__ import annotations
@@ -99,7 +101,13 @@ def _band_sets(rows: np.ndarray) -> list[BandSet]:
 def _bisection_steps(R: int, L: int) -> int:
     """Pivot steps of the stacked bisection of R band sets of period L:
     BISECTION_HALVINGS halvings of the L edges of each of the 2R restrictions,
-    each count an L-site sweep."""
+    each count an L-site sweep.
+
+    The multisection of ``bisect_eigenvalues`` takes these halvings in fewer
+    counts. Where the 2RL edges pass a third of its energy budget this still
+    bounds its steps; below that it may count more energies, but at most the
+    budget per count (``ids._BISECTION_LANES``). The same holds for
+    ``_lifted_steps``."""
     return BISECTION_HALVINGS * 2 * R * L * L
 
 

@@ -9,7 +9,10 @@ restrictions whose matrices carry corner entries; there a pivot that is zero
 up to rounding is taken with the next site as one 2x2 pair in its exact
 limit, as a floored pivot would blow up the border rows and lose their
 cancellation. Counts drive both IDS curves and the band-edge bisection used
-elsewhere.
+elsewhere, which counts a tree of nested midpoints of every bracket at once
+(multisection, Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 1987) and
+walks it down node by node, so that its edges are those of one halving per
+count bit for bit.
 
 Chain segments written as substitution level blocks (``potentials.LevelWord``:
 fixed-point windows, those of the golden-mean Sturmian at every phase
@@ -54,6 +57,16 @@ _PAIR_TOL = 1e-12
 # Halvings of every bracket in ``bisect_eigenvalues``; the Floquet step
 # budgets of ``bands`` count them.
 BISECTION_HALVINGS = 60
+# Energies one count call of ``bisect_eigenvalues`` holds at most, unless one
+# halving of every bracket needs more; the depth of its multisection is the
+# largest that fits. The depth changes no bit. Budget sweep
+# (scripts/bisection_sweep.py, best of 12 calls, budgets interleaved, the
+# better of two runs) on a 2-core x86 machine, ms for almost-Mathieu q = 89 /
+# q = 144 / a random 300-site period / golden q = 377 (lifted) / butterfly
+# qmax 10: one halving per call 30 / 68 / 159 / 70 / 87, budget 256 27 / 65 /
+# 139 / 63 / 52, 512 28 / 63 / 138 / 63 / 46, 1024 23 / 49 / 141 / 63 / 43,
+# 2048 26 / 57 / 158 / 62 / 45, 4096 38 / 63 / 155 / 74 / 47.
+_BISECTION_LANES = 1024
 
 
 @dataclass(frozen=True)
@@ -292,21 +305,53 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi) -> np.ndarray:
 
     ``count_fn`` maps an energy array to strict-below counts; eigenvalue k is
     the infimum of {E : count(E) >= k}. With (B,) brackets ``lo`` and ``hi``,
-    B problems are solved at once: ``count_fn`` then maps a (B, how_many)
-    array to counts of that shape, and so does the result.
+    B problems are solved at once. ``count_fn`` takes energies of shape
+    ``shape(lo) + (n,)``, any n, and returns counts of that shape.
+
+    Each call to ``count_fn`` advances d halvings (multisection): it counts
+    the 2^d - 1 nested midpoints of every bracket, each formed from its own
+    ends as a halving would, and each bracket then walks down that tree one
+    node at a time. So lo and hi are those of one halving per call bit for
+    bit, even where the count is not monotone. d is the largest depth at which
+    the call holds at most _BISECTION_LANES energies, at least 1 and at most
+    the halvings left. Until
+    the first call all brackets of a problem coincide, so one tree per problem
+    serves them all.
     """
-    ks = np.arange(1, how_many + 1)
-    shape = np.shape(lo) + (how_many,)
-    lo_a = np.broadcast_to(np.asarray(lo, dtype=float)[..., None], shape)
-    hi_a = np.broadcast_to(np.asarray(hi, dtype=float)[..., None], shape)
-    # Halves before the sum, which cannot overflow near the float limit; in
-    # range the result is the same float as 0.5 * (lo + hi).
-    for _ in range(BISECTION_HALVINGS):
-        mid = 0.5 * lo_a + 0.5 * hi_a
-        ge = count_fn(mid) >= ks
-        hi_a = np.where(ge, mid, hi_a)
-        lo_a = np.where(ge, lo_a, mid)
-    return 0.5 * lo_a + 0.5 * hi_a
+    if not how_many:
+        return np.empty(np.shape(lo) + (0,))
+    ks = np.arange(1, how_many + 1)[:, None]
+    # Axes (..., bracket, end): one bracket per problem before the first call.
+    lo_a = np.asarray(lo, dtype=float)[..., None, None]
+    hi_a = np.asarray(hi, dtype=float)[..., None, None]
+    done = 0
+    while done < BISECTION_HALVINGS:
+        depth = (_BISECTION_LANES // max(1, lo_a.size) + 1).bit_length() - 1
+        depth = min(max(1, depth), BISECTION_HALVINGS - done)
+        n = 1 << depth
+        # tree[..., i] is the i-th of the n + 1 points the halvings can reach;
+        # each is formed from the two points of the coarser level around it.
+        # Halves before the sum, which cannot overflow near the float limit;
+        # in range the result is the same float as 0.5 * (lo + hi).
+        tree = np.empty(lo_a.shape[:-1] + (n + 1,))
+        tree[..., :1], tree[..., n:] = lo_a, hi_a
+        step = n
+        while step > 1:
+            tree[..., step // 2::step] = 0.5 * tree[..., :-1:step] + 0.5 * tree[..., step::step]
+            step //= 2
+        inner = tree[..., 1:-1]
+        flat = inner.shape[:-2] + (inner.shape[-2] * inner.shape[-1],)
+        counts = np.reshape(count_fn(inner.reshape(flat)), inner.shape)
+        a = np.zeros(np.shape(lo) + (how_many, 1), dtype=np.intp)
+        b = np.full(a.shape, n)
+        for _ in range(depth):
+            mid = (a + b) >> 1
+            ge = np.take_along_axis(counts, mid - 1, axis=-1) >= ks
+            a, b = np.where(ge, a, mid), np.where(ge, mid, b)
+        lo_a = np.take_along_axis(tree, a, axis=-1)
+        hi_a = np.take_along_axis(tree, b, axis=-1)
+        done += depth
+    return (0.5 * lo_a + 0.5 * hi_a)[..., 0]
 
 
 def floquet_count(word: LevelWord, energies) -> np.ndarray:

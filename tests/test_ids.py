@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -230,6 +232,117 @@ class TestPeriodicCounter:
                     count_below_periodic(vals, E, corner), ref)
 
 
+def exact_matrix(diag, corner=None):
+    """The rows, {column: Fraction}, of the Dirichlet matrix with diagonal
+    ``diag`` and unit off-diagonals, or with ``corner`` of the wrap-around
+    one of ``_dense_wraparound``. Each float entry is its exact rational."""
+    L = len(diag)
+    rows = [{i: Fraction(float(v))} for i, v in enumerate(diag)]
+    for i in range(L - 1):
+        rows[i][i + 1] = rows[i + 1][i] = Fraction(1)
+    if corner is not None and L == 1:
+        rows[0][0] += 2 * Fraction(corner)
+    elif corner is not None and L == 2:
+        rows[0][1] = rows[1][0] = 1 + Fraction(corner)
+    elif corner is not None:
+        rows[0][L - 1] = rows[L - 1][0] = Fraction(corner)
+    return rows
+
+
+def exact_count(rows, E):
+    """Eigenvalues strictly below E of the symmetric matrix ``rows``, exactly:
+    the negative pivots of the elimination of H - E in Fraction arithmetic
+    (Sylvester's law of inertia), with no rounding anywhere. A zero pivot
+    moves E down by 2^-100 max(1, |E|) and starts again, which keeps the
+    count of any E farther than that from every eigenvalue."""
+    E = Fraction(float(E))
+    for shift in itertools.count():
+        e = E - Fraction(shift, 2**100) * max(1, abs(E))
+        A = [dict(row) for row in rows]
+        negative = 0
+        for k, row in enumerate(A):
+            row[k] -= e
+        for k, row in enumerate(A):
+            pivot = row[k]
+            if pivot == 0:
+                break
+            negative += pivot < 0
+            later = [(j, x) for j, x in row.items() if j > k and x]
+            for i, x in later:  # symmetric: column k holds row k's entries
+                r = x / pivot
+                for j, y in later:
+                    A[i][j] = A[i].get(j, 0) - r * y
+        else:
+            return negative
+
+
+@st.composite
+def exact_periods(draw):
+    """A period of 1 to 40 sites with |V| <= 1e3: uniform draws rounded to a
+    few digits (so some repeat), two-valued, or magnitudes 1e-3 to 1e3 of
+    either sign; and 40 energies in and around its spectrum, some at the
+    diagonal values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["rounded", "two-valued", "decades"]))
+    if kind == "rounded":
+        diag = rng.uniform(-3.0, 3.0, L).round(int(rng.integers(0, 4)))
+    elif kind == "two-valued":
+        diag = rng.choice([0.0, float(rng.uniform(-1e3, 1e3))], L)
+    else:
+        diag = rng.choice([-1.0, 1.0], L) * 10.0 ** rng.uniform(-3.0, 3.0, L)
+    E = np.concatenate([rng.uniform(diag.min() - 4.0, diag.max() + 4.0, 32),
+                        rng.choice(diag, 8)])
+    return diag, E
+
+
+class TestExactCount:
+    """The pivot counts equal the exact count of the float-valued matrix at
+    energies at least 1e-9 (relative) from every eigenvalue."""
+
+    def test_oracle_against_dense_counts(self, rng):
+        for _ in range(20):
+            diag = rng.uniform(-3.0, 3.0, int(rng.integers(1, 12)))
+            for rows, H in ((exact_matrix(diag), _dense_tridiag(diag)),
+                            (exact_matrix(diag, -1.0), _dense_wraparound(diag, -1.0))):
+                ev = np.linalg.eigvalsh(H)
+                E = _far_from(rng.uniform(-6.0, 6.0, 10), ev)
+                assert [exact_count(rows, e) for e in E] == [np.count_nonzero(ev < e) for e in E]
+
+    def test_oracle_zero_pivot(self):
+        # At E = 0 the first pivot of both is zero. Eigenvalues -1 and 1, and
+        # -1, -1 and 2.
+        assert exact_count(exact_matrix([0.0, 0.0]), 0.0) == 1
+        assert exact_count(exact_matrix([0.0, 0.0, 0.0], 1.0), 0.0) == 2
+
+    @given(exact_periods())
+    def test_pivot_counts_are_exact(self, period):
+        diag, E = period
+        E = _far_from(E, np.linalg.eigvalsh(_dense_tridiag(diag)))
+        assert count_below(diag, E).tolist() == [exact_count(exact_matrix(diag), e) for e in E]
+
+    @given(exact_periods(), st.sampled_from([1.0, -1.0]))
+    def test_bordered_counts_are_exact(self, period, corner):
+        diag, E = period
+        E = _far_from(E, np.linalg.eigvalsh(_dense_wraparound(diag, corner)))
+        rows = exact_matrix(diag, corner)
+        assert count_below_periodic(diag, E, corner).tolist() == [
+            exact_count(rows, e) for e in E]
+
+    DECADES = [1e200, 0.0, 1e200, 1e200, 0.0, 1e200, 0.0, 1e200]
+
+    @pytest.mark.parametrize("corner", [1.0, -1.0])
+    def test_decades_period_exact_count(self, corner):
+        assert exact_count(exact_matrix(self.DECADES, corner), -3.9) == 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: the bordered pair tolerance 1e-12 (|E| + max|V| + 2) "
+        "grows with the largest |V| and pairs O(1) pivots"))
+    @pytest.mark.parametrize("corner", [1.0, -1.0])
+    def test_decades_period_pivot_count(self, corner):
+        assert count_below_periodic(self.DECADES, [-3.9], corner)[0] == 0
+
+
 @st.composite
 def wraparound_stacks(draw):
     """B wrap-around problems of one length L: diag (L, B), corners (B,),
@@ -270,6 +383,114 @@ class TestStackedWraparound:
                                L, lo[b], hi[b])
             for b in range(len(corners))])
         np.testing.assert_array_equal(stacked, ref)
+
+
+def plain_bisection(count_fn, how_many, lo, hi):
+    """Reference edges: BISECTION_HALVINGS halvings of every bracket, one
+    count call per halving."""
+    ks = np.arange(1, how_many + 1)
+    shape = np.shape(lo) + (how_many,)
+    lo_a = np.broadcast_to(np.asarray(lo, dtype=float)[..., None], shape)
+    hi_a = np.broadcast_to(np.asarray(hi, dtype=float)[..., None], shape)
+    for _ in range(ids.BISECTION_HALVINGS):
+        mid = 0.5 * lo_a + 0.5 * hi_a
+        ge = count_fn(mid) >= ks
+        hi_a = np.where(ge, mid, hi_a)
+        lo_a = np.where(ge, lo_a, mid)
+    return 0.5 * lo_a + 0.5 * hi_a
+
+
+def non_monotone_count(E):
+    """A count of 0 to 4 that rises and falls with E."""
+    return np.floor(np.sin(E) ** 2 * 5.0).astype(np.int64)
+
+
+@st.composite
+def bisection_problems(draw, sites=st.integers(1, 40)):
+    """A counting function, how_many and brackets for ``bisect_eigenvalues``:
+    the Dirichlet count, 1 to 8 stacked wrap-around problems, the lifted
+    Floquet count of a level word, or ``non_monotone_count``. how_many is 0,
+    1, 2 or every eigenvalue; the brackets are the problem's own, of zero
+    width, [-1e300, 1e300], or [1e308, 1.7e308], whose sums overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dirichlet", "stacked", "floquet", "non-monotone"]))
+    L = draw(sites)
+    if kind == "dirichlet":
+        diag = rng.uniform(-3.0, 3.0, L)
+        count_fn, total = (lambda E: count_below(diag, E)), L
+        lo, hi = diag.min() - 4.0, diag.max() + 4.0
+    elif kind == "stacked":
+        diag = rng.uniform(-3.0, 3.0, (L, draw(st.integers(1, 8))))
+        corners = rng.choice([1.0, -1.0], diag.shape[1])
+        count_fn, total = (lambda E: count_below_periodic(diag, E, corners)), L
+        lo, hi = diag.min(axis=0) - 4.0, diag.max(axis=0) + 4.0
+    elif kind == "floquet":
+        rule = draw(st.sampled_from(list(RULES.values())))
+        spec = PotentialSpec.substitution(rule, {x: float(rng.uniform(-3.0, 3.0))
+                                                 for x in rule.alphabet})
+        period = periodic_approximant(spec, 1)
+        for order in range(2, 8):
+            if periodic_approximant(spec, order).period > max(L, period.period):
+                break
+            period = periodic_approximant(spec, order)
+        vals = np.asarray(period.values)
+        count_fn, total = (lambda E: floquet_count(period.level_word, E)), 2 * len(vals)
+        lo, hi = vals.min() - 4.0, vals.max() + 4.0
+    else:
+        count_fn, total = non_monotone_count, 4
+        lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
+    how_many = draw(st.sampled_from([0, 1, 2, total]))
+    bracket = draw(st.sampled_from(["own", "zero-width", (-1e300, 1e300), (1e308, 1.7e308)]))
+    if bracket == "zero-width":
+        hi = lo
+    elif bracket != "own":
+        lo, hi = np.full(np.shape(lo), bracket[0]), np.full(np.shape(hi), bracket[1])
+    return count_fn, how_many, lo, hi
+
+
+class TestMultisection:
+    """``bisect_eigenvalues`` advances several halvings per count call, each
+    bracket walking down the tree of its nested midpoints: the edges are
+    those of one count call per halving, bit for bit, whatever the budget,
+    and no call holds more energies than the budget or one halving's call."""
+
+    @staticmethod
+    def check(problem, budget):
+        count_fn, how_many, lo, hi = problem
+        sizes = []
+
+        def counted(E):
+            sizes.append(E.size)
+            return count_fn(E)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ids, "_BISECTION_LANES", budget)
+            got = bisect_eigenvalues(counted, how_many, lo, hi)
+        np.testing.assert_array_equal(got, plain_bisection(count_fn, how_many, lo, hi))
+        assert max(sizes, default=0) <= max(budget, np.size(lo) * how_many)
+
+    @settings(max_examples=120)
+    @given(bisection_problems(), st.sampled_from([1, 3, ids._BISECTION_LANES]))
+    def test_equals_plain_bisection(self, problem, budget):
+        self.check(problem, budget)
+
+    @settings(max_examples=8)
+    @given(bisection_problems(sites=st.integers(1, 3)))
+    def test_deep_trees(self, problem):
+        # Trees of up to 19 levels, the last call cut to the halvings left.
+        self.check(problem, 10**6)
+
+    def test_depths(self):
+        # One problem of 42 eigenvalues: 10 halvings in the first call (one
+        # tree for all brackets), then 4 per call, then the 2 left.
+        sizes = []
+
+        def counted(E):
+            sizes.append(E.shape)
+            return non_monotone_count(E)
+
+        bisect_eigenvalues(counted, 42, -5.0, 5.0)
+        assert sizes == [(1023,)] + [(42 * 15,)] * 12 + [(42 * 3,)]
 
 
 @st.composite

@@ -40,3 +40,13 @@ def test_lane_sweep(monkeypatch, capsys):
     rows = [line.split() for line in lines[1:]]
     assert [int(row[0]) for row in rows] == [512, 1024]
     assert all(float(x) > 0.0 for row in rows for x in row[1:])
+
+
+def test_bisection_sweep(monkeypatch, capsys):
+    args = ["--budgets", "1,1024", "--scale", "0.05", "--repeats", "1"]
+    lines = run_script("bisection_sweep.py", args, monkeypatch, capsys)
+    assert lines[0].split() == ["budget", "am-q89", "ms", "am-q144", "ms", "random-300", "ms",
+                                "golden-q377", "ms", "butterfly-10", "ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == [1, 1024]
+    assert all(float(x) > 0.0 for row in rows for x in row[1:])
