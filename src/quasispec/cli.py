@@ -258,12 +258,18 @@ def _check_grid(cfg: RunConfig) -> None:
         raise DomainError(f"need 2 to {MAX_SITES} grid points")
 
 
+def _check_span(lo: float, hi: float, flags: str) -> None:
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"{flags}: the span overflows a float")
+
+
 def _grid(cfg: RunConfig) -> np.ndarray:
     import numpy as np
 
     _check_grid(cfg)
     if cfg.emax <= cfg.emin:
         raise DomainError("need emax > emin")
+    _check_span(cfg.emin, cfg.emax, "--emin/--emax")
     return np.linspace(cfg.emin, cfg.emax, cfg.grid)
 
 
@@ -400,6 +406,7 @@ def _run_cantor(cfg: RunConfig):
     if cfg.what in ("function", "fourier"):
         _check_grid(cfg)
     if cfg.what == "function":
+        _check_span(cfg.xmin, cfg.xmax, "--xmin/--xmax")
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
         return (("x", "alpha"), [(x, cantor_alpha(float(x))) for x in xs],
                 _columns("x", "alpha"))

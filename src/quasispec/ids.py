@@ -390,8 +390,10 @@ def ids_curve(spec: PotentialSpec, omega: float | None, L: int, grid) -> IdsCurv
     """Finite-volume IDS: eigenvalue counts on the window [-L, L] (2L+1 sites)
     divided by 2L+1, evaluated at every grid energy. A window that
     ``potentials.fixed_point_window`` writes as level blocks (substitution
-    fixed points and the golden-mean Sturmian at every phase) is counted
-    from them (``dirichlet_count``), every other one from its samples."""
+    fixed points and the golden-mean Sturmian at every phase, off phase 0
+    the first occurrence of the sampled letters among the first 4(n+1)
+    shifts of the Fibonacci fixed point) is counted from them
+    (``dirichlet_count``), every other one from its samples."""
     if L < 1:
         raise DomainError("window half-size L must be at least 1")
     if omega is not None:

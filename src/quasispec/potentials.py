@@ -15,8 +15,8 @@ is spelled from level blocks rule^k(x) by one speller, ``_spell``, with
 lengths from one exact table, ``_level_lengths``. ``fixed_point_window``
 writes any window of a substitution fixed point, and any window of the
 golden-mean Sturmian at any phase, as level blocks: at omega = 0 from site 1
-or around site 0 without sampling, elsewhere as a shifted factor window of
-the Fibonacci fixed point whose letters are checked against the samples.
+or around site 0 without sampling, elsewhere as the first occurrence of the
+sampled letters among the first 4(n+1) shifts of the Fibonacci fixed point.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def fixed_point_window(spec: PotentialSpec, first: int, last: int) -> LevelWord 
     (ceil), pinned in the tests over MAX_SITES sites. On every other window
     and phase, the golden-mean Sturmian is a shifted factor window of the
     right fixed point (``_shifted_golden_window``), which costs O(n) to
-    sample and check, against O(log n) for the level products."""
+    sample and find, against O(log n) for the level products."""
     if first > last:
         return None
     if spec.kind == "substitution":
@@ -403,54 +403,28 @@ def fixed_point_window(spec: PotentialSpec, first: int, last: int) -> LevelWord 
 
 def _shifted_golden_window(spec: PotentialSpec, first: int, last: int,
                            seeds: tuple[str, str, int]) -> LevelWord | None:
-    """The golden-mean Sturmian on sites first..last as the factor window
-    first+m..last+m of the right Fibonacci fixed point, or None.
-
-    Every golden-mean Sturmian sequence has the language of the Fibonacci
-    substitution (Damanik-Killip-Lenz, CMP 2000). In exact arithmetic the
-    window's letters depend on the phase only through its cell: the arc
-    between the window's discontinuities {-k alpha}, k = first..last+1. The
-    phase {m alpha} of the fixed point shifted by m is in omega's cell for
-    the least such m >= 1 - first (``_golden_shift``). Floats can move a
-    sample across a discontinuity, so the word is returned only if its
-    values equal the samples exactly."""
-    values = sample_potential(spec, first, last)
-    m = _golden_shift(spec, first, last)
-    if m is None:
+    """The golden-mean Sturmian on sites first..last as a factor window of
+    the right Fibonacci fixed point, whose language it has at every phase
+    (Damanik-Killip-Lenz, CMP 2000): the first occurrence j+1..j+n of the
+    sampled letters among its first 4(n+1) shifts, so its letters are the
+    samples. None if the samples are not letters or do not occur there."""
+    letters = _golden_letters(sample_potential(spec, first, last), spec.lam)
+    n = last - first + 1
+    text = generate_substitution_word(FIBONACCI_RULE, "a", 5 * n + 3)
+    j = -1 if letters is None else text.find(letters, 0, 5 * n + 3)  # so j < 4(n+1)
+    if j < 0:
         return None
-    word = LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
-                     fixed_point_blocks(FIBONACCI_RULE, seeds, first + m, last + m))
-    letters = np.frombuffer(_spell(word.rule, word.blocks).encode(), np.uint8)
-    return word if np.array_equal(np.where(letters == ord("a"), spec.lam, 0.0), values) else None
+    return LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
+                     fixed_point_blocks(FIBONACCI_RULE, seeds, j + 1, j + n))
 
 
-def _golden_shift(spec: PotentialSpec, first: int, last: int) -> int | None:
-    """The least m >= 1 - first with {m alpha} strictly inside omega's cell
-    between the window's discontinuities {-k alpha}, k = first..last+1, in
-    floats; None if none is found.
-
-    The cell is read off the sampler's own arguments x_k = k alpha + omega,
-    negated for ceil rounding: it reaches min {x_k} below omega and
-    1 - max {x_k} above it (the other way round for ceil). So a phase on a
-    discontinuity lies at the end of the cell that its rounding picks. The
-    candidates go in runs of n: by the three-gap theorem every cell of n
-    points holds one of the next few n multiples, and one run found it in
-    most draws."""
-    omega = math.fmod(spec.omega, 1.0)
-    x = np.arange(first, last + 2, dtype=float) * spec.alpha + omega
-    if spec.rounding == "ceil":
-        x = -x
-    x -= np.floor(x)
-    near = x.min()
-    width = near + (1.0 - x.max())
-    low = omega - near if spec.rounding == "floor" else omega + near - width
-    for start in range(1 - first, 1 - first + 4 * len(x), len(x)):
-        y = np.arange(start, start + len(x), dtype=float) * spec.alpha - low
-        y -= np.floor(y)
-        hit = np.flatnonzero((y > 0.0) & (y < width))
-        if hit.size:
-            return start + int(hit[0])
-    return None
+def _golden_letters(values: np.ndarray, lam: float) -> str | None:
+    """Golden-mean Sturmian samples as Fibonacci letters, a for lam and b
+    for 0, or None if a sample is neither."""
+    a, b = values == lam, values == 0.0
+    if not np.all(a | b):
+        return None
+    return np.where(a, ord("a"), ord("b")).astype(np.uint8).tobytes().decode()
 
 
 # -- sampling ----------------------------------------------------------------
@@ -625,8 +599,8 @@ def _convergent_period(spec: PotentialSpec, p: int, q: int) -> PeriodicPotential
         word = LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
                          ((_first_level(FIBONACCI_RULE, "a", q), "a"),))
         block = _spell(word.rule, word.blocks)
-        letters = "".join("a" if v == spec.lam else "b" for v in values)
-        if not (word.sites == q and letters in block + block):
+        letters = _golden_letters(np.array(values), spec.lam)
+        if not (word.sites == q and letters and letters in block + block):
             word = None
     return PeriodicPotential(values, word)
 

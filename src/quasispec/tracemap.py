@@ -204,6 +204,8 @@ def bounded_spectrum(lam: float, e_window: tuple[float, float], depth: int,
     lo, hi = e_window
     if not lo < hi:
         raise DomainError("empty energy window")
+    if not math.isfinite(hi - lo):
+        raise DomainError("energy window span overflows a float")
     limit = math.frexp((hi - lo) / math.ulp(max(abs(lo), abs(hi))))[1] - 1
     if depth > limit:
         raise DomainError(f"depth {depth} would split the window below its float "

@@ -33,9 +33,10 @@ one lifted product, joins the O(log n) level blocks of a ``LevelWord`` with
 their integer lifts in the universal cover of SL(2, R). ``lyapunov_grid``
 takes it where ``potentials.fixed_point_window`` gives a word for sites 1..n
 (substitution fixed points, and the golden-mean Sturmian at every phase: at
-omega != 0 a shifted Fibonacci factor window, sampled and checked once in
-O(n)), and ``product_grid`` elsewhere; ``ids`` turns its lifts into
-eigenvalue counts of fixed-point windows and level-block periods.
+omega != 0 the first occurrence of the sampled letters among the first
+4(n+1) shifts of the Fibonacci fixed point, found once in O(n)), and
+``product_grid`` elsewhere; ``ids`` turns its lifts into eigenvalue counts
+of fixed-point windows and level-block periods.
 """
 
 from __future__ import annotations

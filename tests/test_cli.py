@@ -442,6 +442,13 @@ class TestErrors:
         ["ids", "--grid", "1000000000"],
         ["lyapunov", "--grid", "1000000000"],
         ["cantor", "--what", "fourier", "--grid", "1000000000"],
+        ["lyapunov", "--model", "free", "--n", "10", "--grid", "5", "--emin", "-1e308",
+         "--emax", "1e308"],
+        ["ids", "--model", "free", "--n", "10", "--grid", "5", "--emin", "-1e308",
+         "--emax", "1e308"],
+        ["cantor", "--what", "function", "--grid", "5", "--xmin", "-1e308", "--xmax", "1e308"],
+        ["spectrum", "--model", "fibonacci", "--method", "bounded", "--emin", "-1e308",
+         "--emax", "1e308", "--depth", "3"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         for flag in ("--config", "--rule-file"):
@@ -451,12 +458,15 @@ class TestErrors:
                 path.write_text(argv[i])
                 argv = argv[:i] + [str(path)] + argv[i + 1:]
         start = time.perf_counter()
-        code, out, err = run_cli(argv, capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv, capsys)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("token", ["-1", "-1e3", "-.5"])
     def test_negative_first_token_is_an_invalid_command(self, token, capsys):

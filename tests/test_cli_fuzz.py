@@ -65,6 +65,9 @@ def _argv(rng, options, tmp):
             argv.append(flag)
         else:
             argv += [flag, rng.choice(_values(field, tmp))]
+    if rng.random() < 0.05:  # a range whose span overflows a float
+        lo, hi = rng.choice([("--emin", "--emax"), ("--xmin", "--xmax")])
+        argv += [lo, "-1e308", hi, "1e308"]
     if rng.random() < 0.05:
         argv += ["--config", str(tmp / rng.choice(["config.txt", "missing.txt"]))]
     return argv

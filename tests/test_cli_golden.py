@@ -4,7 +4,9 @@ The commands are the eight README examples (their ``--out`` files dropped, so
 the data goes to stdout), a butterfly as JSON, an almost-Mathieu spectrum at
 q = 377, and small runs that give every subcommand and every ``cantor --what``
 mode in both formats, with both ``--leads`` and ``--method bounded``, and
-the golden-mean IDS at a phase other than 0 in both roundings. Any
+the golden-mean IDS and Lyapunov exponent at phases other than 0 in both
+roundings (the Lyapunov exponents also see how the window is split into
+level blocks, which the integer counts of the IDS do not). Any
 change to a printed digit changes a hash; a kernel change that is meant to
 keep the output must keep every hash. Every JSON output must also be strict
 JSON, which has no NaN or Infinity.
@@ -83,6 +85,11 @@ GOLDEN = {
         "7db5d4e1fe9266cadf1af7f2cc86189684f30d4a703af5d68adcf44f5f68e2cb",
     "ids --model fibonacci --lambda 2 --omega 0.3 --size 100000 --grid 200 --rounding ceil":
         "7db5d4e1fe9266cadf1af7f2cc86189684f30d4a703af5d68adcf44f5f68e2cb",
+    "lyapunov --model fibonacci --lambda 2 --omega 0.3 --n 100000 --emin -3 --emax 4 --grid 200":
+        "eaddc3b24d34d8fcb20b43a4c7bee1d1cdcbeef5e4674071afc44710be6e0949",
+    "lyapunov --model fibonacci --lambda 2 --omega -0.71 --n 100000 --emin -3 --emax 4 "
+    "--grid 200 --rounding ceil --format json":
+        "961a392952c0b9268b6192374200b7c7879c2c2719ea6f5b2ac035652801a456",
 }
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quasispec import (
     DomainError,
@@ -20,7 +20,6 @@ from quasispec import (
     periodic_approximant,
     sample_potential,
 )
-from quasispec import potentials
 from quasispec.potentials import (MAX_SITES, NAMED_RULES, TWO_SIDED_POWER_CAP,
                                   _first_level, _level_lengths, _two_sided_letters,
                                   cosine_period, fixed_point_blocks, fixed_point_window)
@@ -547,11 +546,38 @@ def _cuts(first, last):
     return np.mod(-GOLDEN_MEAN * np.arange(first, last + 2, dtype=float), 1.0)
 
 
+def float_cell_shift(spec, first, last):
+    """Reference shift: the least m >= 1 - first with {m alpha} strictly
+    inside omega's cell between the window's discontinuities {-k alpha},
+    k = first..last+1, in floats; None if none is found.
+
+    The cell is read off the sampler's own arguments x_k = k alpha + omega,
+    negated for ceil rounding: it reaches min {x_k} below omega and
+    1 - max {x_k} above it (the other way round for ceil). The candidates
+    go in 4 runs of n + 1, the number of cuts: by the three-gap theorem every
+    cell of n + 1 points holds one of the next few n + 1 multiples."""
+    omega = math.fmod(spec.omega, 1.0)
+    x = np.arange(first, last + 2, dtype=float) * spec.alpha + omega
+    if spec.rounding == "ceil":
+        x = -x
+    x -= np.floor(x)
+    near = x.min()
+    width = near + (1.0 - x.max())
+    low = omega - near if spec.rounding == "floor" else omega + near - width
+    for start in range(1 - first, 1 - first + 4 * len(x), len(x)):
+        y = np.arange(start, start + len(x), dtype=float) * spec.alpha - low
+        y -= np.floor(y)
+        hit = np.flatnonzero((y > 0.0) & (y < width))
+        if hit.size:
+            return start + int(hit[0])
+    return None
+
+
 class TestShiftedGoldenWindows:
     """The golden-mean Sturmian at every phase is a factor window of the
     right Fibonacci fixed point (Damanik-Killip-Lenz); every word
-    ``fixed_point_window`` gives spells the samples exactly, and a wrong
-    shift is refused."""
+    ``fixed_point_window`` gives spells the samples exactly, and its blocks
+    are those of the float phase-cell shift (``float_cell_shift``)."""
 
     WINDOWS = [(1, 1), (1, 2), (1, 3000), (-1, 1), (-1500, 1500), (2, 10), (-10, -1),
                (777, 5000), (-90_000, -80_000), (10**7, 10**7 + 4181)]
@@ -604,12 +630,25 @@ class TestShiftedGoldenWindows:
         word = fixed_point_window(spec, first, last)
         assert np.array_equal(spelled_values(word), sample_potential(spec, first, last))
 
-    def test_a_wrong_shift_is_refused(self, monkeypatch):
-        spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, 0.4)
-        shift = potentials._golden_shift
-        assert fixed_point_window(spec, -300, 300) is not None
-        monkeypatch.setattr(potentials, "_golden_shift", lambda *a: shift(*a) + 1)
-        assert fixed_point_window(spec, -300, 300) is None
+    @settings(max_examples=2000)
+    @given(st.integers(-5000, 5000), st.integers(1, 3000), st.floats(-2.0, 2.0),
+           st.sampled_from(["floor", "ceil"]))
+    def test_blocks_equal_the_float_cell_shift(self, first, size, omega, rounding):
+        last = first + size - 1
+        assume(not (math.fmod(omega, 1.0) == 0.0 and first <= 1 and 0 <= last))
+        spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, omega, rounding)
+        seeds = ("b" if rounding == "floor" else "a", "a", 2)
+        m = float_cell_shift(spec, first, last)
+        assert fixed_point_window(spec, first, last).blocks == \
+            fixed_point_blocks(FIBONACCI_RULE, seeds, first + m, last + m)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_samples_that_are_not_letters_get_no_word(self, lam):
+        # At lam = inf the b sites sample inf * 0 = nan, which is no letter.
+        spec = PotentialSpec.sturmian(GOLDEN_MEAN, lam, 0.4)
+        with np.errstate(invalid="ignore"):
+            assert fixed_point_window(spec, -300, 300) is None
+            assert fixed_point_window(spec, 1, 3000) is None
 
 
 class TestLevelBlockProvenance:

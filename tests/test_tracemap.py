@@ -180,6 +180,8 @@ class TestBoundedSpectrum:
             bounded_spectrum(1.0, (1.0, -1.0), 4, 5)
         with pytest.raises(DomainError):
             bounded_spectrum(1.0, (-1.0, 1.0), 0, 5)
+        with pytest.raises(DomainError, match="span overflows"):
+            bounded_spectrum(1.0, (-1e308, 1e308), 3, 5)
 
     @pytest.mark.parametrize("window, limit", [((0.0, 1.0), 52), ((-5.0, 5.0), 53),
                                                ((1e-300, 2e-300), 51)])

@@ -566,12 +566,13 @@ class TestRenormalized:
             assert np.all(np.abs(got - want)[off] <= 1e-12 * want[off])
 
     def test_a_refused_word_takes_the_direct_path(self, monkeypatch):
-        # A wrong shift spells another word, which the check refuses; the
-        # samples then take the direct path, bit for bit.
+        # A fixed point spelled without b holds none of the sampled letters,
+        # so no word is found; the samples then take the direct path, bit for bit.
         spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.5, 0.4)
         E = np.linspace(-4.0, 4.0, 9)
-        shift = potentials._golden_shift
-        monkeypatch.setattr(potentials, "_golden_shift", lambda *a: shift(*a) + 1)
+        assert fixed_point_window(spec, 1, 3000) is not None
+        monkeypatch.setattr(potentials, "generate_substitution_word",
+                            lambda rule, seed, size: seed * size)
         assert fixed_point_window(spec, 1, 3000) is None
         direct = Mat2(*product_grid(sample_potential(spec, 1, 3000), E)).op_norm_log()
         assert np.array_equal(lyapunov_grid(spec, E, 3000), np.maximum(0.0, direct) / 3000)
