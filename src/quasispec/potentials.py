@@ -22,7 +22,7 @@ sampled letters among the first 4(n+1) shifts of the Fibonacci fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, islice
 
@@ -125,16 +125,20 @@ class LevelWord:
     """A chain segment written as whole level blocks rule^k(x) of a
     substitution with ``letter_values``, ``blocks`` = ((k, x), ...) left to
     right: the words whose transfer matrices ``transfer.iter_levels`` builds,
-    joined by ``transfer.block_product``. ``sites`` is the segment's length."""
+    joined by ``transfer.block_product``. ``sites`` is the segment's length,
+    read from ``lengths``, the rule's ``_level_lengths`` up to the highest
+    block's level where the caller has them, else walked here."""
 
     rule: SubstitutionRule
     letter_values: dict[str, float]
     blocks: tuple[tuple[int, str], ...]
     sites: int = field(init=False, repr=False, compare=False)
+    lengths: InitVar[list[dict[str, int]] | None] = None
 
-    def __post_init__(self):
-        levels = max(k for k, _ in self.blocks) + 1
-        lengths = list(islice(_level_lengths(self.rule), levels))
+    def __post_init__(self, lengths):
+        if lengths is None:
+            levels = max(k for k, _ in self.blocks) + 1
+            lengths = list(islice(_level_lengths(self.rule), levels))
         object.__setattr__(self, "sites", sum(lengths[k][x] for k, x in self.blocks))
 
 
@@ -251,11 +255,26 @@ def _level_lengths(rule: SubstitutionRule):
         lengths = {y: sum(lengths[z] for z in rule.images[y]) for y in rule.alphabet}
 
 
+def _level_table(rule: SubstitutionRule, p: int, sizes) -> list[dict[str, int]]:
+    """``_level_lengths`` up to the least multiple k of ``p`` with
+    |rule^k(x)| >= size for every (x, size) of ``sizes``, for a primitive
+    rule: one walk, which a window's blocks and its ``LevelWord`` share."""
+    table = []
+    for level in _level_lengths(rule):
+        table.append(level)
+        if (len(table) - 1) % p == 0 and all(level[x] >= size for x, size in sizes):
+            return table
+
+
+def _top(table: list[dict[str, int]], x: str, size: int, p: int) -> int:
+    """The least multiple k of ``p`` with |rule^k(x)| >= ``size`` in ``table``."""
+    return next(k for k in range(0, len(table), p) if table[k][x] >= size)
+
+
 def _first_level(rule: SubstitutionRule, x: str, size: int, p: int = 1) -> int:
     """The least multiple k of ``p`` with |rule^k(x)| >= ``size``, for a
     primitive rule."""
-    return next(k for k, level in enumerate(_level_lengths(rule))
-                if k % p == 0 and level[x] >= size)
+    return len(_level_table(rule, p, ((x, size),))) - 1
 
 
 def _spell(rule: SubstitutionRule, blocks: tuple[tuple[int, str], ...]) -> str:
@@ -323,7 +342,8 @@ def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int) -> str:
 
 
 def fixed_point_blocks(rule: SubstitutionRule, seeds: tuple[str, str, int], first: int,
-                       last: int) -> tuple[tuple[int, str], ...]:
+                       last: int, lengths: list[dict[str, int]] | None = None
+                       ) -> tuple[tuple[int, str], ...]:
     """Sites first..last (first <= last) of the two-sided fixed point grown
     from ``seeds`` = (left letter, right letter, power p), as whole level
     blocks rule^k(x), left to right: sites n <= 0 end rule^(pK)(left letter)
@@ -335,12 +355,14 @@ def fixed_point_blocks(rule: SubstitutionRule, seeds: tuple[str, str, int], firs
     level-(k-1) blocks of the letters of its image, so at most two blocks
     split per level. A window from site 1 gives the Dumont-Thomas expansion
     of its length (Zeckendorf digits for Fibonacci). Block lengths are exact
-    Python ints.
+    Python ints, from ``lengths``, the ``_window_levels`` of the window,
+    built here unless given.
     """
     left, right, p = seeds
-    top_left = _first_level(rule, left, 1 - first, p) if first <= 0 else 0
-    top_right = _first_level(rule, right, last, p) if last >= 1 else 0
-    lengths = list(islice(_level_lengths(rule), max(top_left, top_right) + 1))
+    if lengths is None:
+        lengths = _window_levels(rule, seeds, first, last)
+    top_left = _top(lengths, left, 1 - first, p) if first <= 0 else 0
+    top_right = _top(lengths, right, last, p) if last >= 1 else 0
     blocks = []
     if first <= 0:
         size = lengths[top_left][left]
@@ -349,6 +371,17 @@ def fixed_point_blocks(rule: SubstitutionRule, seeds: tuple[str, str, int], firs
     if last >= 1:
         blocks += _window_blocks(rule, lengths, top_right, right, max(first, 1) - 1, last)
     return tuple(blocks)
+
+
+def _window_levels(rule: SubstitutionRule, seeds: tuple[str, str, int], first: int,
+                   last: int) -> list[dict[str, int]]:
+    """The level lengths that ``fixed_point_blocks`` reads for sites
+    first..last: up to the level of the higher of its top blocks."""
+    left, right, p = seeds
+    sizes = [(left, 1 - first)] if first <= 0 else []
+    if last >= 1:
+        sizes.append((right, last))
+    return _level_table(rule, p, sizes)
 
 
 def _window_blocks(rule: SubstitutionRule, lengths, k: int, x: str, lo: int,
@@ -398,7 +431,16 @@ def fixed_point_window(spec: PotentialSpec, first: int, last: int) -> LevelWord 
     else:
         return None
     check_sites(last - first + 1)
-    return LevelWord(rule, letter_values, fixed_point_blocks(rule, seeds, first, last))
+    return _window_word(rule, letter_values, seeds, first, last)
+
+
+def _window_word(rule: SubstitutionRule, letter_values: dict[str, float],
+                 seeds: tuple[str, str, int], first: int, last: int) -> LevelWord:
+    """Sites first..last of the fixed point grown from ``seeds`` as a
+    ``LevelWord``, whose blocks and sites read one length table."""
+    lengths = _window_levels(rule, seeds, first, last)
+    return LevelWord(rule, letter_values, fixed_point_blocks(rule, seeds, first, last, lengths),
+                     lengths)
 
 
 def _shifted_golden_window(spec: PotentialSpec, first: int, last: int,
@@ -414,8 +456,7 @@ def _shifted_golden_window(spec: PotentialSpec, first: int, last: int,
     j = -1 if letters is None else text.find(letters, 0, 5 * n + 3)  # so j < 4(n+1)
     if j < 0:
         return None
-    return LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
-                     fixed_point_blocks(FIBONACCI_RULE, seeds, j + 1, j + n))
+    return _window_word(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}, seeds, j + 1, j + n)
 
 
 def _golden_letters(values: np.ndarray, lam: float) -> str | None:

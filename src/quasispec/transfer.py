@@ -30,7 +30,10 @@ A segment of a substitution fixed point needs no samples: ``iter_levels``
 renormalizes the per-letter matrices level by level (the matrix of rule^(k+1)(x)
 is the product of the level-k matrices of rule(x)), and ``block_product``, the
 one lifted product, joins the O(log n) level blocks of a ``LevelWord`` with
-their integer lifts in the universal cover of SL(2, R). ``lyapunov_grid``
+their integer lifts in the universal cover of SL(2, R). These products are
+formed unscaled in long double and rescaled, by one power of two per energy,
+only once the measured largest entry of some energy's matrix leaves
+2^+-_LEVEL_BITS (``_bounded``); the schedule changes no bit. ``lyapunov_grid``
 takes it where ``potentials.fixed_point_window`` gives a word for sites 1..n
 (substitution fixed points, and the golden-mean Sturmian at every phase: at
 omega != 0 the first occurrence of the sampled letters among the first
@@ -257,14 +260,27 @@ def _normalized(ab, cd, exps, shape):
     return tuple(r.reshape(shape) for r in (*ab, *cd, exps * _LN2 + np.log(m)))
 
 
-def _rescale(x, y, exps):
+def _rescale(x, y, exps, m=None):
     """Scale the row pairs ``x`` and ``y`` in place by one power of two per
     lane so that their largest |entry| lies in [1/2, 1); add its exponent to
-    ``exps``. Returns that largest |entry| before the scaling and the exponent."""
-    m = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
+    ``exps``. ``m`` is that largest |entry| per lane where already measured.
+    Returns it before the scaling and the exponent.
+
+    Long-double rows are multiplied by one factor 2^-e per lane, formed once:
+    ``np.ldexp`` costs about four long-double multiplies an entry. Both scale
+    exactly and round a subnormal result once, so they give the same bits;
+    where 2^-e itself overflows (a largest |entry| below 2^-16384 on x86)
+    ``np.ldexp`` is taken, as it is for float64 rows."""
+    if m is None:
+        m = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
     e = np.frexp(m)[1]
-    np.ldexp(x, -e, out=x)
-    np.ldexp(y, -e, out=y)
+    if x.dtype == np.longdouble and e.min(initial=0) > -np.finfo(x.dtype).maxexp:
+        f = np.ldexp(np.ones(e.shape, x.dtype), -e)
+        x *= f
+        y *= f
+    else:
+        np.ldexp(x, -e, out=x)
+        np.ldexp(y, -e, out=y)
     exps += e
     return m, e
 
@@ -282,12 +298,12 @@ def iter_levels(rule: SubstitutionRule, letter_values: dict[str, float], energie
     the level-k matrices of the image of x in reversed order, the
     renormalization behind the trace maps of Kohmoto-Kadanoff-Tang (1983)
     and Suto (1989). The products are formed unscaled and rescaled by powers
-    of two only where their entries could leave the exponent range
-    (``_chain``), so the entries are not normalized and the schedule changes
-    no bit. The lifts are each level matrix's integer lift in the universal
-    cover of SL(2, R) (``_chain``), from which the eigenvalue counts of the
-    level words follow (Johnson-Moser, CMP 1982; ``ids.floquet_count``,
-    ``ids.dirichlet_count``).
+    of two only once an energy's measured largest |entry| leaves
+    2^+-_LEVEL_BITS (``_bounded``), so the entries are not normalized and the
+    schedule changes no bit. The lifts are each level matrix's integer lift
+    in the universal cover of SL(2, R) (``_chain``), from which the
+    eigenvalue counts of the level words follow (Johnson-Moser, CMP 1982;
+    ``ids.floquet_count``, ``ids.dirichlet_count``).
 
     The entries are long doubles (a 64-bit mantissa on x86; plain doubles
     where the platform has no wider type). A level matrix can have a much
@@ -318,20 +334,35 @@ def iter_levels(rule: SubstitutionRule, letter_values: dict[str, float], energie
 
 # Level products are formed unscaled. A stored 2^e [[a, b], [c, d]] with
 # determinant 1 has its largest |entry| in [2^(-e - 1/2), 2^bits], where bits is
-# log2 of a bound on its row sums; it is rescaled once bits or the largest
-# exponent e passes a quarter of the exponent range, so that the product of two
+# log2 of a bound on its row sums. While each factor's largest |entry| lies
+# within 2^+-_LEVEL_BITS, a quarter of the exponent range, the product of two
 # neither overflows nor underflows (2^-8193 to 2^8192 for x86 long doubles).
+# ``_bounded`` reads that from bits and e where it can, and measures it where
+# they do not tell: a stack is rescaled only once a lane's measured largest
+# |entry| leaves the range.
 _LEVEL_BITS = np.finfo(np.longdouble).maxexp / 4
 
 
 def _bounded(p: np.ndarray, bits: float) -> float:
-    """Rescale the power-of-two matrices ``p`` (rows on axis 0) in place once
-    ``bits`` or their largest exponent passes _LEVEL_BITS; return the bound on
-    log2 of their row sums after."""
-    if not (bits <= _LEVEL_BITS and p[4].max(initial=0.0) <= _LEVEL_BITS):
-        _rescale(p[:2], p[2:4], p[4])
-        return 1.0
-    return bits
+    """Keep the power-of-two matrices ``p`` (rows on axis 0) within range;
+    return the bound on log2 of their row sums after.
+
+    While ``bits`` and their largest exponent are at most _LEVEL_BITS, every
+    lane's largest |entry| lies in range and ``bits`` is returned unread.
+    Past that, each lane's largest |entry| m is measured, the maximum that
+    ``_rescale`` forms: if some lane's m lies outside
+    [2^-_LEVEL_BITS, 2^_LEVEL_BITS] the stack is rescaled (a bound of 1 bit
+    after), else the measured bound f + 1, for the largest m below 2^f, is
+    returned where it is below ``bits``. The range is read from _LEVEL_BITS
+    at each call, so that a patched value takes effect."""
+    if bits <= _LEVEL_BITS and p[4].max(initial=0.0) <= _LEVEL_BITS:
+        return bits
+    m = np.abs(p[:4]).max(axis=0)
+    hi, top = m.max(initial=1.0), np.ldexp(np.longdouble(1.0), int(_LEVEL_BITS))
+    if hi <= top and m.min(initial=1.0) * top >= 1.0:
+        return min(bits, float(np.frexp(hi)[1]) + 1.0)
+    _rescale(p[:2], p[2:4], p[4], m)
+    return 1.0
 
 
 def _chain(mats: np.ndarray, lifts: np.ndarray, bits: float, lower: np.ndarray,

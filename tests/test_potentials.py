@@ -20,6 +20,7 @@ from quasispec import (
     periodic_approximant,
     sample_potential,
 )
+from quasispec import potentials
 from quasispec.potentials import (MAX_SITES, NAMED_RULES, TWO_SIDED_POWER_CAP,
                                   _first_level, _level_lengths, _two_sided_letters,
                                   cosine_period, fixed_point_blocks, fixed_point_window)
@@ -539,6 +540,27 @@ class TestWindowSplit:
         seeds = ("b" if rounding == "floor" else "a", "a", 2)
         assert fixed_point_blocks(FIBONACCI_RULE, seeds, first, last) == \
             prefix_suffix_blocks(FIBONACCI_RULE, seeds, first, last)
+
+    @pytest.mark.parametrize("spec, first, last, walks", [
+        (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 2.0, "b": -0.5}), 1, 10_000, 1),
+        (PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -1.0}), -5000, 5000, 1),
+        (PotentialSpec.substitution(PERIOD_DOUBLING_RULE, {"a": 1.0, "b": 0.0}), 10**9, 10**9 + 10, 1),
+        # The searched prefix of the shifted window is spelled on its own walk.
+        (PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, 0.3), 1, 10_000, 2),
+    ], ids=["fibonacci", "thue-morse-two-sided", "period-doubling-far", "golden-omega"])
+    def test_a_window_walks_the_level_lengths_once(self, spec, first, last, walks, monkeypatch):
+        # The window's blocks and its LevelWord's sites share one length table.
+        want = fixed_point_window(spec, first, last)
+        calls = []
+
+        def counted(rule):
+            calls.append(rule)
+            return _level_lengths(rule)
+
+        monkeypatch.setattr(potentials, "_level_lengths", counted)
+        word = fixed_point_window(spec, first, last)
+        assert len(calls) == walks
+        assert word == want and word.sites == want.sites == last - first + 1
 
 
 def _cuts(first, last):

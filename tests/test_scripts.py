@@ -50,3 +50,18 @@ def test_bisection_sweep(monkeypatch, capsys):
     rows = [line.split() for line in lines[1:]]
     assert [int(row[0]) for row in rows] == [1, 1024]
     assert all(float(x) > 0.0 for row in rows for x in row[1:])
+
+
+def test_rescale_census(monkeypatch, capsys):
+    args = ["--energies", "24", "--scale", "0.01", "--repeats", "1"]
+    lines = run_script("rescale_census.py", args, monkeypatch, capsys)
+    assert lines[0].split() == ["window", "sites", "rule", "rescales", "max", "shift",
+                                "rescale", "ms", "call", "ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["fibonacci"] * 4 + ["thue-morse", "thue-morse",
+                                                           "golden-0.3", "golden-0.3"]
+    assert [row[2] for row in rows] == ["default", "eager"] * 4
+    # The eager rule rescales after every product, so at least as often.
+    for default, eager in zip(rows[::2], rows[1::2]):
+        assert int(default[1]) == int(eager[1]) >= 2
+        assert 1 <= int(default[3]) <= int(eager[3])

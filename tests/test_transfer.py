@@ -151,6 +151,44 @@ class TestStepAndProducts:
         assert 0.5 <= np.max(np.abs(m.entries())) <= 2.0
 
 
+def ldexp_rescale(x, y, exps):
+    """``_rescale`` by ``np.ldexp`` on every entry, the reference."""
+    m = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
+    e = np.frexp(m)[1]
+    np.ldexp(x, -e, out=x)
+    np.ldexp(y, -e, out=y)
+    exps += e
+    return m, e
+
+
+class TestRescale:
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+    @pytest.mark.parametrize("tiny_lane", [False, True])
+    def test_per_lane_factor_equals_ldexp(self, dtype, tiny_lane):
+        # Lanes whose largest entries sit near both ends of the range, with
+        # entries that scale into the subnormals, and zero, NaN and +-inf
+        # lanes; a lane below 2^-maxexp, whose factor would overflow, takes
+        # np.ldexp for the whole call.
+        info, rng = np.finfo(dtype), np.random.default_rng(5)
+        near, M = info.maxexp * 125 // 128, 64  # 16000 for x86 long doubles
+        sizes = rng.choice([-near, near], M) + rng.integers(-20, 21, M)
+        x, y = (np.ldexp(rng.standard_normal((2, M)).astype(dtype), sizes) for _ in range(2))
+        up = sizes > 0
+        y[1, up] = np.ldexp(rng.standard_normal(up.sum()).astype(dtype),
+                            sizes[up] + info.minexp - rng.integers(1, 40, up.sum()))
+        x[:, 0] = y[:, 0] = 0.0
+        x[0, 1], y[1, 2], y[0, 3] = np.nan, np.inf, -np.inf
+        if tiny_lane:
+            x[:, 4] = y[:, 4] = np.ldexp(dtype(1.0), -info.maxexp - 5)
+        exps = rng.integers(-100, 100, M).astype(dtype)
+        want = [a.copy() for a in (x, y, exps)]
+        want += ldexp_rescale(*want)
+        got = [x, y, exps, *_rescale(x, y, exps)]
+        assert np.any((y != 0) & (np.abs(y) < info.smallest_normal))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestProductKernel:
     @given(random_chains())
     def test_matches_scalar_reference(self, chain):
@@ -509,6 +547,37 @@ class TestRenormalized:
         for x, y in zip(lazy, eager):
             assert np.array_equal(x, y)
         assert lazy_traces == eager_traces
+
+    def test_level_rescales_follow_the_measured_size(self, monkeypatch):
+        # The 10^4-site Fibonacci window at 240 energies: the level products
+        # pass the exponent test after a few levels, but their entries stay
+        # in range, so only a few rescales are taken (16 when every product
+        # past that test was rescaled). A rescale after every product gives
+        # the same Lyapunov values, lifts and counts.
+        spec = PotentialSpec.substitution(FIBONACCI_RULE, {"a": 2.0, "b": -0.5})
+        E = np.linspace(-3.0, 4.5, 240)
+        word = fixed_point_window(spec, 1, 10_000)
+        shifts = []
+
+        def counted(*args):
+            m, e = _rescale(*args)
+            shifts.append(e)
+            return m, e
+
+        def run():  # the rescales of the Lyapunov values, and the lifted outputs
+            shifts.clear()
+            gamma = lyapunov_grid(spec, E, 10_000)
+            rescales = len(shifts)
+            return (gamma, block_product(word, E, lambda _, n: n),
+                    dirichlet_count(word, E)), rescales
+
+        monkeypatch.setattr(transfer, "_rescale", counted)
+        lazy, lazy_rescales = run()
+        monkeypatch.setattr(transfer, "_LEVEL_BITS", -1)
+        eager, eager_rescales = run()
+        assert 1 <= lazy_rescales <= 6 < 16 <= eager_rescales
+        for x, y in zip(lazy, eager):
+            np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("spec, first, last", [
         *((PotentialSpec.substitution(rule, {"a": 1.5, "b": -0.25}), 1, MAX_SITES)
