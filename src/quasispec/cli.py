@@ -226,12 +226,14 @@ def build_spec(cfg: RunConfig) -> PotentialSpec:
 def _golden_mean_lambda(cfg: RunConfig) -> float:
     """The coupling of the Fibonacci chain the flags describe, the one chain
     the golden-mean trace map covers: a -> ab, b -> a with b -> 0, that is
-    the golden-mean Sturmian at omega 0 (either rounding) or a rule file of
-    that rule. DomainError for every other chain."""
+    the golden-mean Sturmian at omega 0 mod 1 (either rounding; the samplers
+    reduce the phase exactly with ``fmod``) or a rule file of that rule.
+    DomainError for every other chain."""
     from .potentials import FIBONACCI_RULE
 
     spec = build_spec(cfg)
-    golden = spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN and spec.omega == 0.0
+    golden = (spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN
+              and math.fmod(spec.omega, 1.0) == 0.0)
     if not (golden or spec.kind == "substitution" and spec.rule == FIBONACCI_RULE
             and spec.letter_values["b"] == 0.0):
         raise DomainError("the golden-mean trace map needs the Fibonacci chain: "

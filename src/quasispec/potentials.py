@@ -12,7 +12,8 @@ f(a)=1, f(b)=0). The circle kind evaluates at n*alpha + omega.
 
 Every fixed-point word (sampled window, approximant period or ``LevelWord``)
 is spelled from level blocks rule^k(x) by one speller, ``_spell``, with
-lengths from one exact table, ``_level_lengths``. ``fixed_point_window``
+lengths from the rule's one exact table, ``SubstitutionRule.lengths``, grown
+on the rule as far as a caller needs and kept there. ``fixed_point_window``
 writes any window of a substitution fixed point, and any window of the
 golden-mean Sturmian at any phase, as level blocks: at omega = 0 from site 1
 or around site 0 without sampling, elsewhere as the first occurrence of the
@@ -22,9 +23,8 @@ sampled letters among the first 4(n+1) shifts of the Fibonacci fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, islice
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class SubstitutionRule:
     alphabet: tuple[str, ...]
     images: dict[str, str]
     _table: dict = field(init=False, repr=False, compare=False)
+    _lengths: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -78,6 +79,25 @@ class SubstitutionRule:
         for _ in range(n):
             w = self.apply(w)
         return w
+
+    def lengths(self, k: int) -> list[dict[str, int]]:
+        """The rule's one length table: |rule^j(y)| of every letter y as exact
+        ints, one dict per level j = 0, 1, ..., through level k at least. It
+        is grown here on first need and kept; a longer table replaces the
+        kept list instead of extending it, so a reader never sees one half
+        grown. DomainError if no image is longer than one letter, as the
+        iterates then never grow."""
+        table = self._lengths
+        if len(table) > k:
+            return table
+        if all(len(w) == 1 for w in self.images.values()):
+            raise DomainError("substitution does not grow from its seed")
+        table = table[:] or [dict.fromkeys(self.alphabet, 1)]
+        while len(table) <= k:
+            level = table[-1]
+            table.append({y: sum(level[z] for z in w) for y, w in self.images.items()})
+        object.__setattr__(self, "_lengths", table)
+        return table
 
     def power(self, n: int) -> "SubstitutionRule":
         """The rule whose images are the n-fold iterates of this rule."""
@@ -126,19 +146,15 @@ class LevelWord:
     substitution with ``letter_values``, ``blocks`` = ((k, x), ...) left to
     right: the words whose transfer matrices ``transfer.iter_levels`` builds,
     joined by ``transfer.block_product``. ``sites`` is the segment's length,
-    read from ``lengths``, the rule's ``_level_lengths`` up to the highest
-    block's level where the caller has them, else walked here."""
+    read from the rule's one length table (``SubstitutionRule.lengths``)."""
 
     rule: SubstitutionRule
     letter_values: dict[str, float]
     blocks: tuple[tuple[int, str], ...]
     sites: int = field(init=False, repr=False, compare=False)
-    lengths: InitVar[list[dict[str, int]] | None] = None
 
-    def __post_init__(self, lengths):
-        if lengths is None:
-            levels = max(k for k, _ in self.blocks) + 1
-            lengths = list(islice(_level_lengths(self.rule), levels))
+    def __post_init__(self):
+        lengths = self.rule.lengths(max(k for k, _ in self.blocks))
         object.__setattr__(self, "sites", sum(lengths[k][x] for k, x in self.blocks))
 
 
@@ -243,38 +259,13 @@ class PotentialSpec:
 # -- substitution words ------------------------------------------------------
 
 
-def _level_lengths(rule: SubstitutionRule):
-    """The one length table: |rule^k(y)| of every letter y as exact ints, one
-    dict per level k = 0, 1, 2, ... DomainError if no image is longer than
-    one letter, as the iterates then never grow."""
-    if all(len(w) == 1 for w in rule.images.values()):
-        raise DomainError("substitution does not grow from its seed")
-    lengths = dict.fromkeys(rule.alphabet, 1)
-    while True:
-        yield lengths
-        lengths = {y: sum(lengths[z] for z in rule.images[y]) for y in rule.alphabet}
-
-
-def _level_table(rule: SubstitutionRule, p: int, sizes) -> list[dict[str, int]]:
-    """``_level_lengths`` up to the least multiple k of ``p`` with
-    |rule^k(x)| >= size for every (x, size) of ``sizes``, for a primitive
-    rule: one walk, which a window's blocks and its ``LevelWord`` share."""
-    table = []
-    for level in _level_lengths(rule):
-        table.append(level)
-        if (len(table) - 1) % p == 0 and all(level[x] >= size for x, size in sizes):
-            return table
-
-
-def _top(table: list[dict[str, int]], x: str, size: int, p: int) -> int:
-    """The least multiple k of ``p`` with |rule^k(x)| >= ``size`` in ``table``."""
-    return next(k for k in range(0, len(table), p) if table[k][x] >= size)
-
-
-def _first_level(rule: SubstitutionRule, x: str, size: int, p: int = 1) -> int:
+def _top(rule: SubstitutionRule, x: str, size: int, p: int = 1) -> int:
     """The least multiple k of ``p`` with |rule^k(x)| >= ``size``, for a
     primitive rule."""
-    return len(_level_table(rule, p, ((x, size),))) - 1
+    k = 0
+    while rule.lengths(k)[k][x] < size:
+        k += p
+    return k
 
 
 def _spell(rule: SubstitutionRule, blocks: tuple[tuple[int, str], ...]) -> str:
@@ -307,7 +298,7 @@ def generate_substitution_word(rule: SubstitutionRule, seed: str, min_length: in
         raise DomainError(f"image of {seed!r} does not start with it; no fixed point")
     if not rule.is_primitive():
         raise DomainError("substitution rule is not primitive")
-    return _spell(rule, ((_first_level(rule, seed, min_length), seed),))
+    return _spell(rule, ((_top(rule, seed, min_length), seed),))
 
 
 def _two_sided_letters(rule: SubstitutionRule, power_cap: int) -> tuple[str, str, int]:
@@ -342,8 +333,7 @@ def generate_two_sided(rule: SubstitutionRule, lo: int, hi: int) -> str:
 
 
 def fixed_point_blocks(rule: SubstitutionRule, seeds: tuple[str, str, int], first: int,
-                       last: int, lengths: list[dict[str, int]] | None = None
-                       ) -> tuple[tuple[int, str], ...]:
+                       last: int) -> tuple[tuple[int, str], ...]:
     """Sites first..last (first <= last) of the two-sided fixed point grown
     from ``seeds`` = (left letter, right letter, power p), as whole level
     blocks rule^k(x), left to right: sites n <= 0 end rule^(pK)(left letter)
@@ -355,39 +345,24 @@ def fixed_point_blocks(rule: SubstitutionRule, seeds: tuple[str, str, int], firs
     level-(k-1) blocks of the letters of its image, so at most two blocks
     split per level. A window from site 1 gives the Dumont-Thomas expansion
     of its length (Zeckendorf digits for Fibonacci). Block lengths are exact
-    Python ints, from ``lengths``, the ``_window_levels`` of the window,
-    built here unless given.
+    Python ints, read from the rule's one length table.
     """
     left, right, p = seeds
-    if lengths is None:
-        lengths = _window_levels(rule, seeds, first, last)
-    top_left = _top(lengths, left, 1 - first, p) if first <= 0 else 0
-    top_right = _top(lengths, right, last, p) if last >= 1 else 0
     blocks = []
     if first <= 0:
-        size = lengths[top_left][left]
-        blocks += _window_blocks(rule, lengths, top_left, left, size - 1 + first,
-                                 size + min(last, 0))
+        k = _top(rule, left, 1 - first, p)
+        size = rule.lengths(k)[k][left]
+        blocks += _window_blocks(rule, k, left, size - 1 + first, size + min(last, 0))
     if last >= 1:
-        blocks += _window_blocks(rule, lengths, top_right, right, max(first, 1) - 1, last)
+        blocks += _window_blocks(rule, _top(rule, right, last, p), right, max(first, 1) - 1,
+                                 last)
     return tuple(blocks)
 
 
-def _window_levels(rule: SubstitutionRule, seeds: tuple[str, str, int], first: int,
-                   last: int) -> list[dict[str, int]]:
-    """The level lengths that ``fixed_point_blocks`` reads for sites
-    first..last: up to the level of the higher of its top blocks."""
-    left, right, p = seeds
-    sizes = [(left, 1 - first)] if first <= 0 else []
-    if last >= 1:
-        sizes.append((right, last))
-    return _level_table(rule, p, sizes)
-
-
-def _window_blocks(rule: SubstitutionRule, lengths, k: int, x: str, lo: int,
+def _window_blocks(rule: SubstitutionRule, k: int, x: str, lo: int,
                    hi: int) -> list[tuple[int, str]]:
-    """Letters lo..hi-1 of rule^k(x) as whole level blocks, left to right,
-    with ``lengths`` the level lengths up to k."""
+    """Letters lo..hi-1 of rule^k(x) as whole level blocks, left to right."""
+    lengths = rule.lengths(k)
     blocks, todo = [], [(k, x, lo, hi)]
     while todo:  # a stack, not recursion: slow-growing rules have many levels
         k, x, lo, hi = todo.pop()
@@ -431,16 +406,7 @@ def fixed_point_window(spec: PotentialSpec, first: int, last: int) -> LevelWord 
     else:
         return None
     check_sites(last - first + 1)
-    return _window_word(rule, letter_values, seeds, first, last)
-
-
-def _window_word(rule: SubstitutionRule, letter_values: dict[str, float],
-                 seeds: tuple[str, str, int], first: int, last: int) -> LevelWord:
-    """Sites first..last of the fixed point grown from ``seeds`` as a
-    ``LevelWord``, whose blocks and sites read one length table."""
-    lengths = _window_levels(rule, seeds, first, last)
-    return LevelWord(rule, letter_values, fixed_point_blocks(rule, seeds, first, last, lengths),
-                     lengths)
+    return LevelWord(rule, letter_values, fixed_point_blocks(rule, seeds, first, last))
 
 
 def _shifted_golden_window(spec: PotentialSpec, first: int, last: int,
@@ -456,7 +422,8 @@ def _shifted_golden_window(spec: PotentialSpec, first: int, last: int,
     j = -1 if letters is None else text.find(letters, 0, 5 * n + 3)  # so j < 4(n+1)
     if j < 0:
         return None
-    return _window_word(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0}, seeds, j + 1, j + n)
+    return LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
+                     fixed_point_blocks(FIBONACCI_RULE, seeds, j + 1, j + n))
 
 
 def _golden_letters(values: np.ndarray, lam: float) -> str | None:
@@ -601,13 +568,15 @@ def periodic_approximant(spec: PotentialSpec, order: int) -> PeriodicPotential:
         return PeriodicPotential(tuple(float(v) for v in spec.values))
     if spec.kind == "substitution":
         _, x, _ = _two_sided_letters(spec.rule, TWO_SIDED_POWER_CAP)
-        # Application j writes level j, at least one letter, so the running
-        # sum passes the budget by level MAX_SUBSTITUTION_LETTERS + 1.
-        last = min(order, MAX_SUBSTITUTION_LETTERS + 1)
-        written = accumulate(level[x] for level in islice(_level_lengths(spec.rule), 1, last + 1))
-        if any(w > MAX_SUBSTITUTION_LETTERS for w in written):
-            raise DomainError(f"order {order} writes more than "
-                              f"{MAX_SUBSTITUTION_LETTERS} letters")
+        # Application k writes level k, at least one letter, so the running
+        # sum passes the budget by level MAX_SUBSTITUTION_LETTERS + 1; the
+        # table is grown one level at a time and no further than that.
+        written = 0
+        for k in range(1, order + 1):
+            written += spec.rule.lengths(k)[k][x]
+            if written > MAX_SUBSTITUTION_LETTERS:
+                raise DomainError(f"order {order} writes more than "
+                                  f"{MAX_SUBSTITUTION_LETTERS} letters")
         word = LevelWord(spec.rule, spec.letter_values, ((order, x),))
         letters = _spell(word.rule, word.blocks)
         return PeriodicPotential(tuple(_letter_values(letters, spec.letter_values).tolist()), word)
@@ -638,7 +607,7 @@ def _convergent_period(spec: PotentialSpec, p: int, q: int) -> PeriodicPotential
     word = None
     if spec.kind == "sturmian" and spec.alpha == GOLDEN_MEAN:
         word = LevelWord(FIBONACCI_RULE, {"a": spec.lam, "b": 0.0},
-                         ((_first_level(FIBONACCI_RULE, "a", q), "a"),))
+                         ((_top(FIBONACCI_RULE, "a", q), "a"),))
         block = _spell(word.rule, word.blocks)
         letters = _golden_letters(np.array(values), spec.lam)
         if not (word.sites == q and letters and letters in block + block):

@@ -292,6 +292,21 @@ class TestModelPlumbing:
                                capsys)
         assert code == 0 and got == want
 
+    @pytest.mark.parametrize("argv", [
+        ["tracemap", "--model", "fibonacci", "--lambda", "2", "--energy", "0.3",
+         "--steps", "3"],
+        ["spectrum", "--model", "fibonacci", "--lambda", "2", "--method", "bounded",
+         "--emin", "-3", "--emax", "5", "--depth", "6", "--nmax", "25"],
+    ], ids=["tracemap", "bounded"])
+    def test_the_trace_map_reads_the_phase_mod_1(self, argv, capsys):
+        # The samplers reduce omega exactly with fmod, so 1 and -2 are phase 0.
+        code, want, _ = run_cli(argv + ["--omega", "0"], capsys)
+        assert code == 0 and want
+        for omega in ("1", "-2"):
+            assert run_cli(argv + ["--omega", omega], capsys)[:2] == (0, want)
+        code, out, err = run_cli(argv + ["--omega", "0.5"], capsys)
+        assert code == 2 and out == "" and "--omega 0" in err
+
     def test_json_outputs_parse(self, capsys):
         for argv in (["butterfly", "--lambda", "2", "--qmax", "3"],
                      ["ids", "--model", "free", "--size", "60", "--grid", "11"],
@@ -424,7 +439,7 @@ class TestErrors:
          "0.5", "--steps", "4"],
         ["spectrum", "--model", "fibonacci", "--omega", "0.4", "--method", "bounded"],
         ["tracemap", "--model", "fibonacci", "--omega", "0.4"],
-        ["tracemap", "--model", "sturmian", "--omega", "1", "--rounding", "ceil"],
+        ["tracemap", "--model", "sturmian", "--omega", "1.5", "--rounding", "ceil"],
         ["tracemap", "--model", "fibonacci", "--steps", "100000"],
         ["ids", "--model", "free", "--alpha", "foo", "--grid", "3", "--size", "5"],
         ["ids", "--model", "free", "--values", "abc", "--letter-values", "zzz"],

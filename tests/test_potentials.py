@@ -20,10 +20,9 @@ from quasispec import (
     periodic_approximant,
     sample_potential,
 )
-from quasispec import potentials
-from quasispec.potentials import (MAX_SITES, NAMED_RULES, TWO_SIDED_POWER_CAP,
-                                  _first_level, _level_lengths, _two_sided_letters,
-                                  cosine_period, fixed_point_blocks, fixed_point_window)
+from quasispec.potentials import (MAX_SITES, MAX_SUBSTITUTION_LETTERS, NAMED_RULES,
+                                  TWO_SIDED_POWER_CAP, _two_sided_letters, cosine_period,
+                                  fixed_point_blocks, fixed_point_window)
 
 from conftest import RULES, primitive_rules
 
@@ -103,6 +102,14 @@ def spelled_values(word):
     return table[np.frombuffer(letters.encode(), np.uint8)]
 
 
+def matrix_lengths(rule, k):
+    """Reference lengths |rule^k(y)| of every letter y, as exact ints: the
+    column sums of the k-th power of the occurrence matrix, which shares no
+    code with the rule's length table and spells no word."""
+    sums = np.linalg.matrix_power(rule.matrix().astype(object), k).sum(axis=0)
+    return dict(zip(rule.alphabet, sums))
+
+
 def prefix_suffix_blocks(rule, seeds, first, last):
     """Reference blocks of a window from site 1 or holding site 0: the
     greedy split of the suffix (sites first..0) of the left block and the
@@ -110,8 +117,10 @@ def prefix_suffix_blocks(rule, seeds, first, last):
     left_letter, right_letter, p = seeds
     halves = []
     for x, n, left in ((left_letter, 1 - first, True), (right_letter, last, False)):
-        k = _first_level(rule, x, n, p)
-        lengths = [level for _, level in zip(range(k + 1), _level_lengths(rule))]
+        k = 0
+        while matrix_lengths(rule, k)[x] < n:
+            k += p
+        lengths = [matrix_lengths(rule, j) for j in range(k + 1)]
         blocks, rest = [], n
         while rest:
             if lengths[k][x] == rest:
@@ -541,26 +550,58 @@ class TestWindowSplit:
         assert fixed_point_blocks(FIBONACCI_RULE, seeds, first, last) == \
             prefix_suffix_blocks(FIBONACCI_RULE, seeds, first, last)
 
-    @pytest.mark.parametrize("spec, first, last, walks", [
-        (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 2.0, "b": -0.5}), 1, 10_000, 1),
-        (PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -1.0}), -5000, 5000, 1),
-        (PotentialSpec.substitution(PERIOD_DOUBLING_RULE, {"a": 1.0, "b": 0.0}), 10**9, 10**9 + 10, 1),
-        # The searched prefix of the shifted window is spelled on its own walk.
-        (PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, 0.3), 1, 10_000, 2),
+
+class TestLengthTable:
+    """Each rule keeps one length table, grown as far as its callers need."""
+
+    @pytest.mark.parametrize("spec, first, last", [
+        (PotentialSpec.substitution(FIBONACCI_RULE, {"a": 2.0, "b": -0.5}), 1, 10_000),
+        (PotentialSpec.substitution(THUE_MORSE_RULE, {"a": 1.0, "b": -1.0}), -5000, 5000),
+        (PotentialSpec.substitution(PERIOD_DOUBLING_RULE, {"a": 1.0, "b": 0.0}), 10**9, 10**9 + 10),
+        (PotentialSpec.sturmian(GOLDEN_MEAN, 2.0, 0.3), 1, 10_000),
     ], ids=["fibonacci", "thue-morse-two-sided", "period-doubling-far", "golden-omega"])
-    def test_a_window_walks_the_level_lengths_once(self, spec, first, last, walks, monkeypatch):
-        # The window's blocks and its LevelWord's sites share one length table.
+    def test_a_second_window_adds_no_level(self, spec, first, last):
+        rule = spec.rule or FIBONACCI_RULE
         want = fixed_point_window(spec, first, last)
-        calls = []
-
-        def counted(rule):
-            calls.append(rule)
-            return _level_lengths(rule)
-
-        monkeypatch.setattr(potentials, "_level_lengths", counted)
+        table = rule._lengths
         word = fixed_point_window(spec, first, last)
-        assert len(calls) == walks
+        assert rule._lengths is table
         assert word == want and word.sites == want.sites == last - first + 1
+        top = max(k for k, _ in word.blocks)
+        assert table[:top + 1] == [matrix_lengths(rule, k) for k in range(top + 1)]
+
+    def test_rules_with_equal_images_are_equal_whatever_their_tables_hold(self):
+        grown, fresh = (SubstitutionRule(("a", "b"), {"a": "ab", "b": "a"}) for _ in range(2))
+        grown.lengths(40)
+        assert len(grown._lengths) == 41 and fresh._lengths == []
+        assert grown == fresh == FIBONACCI_RULE and repr(grown) == repr(fresh)
+        assert PotentialSpec.substitution(grown, {"a": 1.0, "b": 0.0}) == \
+            PotentialSpec.substitution(fresh, {"a": 1.0, "b": 0.0})
+
+    def test_a_rule_that_does_not_grow_is_refused_on_every_call(self):
+        rule = SubstitutionRule(("a",), {"a": "a"})
+        spec = PotentialSpec.substitution(rule, {"a": 1.0})
+        for _ in range(2):
+            for call in (lambda: rule.lengths(0), lambda: fixed_point_window(spec, 1, 1),
+                         lambda: generate_substitution_word(rule, "a", 1)):
+                with pytest.raises(DomainError, match="does not grow"):
+                    call()
+        assert rule._lengths == []
+
+    def test_a_refused_order_grows_the_table_no_further_than_the_budget(self):
+        # Five letters in a cycle with one doubling: seeds at power 5, and
+        # the level lengths grow by a factor of about 1.17 a level.
+        rule = SubstitutionRule(tuple("abcde"), {"a": "ab", "b": "c", "c": "d", "d": "e",
+                                                 "e": "a"})
+        spec = PotentialSpec.substitution(rule, dict.fromkeys("abcde", 1.0))
+        _, x, _ = _two_sided_letters(rule, TWO_SIDED_POWER_CAP)
+        written, passed = 0, 0
+        while written <= MAX_SUBSTITUTION_LETTERS:
+            passed += 1
+            written += matrix_lengths(rule, passed)[x]
+        with pytest.raises(DomainError, match="letters"):
+            periodic_approximant(spec, 10**6)
+        assert passed == 43 and len(rule._lengths) <= passed + 1
 
 
 def _cuts(first, last):
