@@ -10,7 +10,15 @@ back (null for inf and nan), with integer cells as ints and flags as bools.
 ``key = value`` lines, keyed and checked like the flags, enumerated and
 free-form values included; flags override file entries. Exit codes: 0
 success, 2 bad flags, config values or domain errors, 3 an unreadable input
-file or unwritable output.
+file or unwritable output, a full stdout included: stdout is flushed as soon
+as the output is written, so a failed write is an i/o error, not a message
+from the interpreter's teardown.
+
+``process_main`` is the process entry (``python -m quasispec.cli`` and the
+``quasispec`` script). It runs ``main``, flushes stdout and stderr, and ends
+with ``os._exit``: module teardown and the final garbage collection never
+run, and neither do ``atexit`` hooks, coverage's subprocess collection among
+them. ``main(argv)`` returns the exit code.
 
 Parsing and validation need only the standard library and the numpy-free
 ``constants``: bad input exits 2, and ``--dump-config`` prints, before numpy
@@ -24,10 +32,11 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import groupby
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .constants import GOLDEN_MEAN, MAX_SITES
 from .errors import DomainError
@@ -519,12 +528,19 @@ def run(cfg: RunConfig) -> None:
         # Ints (row indices, lengths, p and q) and bools (flags) stay as they are.
         cells = [[x if isinstance(x, int) else _jround(x) for x in row] for row in rows]
         text = json.dumps(layout(cells), separators=(",", ":"), allow_nan=False) + "\n"
+    _write(text, cfg.out)
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout and flush it, so that
+    a full or closed stdout fails here (FileAccessError) and not at exit."""
     try:
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
+        if path:
+            with open(path, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
         raise FileAccessError(exc) from None
 
@@ -533,17 +549,35 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
         if cfg.dump_config:
-            sys.stdout.write(dump_config(cfg))
+            _write(dump_config(cfg), None)
         else:
             run(cfg)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except FileAccessError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        code, line = 3, f"i/o error: {exc}"
+    else:
+        return 0
+    try:
+        print(line, file=sys.stderr)
+    except OSError:  # a full or closed stderr: the exit code still tells
+        pass
+    return code
+
+
+def process_main() -> NoReturn:
+    """Run ``main``, flush stdout and stderr, and end the process with the exit
+    code (``os._exit``). ``main`` has flushed its output and reported a failed
+    write already, so a flush that fails here changes nothing."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

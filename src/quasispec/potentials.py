@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -527,6 +526,8 @@ def cosine_period(lam: float, p: int, q: int, omega: float) -> tuple[float, ...]
 def _rational_values(spec: PotentialSpec, p: int, q: int) -> tuple[float, ...]:
     """One period of the potential re-evaluated at alpha = p/q (exact
     arithmetic for the floor and ceiling formulas)."""
+    from fractions import Fraction  # here: it loads decimal, which no other sampler needs
+
     omega = Fraction(spec.omega)  # floats convert exactly
     if spec.kind == "almost-mathieu":
         return cosine_period(spec.lam, p, q, spec.omega)

@@ -21,14 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bands import BandSet
 from .errors import DomainError
 from .numutil import BigValue, LOG_HUGE, as_float, signed_log, wrap
 from .potentials import FIBONACCI_RULE, SubstitutionRule
 from .transfer import _rescale, iter_levels
+
+if TYPE_CHECKING:
+    from .bands import BandSet
 
 # Most steps of a golden-mean orbit: ln|tau_n| grows like phi^n and leaves
 # float range near n = 1470 (1478 at E = 0.3, lambda = 2; 1463 at E = 1e300),
@@ -230,6 +233,8 @@ def bounded_spectrum(lam: float, e_window: tuple[float, float], depth: int,
             bands[-1][1] = b
         else:
             bands.append([a, b])
+    from .bands import BandSet  # here, so a trace-map orbit loads neither bands nor ids
+
     return BandSet(tuple((a, b) for a, b in bands))
 
 

@@ -45,12 +45,18 @@ def _run(argv):
     (["lyapunov", "--model", "fibonacci", "--n", "50", "--grid", "5"], 0,
      {"bands", "ids", "cantor", "scattering", "tracemap"}),
     (["cantor", "--what", "function", "--grid", "5"], 0, {"bands", "ids", "scattering"}),
+    # bounded_spectrum alone needs BandSet, so an orbit loads neither bands nor ids.
+    (["tracemap", "--model", "fibonacci", "--lambda", "2", "--energy", "0.3", "--steps", "5"],
+     0, {"bands", "ids", "cantor", "scattering"}),
+    # Only the rational re-evaluation of an approximant needs fractions (and decimal).
+    (["lyapunov", "--model", "almost-mathieu", "--lambda", "2", "--n", "50", "--grid", "5"], 0,
+     {"fractions", "decimal"}),
 ])
 def test_subcommand_imports_only_its_modules(argv, code, absent):
     got, modules = _run(argv)
     assert got == code
     loaded = {m.removeprefix("quasispec.") for m in modules if m.startswith("quasispec.")}
-    assert not absent & (loaded | ({"numpy"} & modules))
+    assert not absent & (loaded | ({"numpy", "fractions", "decimal"} & modules))
 
 
 def test_shifted_phase_imports_nothing_more():

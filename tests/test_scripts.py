@@ -65,3 +65,15 @@ def test_rescale_census(monkeypatch, capsys):
     for default, eager in zip(rows[::2], rows[1::2]):
         assert int(default[1]) == int(eager[1]) >= 2
         assert 1 <= int(default[3]) <= int(eager[3])
+
+
+def test_cli_cold_start(monkeypatch, capsys):
+    args = ["--commands", "tracemap,cantor", "--repeats", "2"]
+    lines = run_script("cli_cold_start.py", args, monkeypatch, capsys)
+    assert lines[0].split() == ["command", "start", "numpy", "quasispec", "run", "teardown",
+                                "total", "ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["tracemap", "cantor"]
+    for row in rows:
+        parts = [float(x) for x in row[1:]]
+        assert parts[0] > 0.0 and parts[-1] == pytest.approx(sum(parts[:-1]), abs=0.2)
