@@ -1,11 +1,11 @@
 """Command-line front end emitting deterministic CSV/JSON plot data.
 
 Every subcommand is a thin adapter over one library operation family: it
-returns its CSV header, its rows of raw numbers and the layout of those rows
-as a JSON object, and ``run`` encodes them once in the requested format.
-CSV cells are floats at 12 significant digits, so repeated runs (and
-golden-file tests) are byte-identical; JSON numbers are those cells parsed
-back (null for inf and nan), with integer cells as ints and flags as bools.
+returns its CSV header, one column of ints, floats or bools per field and
+their layout as a JSON object, and ``encode`` applies one row format string
+to the zipped columns: ``%.12g`` for floats (plus 0.0, so -0 prints as 0),
+``%d`` for the rest, so repeated runs (and golden-file tests) are byte-identical.
+JSON numbers are the float cells parsed back (null for inf and nan), or as is.
 ``--threads`` is accepted and ignored. An optional config file holds
 ``key = value`` lines, keyed and checked like the flags, enumerated and
 free-form values included; flags override file entries. Exit codes: 0
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -66,7 +65,7 @@ def _scalar(text: str, kind, what: str, choices=(), parse=None):
     return value
 
 
-def _parse_lengths(text: str) -> list[int]:
+def _parse_lengths(text: str) -> list[int] | range:
     if ":" not in text:
         return [_scalar(p, int, "--lengths") for p in text.split(",")]
     parts = [_scalar(p, int, "--lengths") for p in text.split(":")]
@@ -74,7 +73,7 @@ def _parse_lengths(text: str) -> list[int]:
         raise DomainError(f"--lengths {text}: want a:b, a:b:step (step != 0) or a,b,...")
     if max(abs(parts[0]), abs(parts[1])) > MAX_SITES:
         raise DomainError(f"--lengths {text}: lengths above {MAX_SITES} sites")
-    lengths = list(range(parts[0], parts[1] + 1, *parts[2:]))
+    lengths = range(parts[0], parts[1] + 1, *parts[2:])
     if not lengths:
         raise DomainError(f"--lengths {text} gives no lengths")
     return lengths
@@ -167,27 +166,6 @@ def _read(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileAccessError(exc) from None
-
-
-def _fmt(x) -> str:
-    """Fixed 12-significant-digit float formatting (platform-stable)."""
-    if not isinstance(x, float) and isinstance(x, numbers.Integral):  # the ABC check is slow
-        return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    if x == 0.0:
-        x = 0.0  # normalize -0
-    return f"{x:.12g}"
-
-
-def _jround(x) -> float | None:
-    """The CSV cell of ``x`` as a JSON number; null for inf and nan, which
-    strict JSON cannot spell."""
-    v = float(_fmt(x))
-    return v if math.isfinite(v) else None
 
 
 def build_spec(cfg: RunConfig) -> PotentialSpec:
@@ -285,38 +263,36 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 
 
 # -- subcommand bodies ---------------------------------------------------------
-# Each returns (CSV header, rows of raw numbers, JSON layout). The layout maps
-# the rows, with every float cell rounded as in the CSV, to the JSON object.
+# Each returns (CSV header, one column per header field, JSON layout). The layout
+# maps the columns, every float one rounded as in the CSV, to the JSON object.
 
 
 def _columns(*keys, **head):
     """Layout: the ``head`` entries, then one list per column under ``keys``."""
-    return lambda rows: {**head, **{k: [row[i] for row in rows] for i, k in enumerate(keys)}}
+    return lambda cols: {**head, **dict(zip(keys, cols))}
 
 
 def _records(key, header, **tail):
     """Layout: a list of objects keyed by the CSV header under ``key``."""
-    return lambda rows: {key: [dict(zip(header, row)) for row in rows], **tail}
+    return lambda cols: {key: [dict(zip(header, row)) for row in zip(*cols)], **tail}
 
 
 def _run_spectrum(cfg: RunConfig):
-    header = ("band_lo", "band_hi")
     if cfg.method == "bounded":
         from .tracemap import bounded_spectrum
 
         lam = _golden_mean_lambda(cfg)
         window = (cfg.emin, cfg.emax) if cfg.emin < cfg.emax else \
             (-2.0 - abs(lam) - 1.0, 2.0 + abs(lam) + 1.0)
-        bs = bounded_spectrum(lam, window, cfg.depth, cfg.nmax)
-        return header, bs.bands, lambda rows: {"bands": rows, "gap_labels": []}
-    from .bands import band_spectrum, gap_labels
+        bs, head, labels = bounded_spectrum(lam, window, cfg.depth, cfg.nmax), {}, []
+    else:
+        from .bands import band_spectrum, gap_labels
 
-    spec = build_spec(cfg)
-    periodic = _periodic_values(cfg, spec)
-    bs = gap_labels(band_spectrum(periodic), periodic.period)
-    return header, bs.bands, lambda rows: {
-        "period": periodic.period, "bands": rows,
-        "gap_labels": [_jround(x) for x in (bs.gap_labels or ())]}
+        periodic = _periodic_values(cfg, build_spec(cfg))
+        bs = gap_labels(band_spectrum(periodic), periodic.period)
+        head, labels = {"period": periodic.period}, _json_floats(bs.gap_labels or ())
+    return (("band_lo", "band_hi"), list(zip(*bs.bands)) or [(), ()],
+            lambda cols: {**head, "bands": list(zip(*cols)), "gap_labels": labels})
 
 
 def _run_butterfly(cfg: RunConfig):
@@ -324,44 +300,45 @@ def _run_butterfly(cfg: RunConfig):
 
     spectra = butterfly(cfg.lam, cfg.qmax, cfg.omega)
 
-    def layout(cells):
-        groups = groupby(cells, key=lambda row: (row[0], row[1]))
+    def layout(cols):
+        groups = groupby(zip(*cols), key=lambda row: (row[0], row[1]))
         return {"rows": [{"p": p, "q": q, "bands": [row[2:] for row in g]}
                          for (p, q), g in groups]}
 
     return (("p", "q", "band_lo", "band_hi"),
-            [(p, q, lo, hi) for p, q, bs in spectra for lo, hi in bs.bands], layout)
+            list(zip(*[(p, q, lo, hi) for p, q, bs in spectra for lo, hi in bs.bands])), layout)
 
 
 def _run_ids(cfg: RunConfig):
     from .ids import ids_curve
 
-    spec = build_spec(cfg)
-    grid = _grid(cfg)
+    spec, grid = build_spec(cfg), _grid(cfg)
     # The library counts strictly below E; the emitted convention is
     # "at or below", obtained by a +1e-12 shift of the count points.
     curve = ids_curve(spec, None, cfg.size, grid + 1e-12)
-    return (("E", "N"), zip(grid, curve.values),
-            _columns("energies", "values", size=curve.size))
+    return ("E", "N"), [grid, curve.values], _columns("energies", "values", size=curve.size)
 
 
 def _run_lyapunov(cfg: RunConfig):
     from .transfer import lyapunov_grid
 
-    spec = build_spec(cfg)
-    grid = _grid(cfg)
-    gam = lyapunov_grid(spec, grid, cfg.n)
-    return ("E", "gamma"), zip(grid, gam), _columns("energies", "gamma")
+    spec, grid = build_spec(cfg), _grid(cfg)
+    return ("E", "gamma"), [grid, lyapunov_grid(spec, grid, cfg.n)], _columns("energies", "gamma")
 
 
 def _run_resistance(cfg: RunConfig):
+    import numpy as np
+
     from .scattering import resistance_profile
 
     spec = build_spec(cfg)
     leads = {"pi-half": "at-energy", "zero": "zero"}[cfg.leads]
-    profile = resistance_profile(spec, cfg.energy, _parse_lengths(cfg.lengths), leads)
-    return (("L", "log10R"), zip(profile.lengths.tolist(), profile.log10_resistance.tolist()),
-            lambda rows: {"profile": rows})
+    lengths = _parse_lengths(cfg.lengths)
+    if isinstance(lengths, range):
+        lengths = np.arange(lengths.start, lengths.stop, lengths.step, dtype=np.int64)
+    profile = resistance_profile(spec, cfg.energy, lengths, leads)
+    return (("L", "log10R"), [profile.lengths, profile.log10_resistance],
+            lambda cols: {"profile": list(zip(*cols))})
 
 
 def _run_tracemap(cfg: RunConfig):
@@ -375,8 +352,9 @@ def _run_tracemap(cfg: RunConfig):
         top = max(n, 1)
         return fricke_invariant(orbit.tau(top), orbit.tau(top - 1), orbit.tau(top - 2))
 
-    rows = [(n, as_float(orbit.tau(n)), invariant(n)) for n in range(-1, cfg.steps + 1)]
-    return header, rows, _records("rows", header, escape_index=orbit.escape_index)
+    ns = range(-1, cfg.steps + 1)
+    columns = [ns, [as_float(orbit.tau(n)) for n in ns], [invariant(n) for n in ns]]
+    return header, columns, _records("rows", header, escape_index=orbit.escape_index)
 
 
 def _run_gaps(cfg: RunConfig):
@@ -388,11 +366,10 @@ def _run_gaps(cfg: RunConfig):
     from .potentials import PotentialSpec
 
     header = ("gap_index", "energy", "ids_value", "label", "deviation", "within_tol")
-    spec = build_spec(cfg)
-    periodic = _periodic_values(cfg, spec)
+    periodic = _periodic_values(cfg, build_spec(cfg))
     bs = band_spectrum(periodic)
     if len(bs.bands) < 2:
-        return header, [], _records("gaps", header)
+        return header, [()] * len(header), _records("gaps", header)
     span = bs.bands[-1][1] - bs.bands[0][0]
     # Sample the IDS exactly at the gap midpoints; a uniform grid would smear
     # the counts across the band edges.
@@ -404,9 +381,7 @@ def _run_gaps(cfg: RunConfig):
     else:
         labels = [k / periodic.period for k in range(1, periodic.period)]
     report = match_gap_labels(bs, curve, labels, cfg.tol)
-    rows = [(m.gap_index, m.energy, m.ids_value, m.label, m.deviation, m.within_tol)
-            for m in report]
-    return header, rows, _records("gaps", header)
+    return header, [[getattr(m, k) for m in report] for k in header], _records("gaps", header)
 
 
 def _run_cantor(cfg: RunConfig):
@@ -419,17 +394,16 @@ def _run_cantor(cfg: RunConfig):
     if cfg.what == "function":
         _check_span(cfg.xmin, cfg.xmax, "--xmin/--xmax")
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.grid)
-        return (("x", "alpha"), [(x, cantor_alpha(float(x))) for x in xs],
-                _columns("x", "alpha"))
+        return ("x", "alpha"), [xs, [cantor_alpha(float(x)) for x in xs]], _columns("x", "alpha")
     if cfg.what == "fourier":
         ts = np.linspace(0.0, cfg.tmax, cfg.grid)
         zs = [cantor_fourier(float(t), cfg.factors) for t in ts]
         return (("t", "re", "im", "abs"),
-                [(t, z.real, z.imag, abs(z)) for t, z in zip(ts, zs)],
-                lambda rows: {"rows": rows})
+                [ts, [z.real for z in zs], [z.imag for z in zs], [abs(z) for z in zs]],
+                lambda cols: {"rows": list(zip(*cols))})
     ls = (sturmian_label_set(_resolve_alpha(cfg.alpha), cfg.kmax)
           if cfg.what == "labels" else hierarchical_labels(cfg.kmax))
-    return ("label",), [(v,) for v in ls.values], _columns("labels")
+    return ("label",), [ls.values], _columns("labels")
 
 
 _RUNNERS = {
@@ -456,6 +430,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise DomainError(message)
+
+    def _print_message(self, message, file=None):
+        """Help goes through ``_write``: flushed before argparse exits 0, or exit 3."""
+        if message:
+            _write(message, None)
 
     def _parse_optional(self, arg_string):
         if len(arg_string) > 1 and arg_string[0] == "-" and arg_string[1] in "0123456789.":
@@ -517,18 +496,38 @@ def dump_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_floats(column) -> list:
+    """A float column's CSV cells parsed back, None (null) for inf, -inf and
+    nan; no finite float rounds to 12 digits past float range."""
+    import numpy as np
+
+    a = np.asarray(column, dtype=float) + 0.0
+    out = list(map(float, map("%.12g".__mod__, a.tolist())))
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        out[i] = None
+    return out
+
+
+def encode(header, columns, layout, fmt: str) -> str:
+    """``columns``, one per ``header`` field, as CSV or as the JSON object that
+    ``layout`` builds from them: a column of a float dtype is printed ``%.12g``
+    and rounded by ``_json_floats``, any other (ints, bools) ``%d`` or as is."""
+    import numpy as np
+
+    arrays = [np.asarray(c) for c in columns]
+    floats = [a.dtype.kind == "f" for a in arrays]
+    if fmt == "json":
+        cols = [_json_floats(a) if f else a.tolist() for a, f in zip(arrays, floats)]
+        return json.dumps(layout(cols), separators=(",", ":"), allow_nan=False) + "\n"
+    row = ",".join("%.12g" if f else "%d" for f in floats) + "\n"
+    cols = [(a + 0.0 if f else a).tolist() for a, f in zip(arrays, floats)]
+    return ",".join(header) + "\n" + "".join(map(row.__mod__, zip(*cols)))
+
+
 def run(cfg: RunConfig) -> None:
     """Execute a parsed configuration and write its output. Raises DomainError
     on bad input and FileAccessError when a file cannot be read or written."""
-    header, rows, layout = _RUNNERS[cfg.command](cfg)
-    if cfg.format == "csv":
-        text = ",".join(header) + "\n" + "".join(",".join(map(_fmt, row)) + "\n"
-                                                for row in rows)
-    else:
-        # Ints (row indices, lengths, p and q) and bools (flags) stay as they are.
-        cells = [[x if isinstance(x, int) else _jround(x) for x in row] for row in rows]
-        text = json.dumps(layout(cells), separators=(",", ":"), allow_nan=False) + "\n"
-    _write(text, cfg.out)
+    _write(encode(*_RUNNERS[cfg.command](cfg), cfg.format), cfg.out)
 
 
 def _write(text: str, path: str | None) -> None:

@@ -114,14 +114,15 @@ class ResistanceProfile:
 def resistance_profile(spec: PotentialSpec, E: float, lengths,
                        leads: str | tuple[float, float] = "at-energy") -> ResistanceProfile:
     """R_L for each requested sample length, from one transfer product with
-    a mark at every length.
+    a mark at every length. ``lengths`` is a sequence or array of ints; an
+    int64 array is used as it is, without a copy.
 
     ``leads`` is "at-energy" (omega1 = omega2 = E, the k = pi/2 testing mode,
     valid at every energy), "zero" (omega1 = omega2 = 0), or an explicit
     (omega1, omega2) pair.
     """
     w1, w2 = (E, E) if leads == "at-energy" else (0.0, 0.0) if leads == "zero" else leads
-    ls = np.array(list(lengths), dtype=np.int64)
+    ls = np.asarray(lengths, dtype=np.int64)
     a, b, c, d, s = product_grid(sample_potential(spec, 1, int(ls.max(initial=1))), E, ls)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if w1 == E and w2 == E:

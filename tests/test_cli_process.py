@@ -4,7 +4,8 @@ The process entry ends with ``os._exit`` once it has flushed its streams, so
 these cases run real child interpreters, with ``PYTHONUNBUFFERED`` dropped so
 that stdout is block-buffered as in a shell pipe. A child must print the
 bytes, exit code and number of stderr lines that ``main`` gives here,
-whole past a pipe buffer, and turn a full stdout into exit 3 with one line.
+whole past a pipe buffer, and turn a full stdout into exit 3 with one line,
+``--help`` included.
 """
 
 import ast
@@ -25,6 +26,7 @@ SRC = Path(quasispec.__file__).resolve().parents[1]
 PYPROJECT = SRC.parent / "pyproject.toml"
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+ENV["COLUMNS"] = "80"  # the width argparse wraps the help text to
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
@@ -72,10 +74,22 @@ def test_output_past_a_pipe_buffer_arrives_whole(tmp_path, capsys):
     assert child(argv, tmp_path) == (0, out, b"")
 
 
+@pytest.mark.parametrize("command", ["--help", "spectrum --help"])
+def test_help_exits_0_with_the_text_main_prints(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", ENV["COLUMNS"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(shlex.split(command))
+    out = capsys.readouterr().out.encode()
+    assert exc.value.code == 0 and out.startswith(b"usage: quasispec")
+    assert child(shlex.split(command), tmp_path) == (0, out, b"")
+
+
 @needs_dev_full
 @pytest.mark.parametrize("command", [
     "cantor --what function --grid 40",
     "cantor --what function --grid 40 --dump-config",
+    "--help",
+    "spectrum --help",
 ])
 def test_a_full_stdout_exits_3_with_one_line(command, tmp_path):
     with open("/dev/full", "wb") as full:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from quasispec.cli import main
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -77,3 +79,20 @@ def test_cli_cold_start(monkeypatch, capsys):
     for row in rows:
         parts = [float(x) for x in row[1:]]
         assert parts[0] > 0.0 and parts[-1] == pytest.approx(sum(parts[:-1]), abs=0.2)
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(), reason="no /proc")
+def test_cli_big_output(monkeypatch, capsys):
+    lines = run_script("cli_big_output.py", ["--lengths", "1000", "--repeats", "1"],
+                       monkeypatch, capsys)
+    assert lines[0].split() == ["kind", "bytes", "wall_s", "vmhwm_mb"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["csv", "json", "library"]
+    # Each child prints what ``main`` prints here; the bare library call nothing.
+    for row in rows[:2]:
+        argv = ["resistance", "--model", "fibonacci", "--lambda", "1", "--energy", "0",
+                "--lengths", "1:1000", "--format", row[0]]
+        assert main(argv) == 0
+        assert int(row[1]) == len(capsys.readouterr().out.encode())
+    assert rows[2][1] == "0"
+    assert all(float(x) > 0.0 for row in rows for x in row[2:])
