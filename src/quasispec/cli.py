@@ -69,8 +69,8 @@ def _parse_lengths(text: str) -> list[int] | range:
     if ":" not in text:
         return [_scalar(p, int, "--lengths") for p in text.split(",")]
     parts = [_scalar(p, int, "--lengths") for p in text.split(":")]
-    if len(parts) not in (2, 3) or parts[2:] == [0]:
-        raise DomainError(f"--lengths {text}: want a:b, a:b:step (step != 0) or a,b,...")
+    if len(parts) not in (2, 3) or parts[2:3] and parts[2] < 1:
+        raise DomainError(f"--lengths {text}: want a:b, a:b:step (step > 0) or a,b,...")
     if max(abs(parts[0]), abs(parts[1])) > MAX_SITES:
         raise DomainError(f"--lengths {text}: lengths above {MAX_SITES} sites")
     lengths = range(parts[0], parts[1] + 1, *parts[2:])

@@ -26,6 +26,18 @@ mark, at no more than one block's steps (up to twice the block where every
 step reaches a mark; two steps of one lane without marks). Beyond the outputs
 and a capture and a prefix per mark, it does not grow with the chain.
 
+A lane step costs a few numpy calls whatever its width, so a call with few
+energies on a short chain, as ``propagate``, ``gordon_ratio`` and
+``ids.char_poly_value`` make, steps its segments in Python floats instead
+(``_float_group``), one energy and segment at a time; the size of the call
+picks the path (``_few_lanes``). The float loop takes the same E - V
+differences, forms z = (E - V) x - y with the same two roundings, rescales at
+the same sites by the same powers of two and captures the same rows, and both
+paths share the validation, the schedule, the prefix pass and the final
+normalization, so every output is bit for bit the lanes', subnormals included.
+An energy and a potential value that differ by more than the largest float,
+where E - V would overflow, raise DomainError before either path runs.
+
 A segment of a substitution fixed point needs no samples: ``iter_levels``
 renormalizes the per-letter matrices level by level (the matrix of rule^(k+1)(x)
 is the product of the level-k matrices of rule(x)), and ``block_product``, the
@@ -46,6 +58,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +79,23 @@ TRACE_POLY_DEGREE_CAP = 64
 _NARROW = 256
 _LANES = 4096
 _SEGMENT = 256
+# A call at M energies over n sites with K marks steps in Python floats where
+# M (n + _MARK_SITES K) <= _FEW_LANES min(n, _SEGMENT): a lane step, one of
+# min(n, _SEGMENT), costs about as much as _FEW_LANES sites of the float loop
+# at one energy, and a mark there about _MARK_SITES sites. Few-lane sweep
+# (scripts/few_lane_sweep.py, best of 7 calls, two runs, the machine above)
+# on golden Sturmian chains of 21, 55, 144, 288, 610, 1000, 2000, 3000, 5000
+# and 10^4 sites; the longest on which floats were faster, without marks /
+# with a mark at every site, against the longest the constants pick:
+#   M = 1:  3000-5000 / 1000   picked 4093 / 1024 (5000 sites: 0.99 against
+#           1.04 ms in one run, 0.71 against 0.67 in the other)
+#   M = 2:  2000-3000 / 288    picked 2045 / 512
+#   M = 4:  1000 / 144         picked 1021 / 256
+#   M = 8:  610 / 21 or none   picked 509 / none
+#   M = 16: 288 / none         picked none / none (floats 15-25% faster)
+#   M = 32: none / none        picked none / none
+_FEW_LANES = 16
+_MARK_SITES = 3
 # Sites between rescalings grow the entries by at most e^_LOG_GROWTH, far
 # below the float limit e^709. _CHUNK bounds the elements of the E - V block
 # built at once (256 KB of float64). The rescaling interval is the largest
@@ -169,16 +199,21 @@ def product_grid(values, energies, marks=None):
     E = np.asarray(energies, dtype=float)
     ends = np.asarray([len(vals)] if marks is None else marks, dtype=np.int64).ravel()
     if not (len(vals) and ends.size and 1 <= ends[0] and ends[-1] <= len(vals)
-            and np.all(ends[1:] > ends[:-1])):
+            and (marks is None or np.all(ends[1:] > ends[:-1]))):
         raise DomainError("a product needs at least one site, and lengths must be "
                           "increasing positive integers within the chain")
     e, n, K, M = E.ravel(), int(ends[-1]), ends.size, E.size
+    vals = vals[:n]
+    lo, hi = float(vals.min()), float(vals.max())
+    e_lo, e_hi = float(e.min(initial=math.inf)), float(e.max(initial=-math.inf))
+    if max(e_hi - lo, hi - e_lo) > sys.float_info.max:
+        raise DomainError("E - V overflows: an energy and a potential value differ by "
+                          "more than the largest float")
     narrow = 0 < M <= _NARROW
     s = _SEGMENT if narrow else n
     nseg = -(-n // s)
     J = min(_LANES // M, nseg) if narrow else 1
-    vals = vals[:n]
-    grow = np.abs(e).max(initial=0.0) + np.maximum(vals.max(), -vals.min()) + 2.0
+    grow = max(e_hi, -e_lo, 0.0) + max(hi, -lo) + 2.0
     k = max(1, int(_LOG_GROWTH / math.log(grow))) if grow < math.inf else 1
     rows = min(k, max(1, _CHUNK // (J * M or 1)))  # the sites of an E - V block
     every = k - k % rows  # the sites between rescales, at most k
@@ -186,65 +221,117 @@ def product_grid(values, energies, marks=None):
     # Rows a, b, c, d and the exponent (an integer, exact in a float) of the
     # raw product at each end; the rows of the segments before the end's own.
     cap, pre = np.empty((5, K, M)), np.empty((2, 2, K, M))
-    block = np.empty((min(rows, s), J, M))  # E - V over `rows` sites of each lane
-    lanes = np.empty((3, 2, J, M))  # x, y, z: the lanes' rows (a, b) at three steps
     run, run_exp = np.zeros((2, 2, M)), np.zeros(M)
     run[0, 0] = run[1, 1] = 1.0
+    group = _float_group if _few_lanes(M, n, K) else _lane_group
     for g0 in range(0, nseg, J):
-        Jb, steps = min(J, nseg - g0), min(s, n - g0 * s)
-        # Whole segments are a view of the chain; a last partial one is padded.
-        V = vals[g0 * s:(g0 + Jb) * s]
-        whole = len(V) // s
-        tail = np.zeros(s if whole < Jb else 0)
-        tail[:len(V) - whole * s] = V[whole * s:]
-        V = V[:whole * s].reshape(whole, s).T
-        bounds = np.searchsorted(seg, np.arange(g0, g0 + Jb + 1))
-        by_step = bounds[0] + np.argsort(off[bounds[0]:bounds[-1]], kind="stable")
-        lane0 = seg[bounds[0]] - g0 if len(by_step) else Jb  # the first lane holding an end
-        reach, lane_of = off[by_step] + 1, seg[by_step] - (g0 + lane0)
-        cuts = np.searchsorted(reach, np.arange(0, steps + rows, rows), side="right").tolist()
-        # Lanes holding ends, stashed at each end's step and the one before.
-        need = np.zeros(steps + 1, dtype=np.intp)
-        need[reach] = need[reach - 1] = 1
-        wanted, before = need.tolist(), need.cumsum() - need
-        stash = np.empty((2, min(before[-1] + 1, min(rows, steps) + 1), Jb - lane0, M))
-        lanes.fill(0.0)
-        bufs = list(zip(lanes[:, :, :Jb], lanes[:, 0, :Jb], lanes[:, 1, :Jb]))
-        x, y, z = bufs[steps % 3:] + bufs[:steps % 3]  # the last step writes lanes[0]
-        x[1][:] = y[2][:] = 1.0
-        x_exp = np.zeros((Jb, M))
-        for t0, lo, hi in zip(range(0, steps, rows), cuts, cuts[1:]):
-            if t0 and t0 % every == 0:
-                _rescale(x[0], y[0], x_exp)
-            r = min(rows, steps - t0)
-            ev_rows = block[:r, :Jb]
-            np.subtract(e, V[t0:t0 + r, :, None], out=ev_rows[:, :whole])
-            if len(tail):
-                np.subtract(e, tail[t0:t0 + r, None], out=ev_rows[:, whole])
-            for t, ev in enumerate(ev_rows, t0):
-                if wanted[t]:
-                    stash[:, before[t] - before[t0]] = x[0][:, lane0:]
-                np.multiply(ev, x[1], out=z[1])
-                np.multiply(ev, x[2], out=z[2])
-                np.subtract(z[0], y[0], out=z[0])
-                x, y, z = z, x, y
-            if wanted[t0 + r]:
-                stash[:, before[t0 + r] - before[t0]] = x[0][:, lane0:]
-            if lo < hi:  # the block's ends in one gather; x_exp changes only at block starts
-                i, at, js = by_step[lo:hi], before[reach[lo:hi]] - before[t0], lane_of[lo:hi]
-                cap[:2, i], cap[2:4, i] = stash[:, at, js], stash[:, at - 1, js]
-                cap[4, i] = x_exp[lane0:][js]
-        del stash  # not held through the prefix pass and the final products
+        Jb = min(J, nseg - g0)
+        bounds = np.searchsorted(seg, np.arange(g0, g0 + Jb + 1)).tolist()
+        i, i_end = bounds[0], bounds[-1]
+        last, x_exp = group(vals[g0 * s:(g0 + Jb) * s], e, s, rows, every,
+                            seg[i:i_end] - g0, off[i:i_end], cap[:, i:i_end])
         for j in range(Jb):  # the prefix pass over this group's segments
             pre[:, :, bounds[j]:bounds[j + 1]] = run[:, :, None]
             cap[4, bounds[j]:bounds[j + 1]] += run_exp  # the ends' whole exponents
             if g0 + j + 1 < nseg:
-                run = lanes[:2, :1, j] * run[0] + lanes[:2, 1:, j] * run[1]
+                run = last[:, :1, j] * run[0] + last[:, 1:, j] * run[1]
                 e_j = np.frexp(np.abs(run).max(axis=(0, 1)))[1]
                 np.ldexp(run, -e_j, out=run)
                 run_exp = run_exp + x_exp[j] + e_j
     return _normalized(cap[0] * pre[0] + cap[1] * pre[1], cap[2] * pre[0] + cap[3] * pre[1],
                        cap[4], ((K,) if marks is not None else ()) + E.shape)
+
+
+def _few_lanes(M: int, n: int, K: int) -> bool:
+    """Whether a call at M energies over n sites with K ends steps in floats."""
+    return M * (n + _MARK_SITES * K) <= _FEW_LANES * min(n, _SEGMENT)
+
+
+def _lane_group(V, e, s, rows, every, lane, off, cap):
+    """Step the segments of ``s`` sites that the chain slice ``V`` holds
+    side by side, as (J, M) lanes, and capture the ends at step ``off`` + 1 of
+    lane ``lane`` into ``cap`` (5, ends, M). Returns the rows (a, b) and
+    (c, d) of each segment's raw product, (2, 2, J, M), and their exponents
+    (J, M)."""
+    M, Jb, steps = len(e), -(-len(V) // s), min(s, len(V))
+    # Whole segments are a view of the chain; a last partial one is padded.
+    whole = len(V) // s
+    tail = np.zeros(s if whole < Jb else 0)
+    tail[:len(V) - whole * s] = V[whole * s:]
+    V = V[:whole * s].reshape(whole, s).T
+    by_step = np.argsort(off, kind="stable")
+    lane0 = lane[0] if len(lane) else Jb  # the first lane holding an end
+    reach, lane_of = off[by_step] + 1, lane[by_step] - lane0
+    cuts = np.searchsorted(reach, np.arange(0, steps + rows, rows), side="right").tolist()
+    # Lanes holding ends, stashed at each end's step and the one before.
+    need = np.zeros(steps + 1, dtype=np.intp)
+    need[reach] = need[reach - 1] = 1
+    wanted, before = need.tolist(), need.cumsum() - need
+    stash = np.empty((2, min(before[-1] + 1, min(rows, steps) + 1), Jb - lane0, M))
+    block = np.empty((min(rows, s), Jb, M))  # E - V over `rows` sites of each lane
+    lanes = np.zeros((3, 2, Jb, M))  # x, y, z: the lanes' rows (a, b) at three steps
+    bufs = list(zip(lanes, lanes[:, 0], lanes[:, 1]))
+    x, y, z = bufs[steps % 3:] + bufs[:steps % 3]  # the last step writes lanes[0]
+    x[1][:] = y[2][:] = 1.0
+    x_exp = np.zeros((Jb, M))
+    for t0, lo, hi in zip(range(0, steps, rows), cuts, cuts[1:]):
+        if t0 and t0 % every == 0:
+            _rescale(x[0], y[0], x_exp)
+        r = min(rows, steps - t0)
+        ev_rows = block[:r]
+        np.subtract(e, V[t0:t0 + r, :, None], out=ev_rows[:, :whole])
+        if len(tail):
+            np.subtract(e, tail[t0:t0 + r, None], out=ev_rows[:, whole])
+        for t, ev in enumerate(ev_rows, t0):
+            if wanted[t]:
+                stash[:, before[t] - before[t0]] = x[0][:, lane0:]
+            np.multiply(ev, x[1], out=z[1])
+            np.multiply(ev, x[2], out=z[2])
+            np.subtract(z[0], y[0], out=z[0])
+            x, y, z = z, x, y
+        if wanted[t0 + r]:
+            stash[:, before[t0 + r] - before[t0]] = x[0][:, lane0:]
+        if lo < hi:  # the block's ends in one gather; x_exp changes only at block starts
+            i, at, js = by_step[lo:hi], before[reach[lo:hi]] - before[t0], lane_of[lo:hi]
+            cap[:2, i], cap[2:4, i] = stash[:, at, js], stash[:, at - 1, js]
+            cap[4, i] = x_exp[lane0:][js]
+    return lanes[:2], x_exp
+
+
+def _float_group(V, e, s, rows, every, lane, off, cap):
+    """``_lane_group`` in Python floats, one energy and one segment at a time:
+    the same steps, rescales (every ``every`` sites; ``rows`` is not read) and
+    captures, so the same bits, at about 0.1 us a site and energy where a
+    lane step costs three numpy calls."""
+    segs = [V[j:j + s].tolist() for j in range(0, len(V), s)]
+    # Each segment's stops: its ends' steps (captured first) and its rescales.
+    reach = [set() for _ in segs]
+    for j, t in zip(lane.tolist(), (off + 1).tolist()):
+        reach[j].add(t)
+    stops = [sorted(r.union(range(every, len(sites), every), [len(sites)]))
+             for r, sites in zip(reach, segs)]
+    caps, finals = [], []
+    for E in e.tolist():
+        for sites, ends, at in zip(segs, reach, stops):
+            a, b, c, d, x, t = 1.0, 0.0, 0.0, 1.0, 0, 0
+            for stop in at:
+                for v in sites[t:stop]:
+                    ev = E - v
+                    a, c = ev * a - c, a
+                    b, d = ev * b - d, b
+                t = stop
+                if stop in ends:
+                    caps.append((a, b, c, d, x))
+                if stop % every == 0 and stop < len(sites):
+                    f = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+                    a, b, c, d = (math.ldexp(a, -f), math.ldexp(b, -f),
+                                  math.ldexp(c, -f), math.ldexp(d, -f))
+                    x += f
+            finals.append((a, b, c, d, x))
+    M = len(e)
+    cap[:] = np.array(caps).reshape(M, cap.shape[1], 5).T
+    finals = np.array(finals).reshape(M, len(segs), 5).T
+    return finals[:4].reshape(2, 2, len(segs), M), finals[4]
 
 
 def _normalized(ab, cd, exps, shape):
@@ -529,8 +616,7 @@ def gordon_ratio(values, E: float, L: int, tol: float = 1e-9) -> GordonResult:
     vals = np.asarray(values, dtype=float)
     if L < 1 or len(vals) != 3 * L:
         raise DomainError("need exactly 3L values covering n = -L+1 .. 2L")
-    if not (np.allclose(vals[:L], vals[L:2 * L], atol=tol)
-            and np.allclose(vals[L:2 * L], vals[2 * L:], atol=tol)):
+    if not np.allclose(vals[:2 * L], vals[L:], atol=tol):  # blocks 1, 2 against 2, 3
         raise DomainError("three-block repetition violated beyond tolerance")
 
     # (psi_{n+1}, psi_n) = P_n (1, 0), the first column of the product over

@@ -46,10 +46,12 @@ def edge_problem(seed):
 
 
 def with_small_budgets(f):
-    """f() with 512 lanes and 64-element blocks in every kernel."""
+    """f() with 512 lanes and 64-element blocks in every kernel, and every
+    transfer product on the lanes, so that small calls cross lane groups too."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "_LANES", 512)
         mp.setattr(transfer, "_CHUNK", 64)
+        mp.setattr(transfer, "_FEW_LANES", -1)
         return f()
 
 

@@ -464,6 +464,15 @@ class TestErrors:
         ["cantor", "--what", "function", "--grid", "5", "--xmin", "-1e308", "--xmax", "1e308"],
         ["spectrum", "--model", "fibonacci", "--method", "bounded", "--emin", "-1e308",
          "--emax", "1e308", "--depth", "3"],
+        ["resistance", "--model", "constant", "--value", "1e308", "--energy", "-1e308",
+         "--lengths", "1:3", "--format", "json"],
+        ["lyapunov", "--model", "constant", "--value", "1e308", "--emin", "-1e308",
+         "--emax", "-1e307", "--grid", "2", "--n", "3"],
+        ["spectrum", "--model", "explicit", "--values", "-1e308,-9e307,1e308"],
+        ["resistance", "--model", "fibonacci", "--lengths", "3:1:-1"],
+        ["resistance", "--model", "fibonacci", "--lengths", "5:3:-1"],
+        ["resistance", "--model", "fibonacci", "--lengths", "3:1:-2"],
+        ["resistance", "--model", "fibonacci", "--lengths", "1:5:-1"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
         for flag in ("--config", "--rule-file"):

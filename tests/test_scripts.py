@@ -44,6 +44,20 @@ def test_lane_sweep(monkeypatch, capsys):
     assert all(float(x) > 0.0 for row in rows for x in row[1:])
 
 
+def test_few_lane_sweep(monkeypatch, capsys):
+    args = ["--sites", "21,300", "--energies", "1,2", "--repeats", "1"]
+    lines = run_script("few_lane_sweep.py", args, monkeypatch, capsys)
+    assert lines[0].split() == ["marks", "M", "sites", "lanes", "ms", "floats", "ms", "pick"]
+    rows = [line.split() for line in lines[1:9]]
+    assert [(row[0], int(row[1]), int(row[2])) for row in rows] == [
+        (marks, M, n) for marks in ("none", "all") for M in (1, 2) for n in (21, 300)]
+    assert all(float(x) > 0.0 for row in rows for x in row[3:5])
+    assert all(row[5] in ("floats", "lanes") for row in rows)
+    assert lines[9].startswith("crossover")
+    assert [line.split()[:2] for line in lines[10:]] == [
+        [marks, M] for marks in ("none", "all") for M in ("1", "2")]
+
+
 def test_bisection_sweep(monkeypatch, capsys):
     args = ["--budgets", "1,1024", "--scale", "0.05", "--repeats", "1"]
     lines = run_script("bisection_sweep.py", args, monkeypatch, capsys)

@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,14 @@ class TestRescale:
             np.testing.assert_array_equal(a, b)
 
 
+def forced(path, f):
+    """f() with every product_grid call stepping on ``path``, "lanes" or
+    "floats", through the selection constant."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_FEW_LANES", {"lanes": -1, "floats": 1 << 62}[path])
+        return f()
+
+
 class TestProductKernel:
     @given(random_chains())
     def test_matches_scalar_reference(self, chain):
@@ -263,12 +272,51 @@ class TestProductKernel:
     def test_bits_pinned(self, case, monkeypatch):
         # "small" has 8 lanes and 64-element blocks, as with_small_budgets in
         # test_budgets, so marks cross lane groups and rescales fall inside
-        # marked blocks; "huge" adds an energy of 1e200, a rescale every site.
+        # marked blocks; it takes the lanes only. "huge" adds an energy of
+        # 1e200, a rescale every site. The other cases take both paths.
         kind, M = case.split("-")
         if kind == "small":
             monkeypatch.setattr(transfer, "_LANES", 8)
             monkeypatch.setattr(transfer, "_CHUNK", 64)
-        assert pinned_digest(int(M), huge=kind == "huge") == PINNED[case]
+        for path in ("lanes",) if kind == "small" else ("lanes", "floats"):
+            digest = forced(path, lambda: pinned_digest(int(M), huge=kind == "huge"))
+            assert digest == PINNED[case], path
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.booleans())
+    def test_paths_equal_bit_for_bit(self, seed, M, zeros, huge):
+        # Values and energies from {-1, 0, 2} make E == V zero entries; an
+        # energy of 1e200 forces a rescale after every site.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        if zeros:
+            values, E = rng.choice([-1.0, 0.0, 2.0], n), rng.choice([-1.0, 0.0, 2.0], M)
+        else:
+            scale = 10.0 ** rng.uniform(0.0, 3.0)
+            values, E = rng.uniform(-scale, scale, n), rng.uniform(-scale - 3, scale + 3, M)
+        if huge:
+            E = np.append(E, rng.choice([-1.0, 1.0]) * 1e200)
+        marks = sorted({m for m in (1, 255, 256, 257, 512, n) if m <= n})
+        for m in (None, marks):
+            lanes = forced("lanes", lambda: product_grid(values, E, m))
+            floats = forced("floats", lambda: product_grid(values, E, m))
+            for x, y in zip(lanes, floats):
+                assert x.shape == y.shape and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("values, E", [([1e308, 0.0], [-1e308]), ([-1e308], [0.5, 1e308]),
+                                           ([1.0, -9e307], [1e308])])
+    def test_overflowing_differences_rejected(self, values, E):
+        # Checked once, before either path runs.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="E - V overflows"):
+                product_grid(values, E)
+
+    def test_differences_up_to_the_largest_float_pass(self):
+        # E - V stays finite although |E| + |V| overflows: one rescale per site.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b, c, d, logs = product_grid([1e308, 0.0], [1e308])
+        assert np.isfinite([a, b, c, d, logs]).all()
 
     @pytest.mark.parametrize("values, marks", [
         ([], None), ([1.0, 2.0], []), ([1.0, 2.0], [0]), ([1.0, 2.0], [3]),
