@@ -29,8 +29,8 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .ids import (BISECTION_HALVINGS, IdsCurve, bisect_eigenvalues, count_below_periodic,
-                  floquet_count)
+from .ids import (BISECTION_HALVINGS, IdsCurve, _count_below_periodic, _floquet_count,
+                  bisect_eigenvalues)
 from .potentials import MAX_FLOQUET_STEPS, LevelWord, PeriodicPotential, cosine_period
 from .transfer import product_grid
 
@@ -82,7 +82,7 @@ def band_spectrum(p: PeriodicPotential) -> BandSet:
         _check_steps(_bisection_steps(1, L))
         return _band_sets(vals[None, :])[0]
     _check_steps(_lifted_steps(word))
-    edges = bisect_eigenvalues(lambda E: floquet_count(word, E), 2 * L,
+    edges = bisect_eigenvalues(lambda E: _floquet_count(word, E), 2 * L,
                                vals.min() - 4.0, vals.max() + 4.0)
     return _merge(vals, np.sort(edges), math.log(2.0 + CLOSED_GAP_TOL))
 
@@ -138,7 +138,7 @@ def _wraparound_edges(vals: np.ndarray, corners: np.ndarray, lo: np.ndarray,
     """
     B, L = vals.shape
     diag = np.ascontiguousarray(vals.T)
-    e = bisect_eigenvalues(lambda E: count_below_periodic(diag, E, corners), L, lo, hi)
+    e = bisect_eigenvalues(lambda E: _count_below_periodic(diag, E, corners), L, lo, hi)
     return np.sort(e.reshape(B // 2, 2 * L), axis=1)
 
 

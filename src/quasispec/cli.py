@@ -434,7 +434,7 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message, file=None):
         """Help goes through ``_write``: flushed before argparse exits 0, or exit 3."""
         if message:
-            _write(message, None)
+            _write([message], None)
 
     def _parse_optional(self, arg_string):
         if len(arg_string) > 1 and arg_string[0] == "-" and arg_string[1] in "0123456789.":
@@ -508,37 +508,53 @@ def _json_floats(column) -> list:
     return out
 
 
+# CSV is formatted and written _CSV_ROWS rows at a time, so that the cells
+# and the text held at once do not grow with the output.
+_CSV_ROWS = 1 << 16
+
+
 def encode(header, columns, layout, fmt: str) -> str:
     """``columns``, one per ``header`` field, as CSV or as the JSON object that
     ``layout`` builds from them: a column of a float dtype is printed ``%.12g``
     and rounded by ``_json_floats``, any other (ints, bools) ``%d`` or as is."""
+    return "".join(_pieces(header, columns, layout, fmt))
+
+
+def _pieces(header, columns, layout, fmt: str):
+    """The text of ``encode`` in pieces: JSON whole, CSV its header line and
+    then _CSV_ROWS rows at a time."""
     import numpy as np
 
     arrays = [np.asarray(c) for c in columns]
     floats = [a.dtype.kind == "f" for a in arrays]
     if fmt == "json":
         cols = [_json_floats(a) if f else a.tolist() for a, f in zip(arrays, floats)]
-        return json.dumps(layout(cols), separators=(",", ":"), allow_nan=False) + "\n"
+        yield json.dumps(layout(cols), separators=(",", ":"), allow_nan=False) + "\n"
+        return
     row = ",".join("%.12g" if f else "%d" for f in floats) + "\n"
-    cols = [(a + 0.0 if f else a).tolist() for a, f in zip(arrays, floats)]
-    return ",".join(header) + "\n" + "".join(map(row.__mod__, zip(*cols)))
+    yield ",".join(header) + "\n"
+    for i in range(0, min(map(len, arrays), default=0), _CSV_ROWS):
+        cols = [(a[i:i + _CSV_ROWS] + 0.0 if f else a[i:i + _CSV_ROWS]).tolist()
+                for a, f in zip(arrays, floats)]
+        yield "".join(map(row.__mod__, zip(*cols)))
 
 
 def run(cfg: RunConfig) -> None:
     """Execute a parsed configuration and write its output. Raises DomainError
     on bad input and FileAccessError when a file cannot be read or written."""
-    _write(encode(*_RUNNERS[cfg.command](cfg), cfg.format), cfg.out)
+    _write(_pieces(*_RUNNERS[cfg.command](cfg), cfg.format), cfg.out)
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write ``text`` to the file ``path``, or to stdout and flush it, so that
-    a full or closed stdout fails here (FileAccessError) and not at exit."""
+def _write(pieces, path: str | None) -> None:
+    """Write the strings ``pieces`` to the file ``path``, or to stdout and
+    flush it, so that a full or closed stdout fails here (FileAccessError)
+    and not at exit."""
     try:
         if path:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
     except OSError as exc:
         raise FileAccessError(exc) from None
@@ -548,7 +564,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
         if cfg.dump_config:
-            _write(dump_config(cfg), None)
+            _write([dump_config(cfg)], None)
         else:
             run(cfg)
     except DomainError as exc:

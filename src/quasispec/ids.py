@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numutil import BigValue, wrap
+from .numutil import BigValue, reject_nan, wrap
 from . import transfer
 from .potentials import LevelWord, PotentialSpec, fixed_point_window, sample_potential
 from .transfer import block_product, product_grid
@@ -111,6 +111,7 @@ def count_below(diag, energies) -> np.ndarray:
     """
     vals = np.asarray(diag, dtype=float)
     E = np.atleast_1d(np.asarray(energies, dtype=float))
+    reject_nan(vals, E)
     return _sweep(vals.reshape(vals.shape + (1,) * E.ndim), E)[0]
 
 
@@ -131,8 +132,16 @@ def count_below_periodic(diag, energies, corner) -> np.ndarray:
     Stacked form: B problems of one length L at once, with ``diag`` site-major
     of shape (L, B), ``corner`` of shape (B,) and ``energies`` of shape (B, M);
     the counts have shape (B, M). Each problem sees exactly the arithmetic of
-    its own 1-D call.
+    its own 1-D call. A NaN raises DomainError; ``_count_below_periodic``,
+    the count itself, skips that check for a bisection whose values were
+    checked once.
     """
+    reject_nan(diag, energies, corner)
+    return _count_below_periodic(diag, energies, corner)
+
+
+def _count_below_periodic(diag, energies, corner) -> np.ndarray:
+    """``count_below_periodic`` without its NaN check."""
     vals = np.asarray(diag, dtype=float)
     if vals.ndim == 1:
         E = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -208,6 +217,14 @@ def _sweep(vals, E, border=None):
         m = L - 1
         fs = np.array([np.broadcast_to(f, E.shape), s])
         FS = np.empty((2,) + P.shape)  # the (f, s) rows after each pivot
+    # A chain of one value per site forms its V - E blocks as one product
+    # [1, V] @ [-E; 1], as ``transfer._differences`` forms E - V: the same
+    # bits, (-E) - (-V) being V - E, but where a value of -0.0 meets an
+    # energy of +0.0, which the broadcast keeps.
+    one_v = None
+    if (vals.size == L and transfer._PRODUCT_LANES <= E.size <= transfer._CHUNK
+            and not np.signbit(vals[vals == 0.0]).any()):
+        one_v, e_one = np.ones((rows, 2)), np.stack([-E.ravel(), np.ones(E.size)])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for b in range(0, L, rows):
             n = min(rows, L - b)
@@ -216,7 +233,11 @@ def _sweep(vals, E, border=None):
             for guard in (True,) if opened else (False, True):
                 if guard and border is not None and tol is None:
                     tol = _PAIR_TOL * (np.abs(E) + vmax + 2.0)
-                np.subtract(vals[b:b + n], E, out=p)
+                if one_v is None:
+                    np.subtract(vals[b:b + n], E, out=p)
+                else:
+                    one_v[:n, 1] = vals[b:b + n].ravel()
+                    np.matmul(one_v[:n], e_one, out=p.reshape(n, -1))
                 _pivot_rows(p, d, x, fs, k - b, guard, r, t, (tol, m - b))
                 if guard:
                     negs = np.count_nonzero(np.less(p, 0.0, out=neg), axis=0)
@@ -306,7 +327,8 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi) -> np.ndarray:
     ``count_fn`` maps an energy array to strict-below counts; eigenvalue k is
     the infimum of {E : count(E) >= k}. With (B,) brackets ``lo`` and ``hi``,
     B problems are solved at once. ``count_fn`` takes energies of shape
-    ``shape(lo) + (n,)``, any n, and returns counts of that shape.
+    ``shape(lo) + (n,)``, any n, and returns counts of that shape. A NaN
+    bracket end raises DomainError.
 
     Each call to ``count_fn`` advances d halvings (multisection): it counts
     the 2^d - 1 nested midpoints of every bracket, each formed from its own
@@ -318,6 +340,7 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi) -> np.ndarray:
     the first call all brackets of a problem coincide, so one tree per problem
     serves them all.
     """
+    reject_nan(lo, hi)
     if not how_many:
         return np.empty(np.shape(lo) + (0,))
     ks = np.arange(1, how_many + 1)[:, None]
@@ -362,8 +385,16 @@ def floquet_count(word: LevelWord, energies) -> np.ndarray:
     They follow from the product M over the period and its lift n
     (``transfer.block_product``): 2(L - n) - 1 where |tr M| < 2, and
     2(L - n - [sign c_M sign tr M < 0]) elsewhere. O(log L) 2x2 products
-    per energy, where the pivot count takes L steps.
+    per energy, where the pivot count takes L steps. A NaN raises
+    DomainError; ``_floquet_count`` skips that check for a bisection whose
+    values were checked once.
     """
+    reject_nan(energies, list(word.letter_values.values()))
+    return _floquet_count(word, energies)
+
+
+def _floquet_count(word: LevelWord, energies) -> np.ndarray:
+    """``floquet_count`` without its NaN check."""
     def count(p, n):
         a, _, c, d, e = p
         L, tr = word.sites, a + d
@@ -378,7 +409,10 @@ def dirichlet_count(word: LevelWord, energies) -> np.ndarray:
     """``count_below`` over the segment ``word`` spells, without sampling it:
     with P = [[a, b], [c, d]] its product and n the lift of P
     (``transfer.block_product``), ``word.sites`` - n - [c != 0 and
-    sign(c) a <= 0]. O(log L) 2x2 products per energy."""
+    sign(c) a <= 0]. O(log L) 2x2 products per energy. A NaN raises
+    DomainError."""
+    reject_nan(energies, list(word.letter_values.values()))
+
     def count(p, n):
         a, _, c, _, _ = p
         return word.sites - n - ((c != 0) & (np.sign(c) * a <= 0))

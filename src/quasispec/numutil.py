@@ -1,4 +1,5 @@
-"""Helpers for numbers that outgrow double precision.
+"""Helpers for numbers that outgrow double precision, and the NaN check of
+the numeric entries.
 
 Quantities such as transfer-matrix traces or characteristic-polynomial values
 grow exponentially (sometimes doubly so). Once the magnitude passes ``HUGE``
@@ -8,6 +9,10 @@ they are carried as ``(sign, log_abs)`` pairs instead of floats.
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from .errors import DomainError
 
 # Threshold above which values switch to the (sign, log) representation.
 HUGE = 1e100
@@ -47,3 +52,11 @@ def as_float(x: BigValue) -> float:
             return math.inf * s
         return s * math.exp(la)
     return x
+
+
+def reject_nan(*arrays) -> None:
+    """DomainError if one of ``arrays`` holds a NaN: it fails every
+    comparison, so a count would take it for a positive pivot and a range
+    check would let it through."""
+    if any(np.isnan(a).any() for a in arrays):
+        raise DomainError("energies and potential values must not be NaN")

@@ -171,6 +171,8 @@ class PeriodicPotential:
     def __post_init__(self):
         if len(self.values) < 1:
             raise DomainError("period must be at least 1")
+        if not all(map(math.isfinite, self.values)):
+            raise DomainError("period values must be finite")
 
     @property
     def period(self) -> int:
@@ -218,12 +220,16 @@ class PotentialSpec:
                 raise DomainError("substitution kind needs a rule and letter values")
             if set(self.letter_values) != set(self.rule.alphabet):
                 raise DomainError("letter values must cover the alphabet")
+            if not all(map(math.isfinite, self.letter_values.values())):
+                raise DomainError("letter values must be finite")
             object.__setattr__(self, "letter_values", dict(self.letter_values))
         if self.kind == "explicit-periodic":
             if not self.values:
                 raise DomainError("explicit periodic potential needs a nonempty value list")
         if self.kind == "constant" and self.values is None:
             object.__setattr__(self, "values", (0.0,))
+        if self.values is not None and not all(map(math.isfinite, self.values)):
+            raise DomainError("potential values must be finite")
 
     # -- constructors ------------------------------------------------------
 

@@ -30,13 +30,26 @@ A lane step costs a few numpy calls whatever its width, so a call with few
 energies on a short chain, as ``propagate``, ``gordon_ratio`` and
 ``ids.char_poly_value`` make, steps its segments in Python floats instead
 (``_float_group``), one energy and segment at a time; the size of the call
-picks the path (``_few_lanes``). The float loop takes the same E - V
+picks the path (``_plan``). The float loop takes the same E - V
 differences, forms z = (E - V) x - y with the same two roundings, rescales at
 the same sites by the same powers of two and captures the same rows, and both
 paths share the validation, the schedule, the prefix pass and the final
 normalization, so every output is bit for bit the lanes', subnormals included.
 An energy and a potential value that differ by more than the largest float,
-where E - V would overflow, raise DomainError before either path runs.
+where E - V would overflow, and a NaN among them raise DomainError before
+either path runs.
+
+Two more choices of ``_plan`` change no bit either. A lane block's E - V
+rows are formed as one float64 product [1, -V] @ [E; 1] (``_differences``)
+on grids of at least _PRODUCT_LANES energies: both terms of each dot
+product, E and -V, are exact, so its one rounded sum is np.subtract's
+E - V. The one exact difference it would change is (-0.0) - (+0.0) = -0.0,
+which a BLAS sum started from +0.0 makes +0.0, so a grid holding an energy
+of -0.0 keeps the broadcast. And the prefix pass joins a group's segment
+products in Python floats (``_float_joins``) on grids of at most _FEW_JOINS
+energies: per entry the same two products and one sum, and per join the
+same power-of-two scaling, as the numpy rows of ``_lane_joins``, one energy
+at a time.
 
 A segment of a substitution fixed point needs no samples: ``iter_levels``
 renormalizes the per-letter matrices level by level (the matrix of rule^(k+1)(x)
@@ -57,6 +70,7 @@ of fixed-point windows and level-block periods.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -64,6 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .numutil import reject_nan
 from .potentials import (LevelWord, PotentialSpec, PeriodicPotential, SubstitutionRule,
                          fixed_point_window, sample_potential)
 
@@ -96,6 +111,23 @@ _SEGMENT = 256
 #   M = 32: none / none        picked none / none
 _FEW_LANES = 16
 _MARK_SITES = 3
+# On the lanes, a grid of _PRODUCT_LANES <= M <= _CHUNK energies forms its
+# E - V blocks as one BLAS product (``_differences``; a block of at most
+# _CHUNK elements, which OpenBLAS runs on one thread), and ``ids`` its V - E
+# blocks alike; the prefix pass joins segments in Python floats where
+# M <= _FEW_JOINS. Same sweep, one run, the machine above, almost-Mathieu
+# 25,000 sites; ms broadcast / product (product with OPENBLAS_NUM_THREADS=1):
+#   M = 1: 0.71 / 0.81 (0.85)      M = 2: 1.28 / 1.02 (1.01)
+#   M = 4: 3.28 / 2.68 (2.90)      M = 16: 3.32 / 2.80 (2.31)
+#   M = 200: 18.3 / 15.1 (16.5)    M = 1000: 111 / 99 (105)
+# ``ids.count_below`` there: within the host's noise up to 8 energies, where
+# the blocks are a small part of a count (both ways in three runs), then
+# 5-15% faster (M = 200: 45.8 / 41.7 ms; 1000: 118 / 100 ms). Joins, ms for
+# 40 / 400 segments, numpy / floats: M = 1 0.43 / 0.07, 4.5 / 0.65; M = 4
+# 0.43 / 0.24, 4.5 / 2.3; M = 6 0.44 / 0.36, 4.6 / 3.5; M = 8 0.45 / 0.47,
+# 4.5 / 5.0; M = 16 0.46 / 0.96, 4.8 / 10.6.
+_PRODUCT_LANES = 2
+_FEW_JOINS = 6
 # Sites between rescalings grow the entries by at most e^_LOG_GROWTH, far
 # below the float limit e^709. _CHUNK bounds the elements of the E - V block
 # built at once (256 KB of float64). The rescaling interval is the largest
@@ -206,6 +238,8 @@ def product_grid(values, energies, marks=None):
     vals = vals[:n]
     lo, hi = float(vals.min()), float(vals.max())
     e_lo, e_hi = float(e.min(initial=math.inf)), float(e.max(initial=-math.inf))
+    if any(map(math.isnan, (lo, hi, e_lo, e_hi))):  # the extrema hold every NaN
+        raise DomainError("energies and potential values must not be NaN")
     if max(e_hi - lo, hi - e_lo) > sys.float_info.max:
         raise DomainError("E - V overflows: an energy and a potential value differ by "
                           "more than the largest float")
@@ -221,33 +255,90 @@ def product_grid(values, energies, marks=None):
     # Rows a, b, c, d and the exponent (an integer, exact in a float) of the
     # raw product at each end; the rows of the segments before the end's own.
     cap, pre = np.empty((5, K, M)), np.empty((2, 2, K, M))
-    run, run_exp = np.zeros((2, 2, M)), np.zeros(M)
-    run[0, 0] = run[1, 1] = 1.0
-    group = _float_group if _few_lanes(M, n, K) else _lane_group
+    # The joined product before each segment of a group, and its exponent.
+    runs, exps = np.zeros((1, 2, 2, M)), np.zeros((1, M))
+    runs[0, 0, 0] = runs[0, 1, 1] = 1.0
+    group, join = _plan(e, n, K)
     for g0 in range(0, nseg, J):
         Jb = min(J, nseg - g0)
         bounds = np.searchsorted(seg, np.arange(g0, g0 + Jb + 1)).tolist()
         i, i_end = bounds[0], bounds[-1]
         last, x_exp = group(vals[g0 * s:(g0 + Jb) * s], e, s, rows, every,
                             seg[i:i_end] - g0, off[i:i_end], cap[:, i:i_end])
-        for j in range(Jb):  # the prefix pass over this group's segments
-            pre[:, :, bounds[j]:bounds[j + 1]] = run[:, :, None]
-            cap[4, bounds[j]:bounds[j + 1]] += run_exp  # the ends' whole exponents
-            if g0 + j + 1 < nseg:
-                run = last[:, :1, j] * run[0] + last[:, 1:, j] * run[1]
-                e_j = np.frexp(np.abs(run).max(axis=(0, 1)))[1]
-                np.ldexp(run, -e_j, out=run)
-                run_exp = run_exp + x_exp[j] + e_j
+        joins = min(Jb, nseg - 1 - g0)  # none after the chain's last segment
+        runs, exps = (join(last, x_exp, runs[-1], exps[-1], joins) if joins
+                      else (runs[-1:], exps[-1:]))
+        for j in range(Jb):  # the ends of segment j take the product before it
+            if bounds[j] < bounds[j + 1]:
+                pre[:, :, bounds[j]:bounds[j + 1]] = runs[j, :, :, None]
+                cap[4, bounds[j]:bounds[j + 1]] += exps[j]  # the ends' whole exponents
     return _normalized(cap[0] * pre[0] + cap[1] * pre[1], cap[2] * pre[0] + cap[3] * pre[1],
                        cap[4], ((K,) if marks is not None else ()) + E.shape)
 
 
-def _few_lanes(M: int, n: int, K: int) -> bool:
-    """Whether a call at M energies over n sites with K ends steps in floats."""
-    return M * (n + _MARK_SITES * K) <= _FEW_LANES * min(n, _SEGMENT)
+def _plan(e, n: int, K: int):
+    """The stepping function and the prefix join of a call at the energies
+    ``e`` over n sites with K ends: floats where M (n + _MARK_SITES K) <=
+    _FEW_LANES min(n, _SEGMENT), else the lanes, with E - V blocks formed as
+    products where _PRODUCT_LANES <= M <= _CHUNK and no energy is -0.0; the
+    joins in floats where M <= _FEW_JOINS. A few integer comparisons where
+    floats step, so that short calls do not pay for the choice."""
+    M = len(e)
+    join = _float_joins if M <= _FEW_JOINS else _lane_joins
+    if M * (n + _MARK_SITES * K) <= _FEW_LANES * min(n, _SEGMENT):
+        return _float_group, join
+    if _PRODUCT_LANES <= M <= _CHUNK and not np.signbit(e[e == 0.0]).any():
+        return functools.partial(_lane_group, product=True), join
+    return _lane_group, join
 
 
-def _lane_group(V, e, s, rows, every, lane, off, cap):
+def _lane_joins(last, x_exp, run, run_exp, joins):
+    """The running products of a group: from ``run`` (2, 2, M), with its
+    exponent ``run_exp`` (M,), the product before the group, join the first
+    ``joins`` segment products (rows ``last`` (2, 2, J, M), exponents
+    ``x_exp`` (J, M)) one at a time, each join a 2x2 product scaled by one
+    power of two per energy. Returns the product before each segment and
+    after the last one joined, (joins + 1, 2, 2, M), and their exponents
+    (joins + 1, M)."""
+    runs, exps = np.empty((joins + 1,) + run.shape), np.empty((joins + 1,) + run_exp.shape)
+    runs[0], exps[0] = run, run_exp
+    for j in range(joins):
+        p = last[:, :1, j] * run[0] + last[:, 1:, j] * run[1]
+        e_j = np.frexp(np.abs(p).max(axis=(0, 1)))[1]
+        run = np.ldexp(p, -e_j, out=runs[j + 1])
+        exps[j + 1] = exps[j] + x_exp[j] + e_j
+    return runs, exps
+
+
+def _float_joins(last, x_exp, run, run_exp, joins):
+    """``_lane_joins`` in Python floats, one energy at a time: the same
+    products, sums and power-of-two scalings, so the same bits, at one to
+    two microseconds a join and energy where a lane join costs about ten
+    numpy calls. The joins go _SEGMENT at a time, so that their Python floats stay
+    within a few hundred KB however many segments the chain has."""
+    M = run.shape[-1]
+    runs, exps = np.empty((joins + 1,) + run.shape), np.empty((joins + 1, M))
+    runs[0], exps[0] = run, run_exp
+    for j0 in range(0, joins, _SEGMENT):
+        j1 = min(joins, j0 + _SEGMENT)
+        segs = last[:, :, j0:j1].transpose(3, 2, 0, 1).reshape(M, j1 - j0, 4).tolist()
+        out = []
+        for (a, b, c, d), x, seg_m, x_m in zip(runs[j0].reshape(4, M).T.tolist(),
+                                               exps[j0].tolist(), segs, x_exp[j0:j1].T.tolist()):
+            for (la, lb, lc, ld), x_j in zip(seg_m, x_m):
+                a, b, c, d = la * a + lb * c, la * b + lb * d, lc * a + ld * c, lc * b + ld * d
+                f = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+                a, b, c, d = (math.ldexp(a, -f), math.ldexp(b, -f),
+                              math.ldexp(c, -f), math.ldexp(d, -f))
+                x = x + x_j + f
+                out.append((a, b, c, d, x))
+        out = np.array(out).reshape(M, j1 - j0, 5).transpose(1, 2, 0)
+        runs[j0 + 1:j1 + 1] = out[:, :4].reshape(j1 - j0, 2, 2, M)
+        exps[j0 + 1:j1 + 1] = out[:, 4]
+    return runs, exps
+
+
+def _lane_group(V, e, s, rows, every, lane, off, cap, product=False):
     """Step the segments of ``s`` sites that the chain slice ``V`` holds
     side by side, as (J, M) lanes, and capture the ends at step ``off`` + 1 of
     lane ``lane`` into ``cap`` (5, ends, M). Returns the rows (a, b) and
@@ -269,6 +360,7 @@ def _lane_group(V, e, s, rows, every, lane, off, cap):
     wanted, before = need.tolist(), need.cumsum() - need
     stash = np.empty((2, min(before[-1] + 1, min(rows, steps) + 1), Jb - lane0, M))
     block = np.empty((min(rows, s), Jb, M))  # E - V over `rows` sites of each lane
+    e_one = np.stack([e, np.ones(M)]) if product else None
     lanes = np.zeros((3, 2, Jb, M))  # x, y, z: the lanes' rows (a, b) at three steps
     bufs = list(zip(lanes, lanes[:, 0], lanes[:, 1]))
     x, y, z = bufs[steps % 3:] + bufs[:steps % 3]  # the last step writes lanes[0]
@@ -279,9 +371,7 @@ def _lane_group(V, e, s, rows, every, lane, off, cap):
             _rescale(x[0], y[0], x_exp)
         r = min(rows, steps - t0)
         ev_rows = block[:r]
-        np.subtract(e, V[t0:t0 + r, :, None], out=ev_rows[:, :whole])
-        if len(tail):
-            np.subtract(e, tail[t0:t0 + r, None], out=ev_rows[:, whole])
+        _differences(e, V[t0:t0 + r], tail[t0:t0 + r], ev_rows, e_one)
         for t, ev in enumerate(ev_rows, t0):
             if wanted[t]:
                 stash[:, before[t] - before[t0]] = x[0][:, lane0:]
@@ -296,6 +386,29 @@ def _lane_group(V, e, s, rows, every, lane, off, cap):
             cap[:2, i], cap[2:4, i] = stash[:, at, js], stash[:, at - 1, js]
             cap[4, i] = x_exp[lane0:][js]
     return lanes[:2], x_exp
+
+
+def _differences(e, V, tail, out, e_one=None):
+    """E - V into ``out`` (r, J, M) at the energies ``e`` (M,), for the values
+    ``V`` (r, J - 1 or J) of the whole lanes and ``tail`` (r,) of a padded
+    last one, if any: a broadcast np.subtract, or with ``e_one`` = [e; 1]
+    (2, M) the one float64 product [1, -V] @ [E; 1] over the r J rows. Both
+    terms of each dot product, E and -V, are exact, so its sum is rounded
+    once, to np.subtract's bits. BLAS sums from +0.0, which turns the one
+    exact -0.0 difference, (-0.0) - (+0.0), into +0.0; ``_plan`` keeps
+    energies of -0.0 on the broadcast."""
+    whole = V.shape[1]
+    if e_one is None:
+        np.subtract(e, V[:, :, None], out=out[:, :whole])
+        if len(tail):
+            np.subtract(e, tail[:, None], out=out[:, whole])
+        return
+    one_v = np.empty(out.shape[:2] + (2,))
+    one_v[..., 0] = 1.0
+    np.negative(V, out=one_v[:, :whole, 1])
+    if len(tail):
+        np.negative(tail, out=one_v[:, whole, 1])
+    np.matmul(one_v.reshape(-1, 2), e_one, out=out.reshape(-1, len(e)))
 
 
 def _float_group(V, e, s, rows, every, lane, off, cap):
@@ -548,6 +661,7 @@ def lyapunov_grid(spec: PotentialSpec, energies, n: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("n must be at least 1")
+    reject_nan(energies)
     word = fixed_point_window(spec, 1, n)
     if word is None:
         log_norm = Mat2(*product_grid(sample_potential(spec, 1, n), energies)).op_norm_log()

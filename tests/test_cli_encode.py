@@ -14,6 +14,7 @@ import math
 import numbers
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasispec import cli
@@ -85,3 +86,28 @@ def test_columns_encode_as_their_cells(table, records):
     text = cli.encode(header, given_cols, layout, "json")
     assert text == json.dumps(ref, separators=(",", ":"), allow_nan=False) + "\n"
     json.loads(text, parse_constant=_strict)
+
+
+@given(tables(), st.integers(1, 5))
+def test_csv_in_row_chunks(table, rows):
+    # CSV goes out a bounded number of rows at a time, with the same bytes.
+    _, given_cols = table
+    header = tuple(f"c{i}" for i in range(len(given_cols)))
+    whole = cli.encode(header, given_cols, None, "csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CSV_ROWS", rows)
+        pieces = list(cli._pieces(header, given_cols, None, "csv"))
+    assert "".join(pieces) == whole
+    assert len(pieces) == 1 + -(-(len(whole.splitlines()) - 1) // rows)
+
+
+def test_chunked_output_file_is_unchanged(tmp_path, monkeypatch):
+    argv = ["resistance", "--model", "fibonacci", "--lambda", "1", "--energy", "0",
+            "--lengths", "1:50"]
+    outs = []
+    for rows in (cli._CSV_ROWS, 7):
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+        out = tmp_path / f"{rows}.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] and outs[0].count(b"\n") == 51

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from quasispec import (
     DomainError,
+    FIBONACCI_RULE,
     GOLDEN_MEAN,
     IdsCurve,
+    PeriodicPotential,
     PotentialSpec,
+    band_spectrum,
     char_poly_value,
     count_below,
     count_below_periodic,
@@ -22,7 +25,8 @@ from quasispec import (
 from quasispec import ids
 from quasispec import transfer
 from quasispec.ids import bisect_eigenvalues, dirichlet_count, floquet_count
-from quasispec.potentials import fixed_point_window, periodic_approximant, sample_potential
+from quasispec.potentials import (LevelWord, fixed_point_window, periodic_approximant,
+                                  sample_potential)
 
 from conftest import RULES, primitive_rules
 
@@ -230,6 +234,51 @@ class TestPeriodicCounter:
                 ref = np.array([int(np.sum(ev < e)) for e in E])
                 np.testing.assert_array_equal(
                     count_below_periodic(vals, E, corner), ref)
+
+
+class TestNanRejected:
+    # A NaN fails every comparison: a pivot of NaN counted as positive, and
+    # a bisection or a Floquet count took it for an ordinary energy.
+    WORD = LevelWord(FIBONACCI_RULE, {"a": 1.0, "b": 0.0}, ((5, "a"),))
+
+    @pytest.mark.parametrize("call", [
+        lambda: count_below_periodic([1.0, 2.0, 0.5], [math.nan, 0.0], 1),
+        lambda: count_below_periodic([1.0, math.nan, 0.5], [0.0], -1),
+        lambda: count_below([1.0, math.nan, 2.0], [0.0]),
+        lambda: count_below([1.0, 2.0], [0.0, math.nan]),
+        lambda: eigen_count([1.0, 2.0], math.nan),
+        lambda: char_poly_value([1.0, 2.0], math.nan),
+        lambda: floquet_count(TestNanRejected.WORD, [math.nan, 0.0]),
+        lambda: dirichlet_count(TestNanRejected.WORD, [0.0, math.nan]),
+        lambda: bisect_eigenvalues(lambda E: np.zeros(np.shape(E), int), 1, math.nan, 1.0),
+    ])
+    def test_public_counts(self, call):
+        with pytest.raises(DomainError, match="NaN"):
+            call()
+
+    def test_once_per_bisection(self, monkeypatch):
+        # band_spectrum checks its period once; its counts go unchecked.
+        calls = []
+        check = ids.reject_nan
+        monkeypatch.setattr(ids, "reject_nan", lambda *a: calls.append(1) or check(*a))
+        band_spectrum(PeriodicPotential((1.0, -0.5, 0.25)))
+        assert len(calls) == 1
+
+
+@given(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.0, 5e-324, -1e-300]),
+                          st.floats(-4.0, 4.0)), min_size=1, max_size=60),
+       st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.0, 5e-324]),
+                          st.floats(-6.0, 6.0)), min_size=1, max_size=6))
+def test_product_blocks_count_alike(values, energies):
+    # The V - E blocks as products (a value of -0.0 keeps the broadcast).
+    counts = {}
+    for lanes in (1 << 62, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "_PRODUCT_LANES", lanes)
+            counts[lanes] = [count_below(values, energies)] + [
+                count_below_periodic(values, energies, corner) for corner in (1.0, -1.0)]
+    for x, y in zip(*counts.values()):
+        np.testing.assert_array_equal(x, y)
 
 
 def exact_matrix(diag, corner=None):

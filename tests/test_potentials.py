@@ -9,6 +9,7 @@ from quasispec import (
     FIBONACCI_RULE,
     GOLDEN_MEAN,
     PERIOD_DOUBLING_RULE,
+    PeriodicPotential,
     THUE_MORSE_RULE,
     PotentialSpec,
     SubstitutionRule,
@@ -295,6 +296,17 @@ class TestSlicedWindows:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("make", [
+        lambda: PotentialSpec.explicit([1.0, math.nan]),
+        lambda: PotentialSpec.explicit([math.inf, 0.0]),
+        lambda: PotentialSpec.constant(math.nan),
+        lambda: PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": math.nan}),
+        lambda: PeriodicPotential((0.5, -math.inf)),
+    ])
+    def test_non_finite_values_rejected(self, make):
+        with pytest.raises(DomainError, match="finite"):
+            make()
+
     def test_golden_sturmian_first_values(self):
         spec = PotentialSpec.sturmian(GOLDEN_MEAN, 1.0)
         assert sample_potential(spec, 1, 5).tolist() == [1, 0, 1, 1, 0]

@@ -45,7 +45,9 @@ def test_lane_sweep(monkeypatch, capsys):
 
 
 def test_few_lane_sweep(monkeypatch, capsys):
-    args = ["--sites", "21,300", "--energies", "1,2", "--repeats", "1"]
+    args = ["--sites", "21,300", "--energies", "1,2", "--block-sites", "600",
+            "--block-energies", "1,3", "--join-energies", "1,8", "--join-segments", "1,5",
+            "--repeats", "1"]
     lines = run_script("few_lane_sweep.py", args, monkeypatch, capsys)
     assert lines[0].split() == ["marks", "M", "sites", "lanes", "ms", "floats", "ms", "pick"]
     rows = [line.split() for line in lines[1:9]]
@@ -54,8 +56,23 @@ def test_few_lane_sweep(monkeypatch, capsys):
     assert all(float(x) > 0.0 for row in rows for x in row[3:5])
     assert all(row[5] in ("floats", "lanes") for row in rows)
     assert lines[9].startswith("crossover")
-    assert [line.split()[:2] for line in lines[10:]] == [
+    assert [line.split()[:2] for line in lines[10:14]] == [
         [marks, M] for marks in ("none", "all") for M in ("1", "2")]
+    # The blocks table, its product columns timed again in a child process.
+    assert lines[14].split() == ["M", "block", "bcast", "ms", "prod", "ms", "1-thr", "ms",
+                                 "count", "bcast", "count", "prod", "1-thr", "pick"]
+    rows = [line.split() for line in lines[15:17]]
+    assert [(row[0], row[1]) for row in rows] == [("1", "256x3x1"), ("3", "256x3x3")]
+    assert all(float(x) > 0.0 for row in rows for x in row[2:8])
+    assert [row[8] for row in rows] == ["broadcast", "product"]
+    assert [line.split()[1] for line in lines[17:20]] == ["product_grid", "count_below",
+                                                          "products"]
+    assert lines[19].endswith("[3]")
+    assert lines[20].split() == ["M", "joins", "lane", "ms", "float", "ms", "pick"]
+    rows = [line.split() for line in lines[21:]]
+    assert [(int(row[0]), int(row[1])) for row in rows] == [(1, 1), (1, 5), (8, 1), (8, 5)]
+    assert all(float(x) > 0.0 for row in rows for x in row[2:4])
+    assert [row[4] for row in rows] == ["floats", "floats", "lanes", "lanes"]
 
 
 def test_bisection_sweep(monkeypatch, capsys):

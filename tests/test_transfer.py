@@ -190,12 +190,50 @@ class TestRescale:
             np.testing.assert_array_equal(a, b)
 
 
+# The values of the selection constants that force each of product_grid's
+# paths: its segments stepped on the numpy lanes or in Python floats, the
+# lanes' E - V blocks formed by a broadcast or a product, and the prefix joins
+# on numpy rows or in Python floats.
+FORCE = {"lanes": ("_FEW_LANES", -1), "floats": ("_FEW_LANES", 1 << 62),
+         "broadcast": ("_PRODUCT_LANES", 1 << 62), "product": ("_PRODUCT_LANES", 1),
+         "lane-joins": ("_FEW_JOINS", -1), "float-joins": ("_FEW_JOINS", 1 << 62)}
+PATHS = [("lanes", block, joins) for block in ("broadcast", "product")
+         for joins in ("lane-joins", "float-joins")] + [
+    ("floats", joins) for joins in ("lane-joins", "float-joins")]
+
+
 def forced(path, f):
-    """f() with every product_grid call stepping on ``path``, "lanes" or
-    "floats", through the selection constant."""
+    """f() with every product_grid call on ``path``, a tuple of FORCE's
+    names, through the selection constants."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer, "_FEW_LANES", {"lanes": -1, "floats": 1 << 62}[path])
+        for name in path:
+            mp.setattr(transfer, *FORCE[name])
         return f()
+
+
+def same_bits(x, y):
+    """Equal shapes and equal bits, zero signs included."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+# Zeros of both signs, subnormals, numbers near the float limit (whose
+# differences overflow) and plain ones.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-300,
+           1.7976931348623157e308, -1.7976931348623157e308, 8.98846567431158e307, 1.0, -1.0]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def difference_blocks(draw):
+    """Energies (M,), values (r, J) of the whole lanes and a padded last
+    lane's values (r,) or none, as ``transfer._differences`` takes them."""
+    r, J, M = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    V = np.array(draw(st.lists(FLOATS, min_size=r * J, max_size=r * J))).reshape(r, J)
+    e = np.array(draw(st.lists(FLOATS, min_size=M, max_size=M)))
+    if draw(st.booleans()):
+        return e, V[:, :-1], V[:, -1]
+    return e, V, np.empty(0)
 
 
 class TestProductKernel:
@@ -273,23 +311,23 @@ class TestProductKernel:
         # "small" has 8 lanes and 64-element blocks, as with_small_budgets in
         # test_budgets, so marks cross lane groups and rescales fall inside
         # marked blocks; it takes the lanes only. "huge" adds an energy of
-        # 1e200, a rescale every site. The other cases take both paths.
+        # 1e200, a rescale every site. The other cases take every path.
         kind, M = case.split("-")
         if kind == "small":
             monkeypatch.setattr(transfer, "_LANES", 8)
             monkeypatch.setattr(transfer, "_CHUNK", 64)
-        for path in ("lanes",) if kind == "small" else ("lanes", "floats"):
+        for path in PATHS[:4] if kind == "small" else PATHS:
             digest = forced(path, lambda: pinned_digest(int(M), huge=kind == "huge"))
             assert digest == PINNED[case], path
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.booleans())
     def test_paths_equal_bit_for_bit(self, seed, M, zeros, huge):
-        # Values and energies from {-1, 0, 2} make E == V zero entries; an
-        # energy of 1e200 forces a rescale after every site.
+        # Values and energies from {-1, -0, 0, 2} make E == V zero entries of
+        # both signs; an energy of 1e200 forces a rescale after every site.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 3000))
         if zeros:
-            values, E = rng.choice([-1.0, 0.0, 2.0], n), rng.choice([-1.0, 0.0, 2.0], M)
+            values, E = (rng.choice([-1.0, -0.0, 0.0, 2.0], size) for size in (n, M))
         else:
             scale = 10.0 ** rng.uniform(0.0, 3.0)
             values, E = rng.uniform(-scale, scale, n), rng.uniform(-scale - 3, scale + 3, M)
@@ -297,10 +335,48 @@ class TestProductKernel:
             E = np.append(E, rng.choice([-1.0, 1.0]) * 1e200)
         marks = sorted({m for m in (1, 255, 256, 257, 512, n) if m <= n})
         for m in (None, marks):
-            lanes = forced("lanes", lambda: product_grid(values, E, m))
-            floats = forced("floats", lambda: product_grid(values, E, m))
-            for x, y in zip(lanes, floats):
-                assert x.shape == y.shape and np.array_equal(x, y)
+            want = forced(PATHS[0], lambda: product_grid(values, E, m))
+            for path in PATHS[1:]:
+                got = forced(path, lambda: product_grid(values, E, m))
+                assert all(same_bits(x, y) for x, y in zip(want, got)), path
+
+    @given(difference_blocks())
+    def test_product_block_equals_subtract(self, block):
+        # [1, -V] @ [E; 1]: both terms exact, the sum rounded once. An energy
+        # of -0.0 takes the broadcast (below), so it is drawn as +0.0 here.
+        e, V, tail = block
+        e = e + 0.0
+        lanes = np.column_stack([V, tail]) if len(tail) else V
+        with np.errstate(over="ignore"):
+            want = np.subtract(e, lanes[:, :, None])
+            got = {}
+            for product in (False, True):
+                got[product] = np.empty(want.shape)
+                e_one = np.stack([e, np.ones(len(e))]) if product else None
+                transfer._differences(e, V, tail, got[product], e_one)
+        assert same_bits(got[False], want) and same_bits(got[True], want)
+
+    def test_negative_zero_energy_takes_the_broadcast(self):
+        # (-0.0) - (+0.0) is -0.0, where BLAS, summing from +0.0, gives +0.0.
+        values = np.zeros(5000)
+        for E, product in (([0.0, 1.0], True), ([-0.0, 1.0], False), ([1.0, -0.0], False)):
+            group, _ = transfer._plan(np.array(E), len(values), 1)
+            assert (group is not transfer._lane_group) == product
+            want = forced(("lanes", "broadcast"), lambda: product_grid(values, E))
+            got = forced(("lanes", "product"), lambda: product_grid(values, E))
+            assert all(same_bits(x, y) for x, y in zip(want, got))
+
+    @pytest.mark.parametrize("values, E", [([1.0, math.nan], [0.3]), ([1.0, 2.0], [math.nan]),
+                                           ([1.0], [0.0, math.nan, 1.0])])
+    def test_nan_rejected(self, values, E):
+        # A NaN fails every comparison, the overflow check's too.
+        with pytest.raises(DomainError, match="NaN"):
+            product_grid(values, E)
+
+    def test_nan_energy_rejected_on_the_lifted_path(self):
+        spec = PotentialSpec.substitution(FIBONACCI_RULE, {"a": 1.0, "b": 0.0})
+        with pytest.raises(DomainError, match="NaN"):
+            lyapunov_grid(spec, [0.5, math.nan], 100)
 
     @pytest.mark.parametrize("values, E", [([1e308, 0.0], [-1e308]), ([-1e308], [0.5, 1e308]),
                                            ([1.0, -9e307], [1e308])])
