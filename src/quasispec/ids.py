@@ -21,6 +21,14 @@ the count is a rotation number (Johnson-Moser, CMP 1982), read from the
 integer lift of the one block product, ``transfer.block_product``, O(log L)
 2x2 products per energy (``dirichlet_count``, ``floquet_count``). The pivot
 counts stay the path of every other chain and the oracle of the lifted ones.
+The lifted Floquet count also gives a smooth function of the energy that
+vanishes at the band edges, from the trace of the same product
+(``_floquet_count``). Its bisection (``_guided``) steps a bracket that holds
+one edge by regula falsi on that function (Anderson-Bjorck's Illinois-type
+scaling) and keeps the tree elsewhere; the brackets still move only on the
+count, and a last pass replays the halvings from their ends. So where the
+count is monotone the edges are those of one halving per count bit for bit,
+in about a third of the counts at golden q = 377.
 
 Both counts run one block sweep, ``_sweep``: per site only the recursion
 runs, into a block of stored pivots (and, bordered, fill-in and Schur rows).
@@ -67,6 +75,12 @@ BISECTION_HALVINGS = 60
 # 139 / 63 / 52, 512 28 / 63 / 138 / 63 / 46, 1024 23 / 49 / 141 / 63 / 43,
 # 2048 26 / 57 / 158 / 62 / 45, 4096 38 / 63 / 155 / 74 / 47.
 _BISECTION_LANES = 1024
+# The guided edges of ``_guided``: a bracket takes a regula falsi point only
+# where one of its ends' smooth values exceeds _FLAT in magnitude, and only
+# while it is at most 2^_SLACK times as wide as the halvings at its trees'
+# pace would have left it.
+_FLAT = 1e-13
+_SLACK = 4
 
 
 @dataclass(frozen=True)
@@ -320,7 +334,7 @@ def eigen_count(values, E: float) -> int:
     return int(count_below(vals, np.array([E]))[0])
 
 
-def bisect_eigenvalues(count_fn, how_many: int, lo, hi) -> np.ndarray:
+def bisect_eigenvalues(count_fn, how_many: int, lo, hi, smooth: bool = False) -> np.ndarray:
     """All ``how_many`` eigenvalues of a counting function by parallel bisection,
     BISECTION_HALVINGS halvings of each bracket.
 
@@ -339,10 +353,18 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi) -> np.ndarray:
     the halvings left. Until
     the first call all brackets of a problem coincide, so one tree per problem
     serves them all.
+
+    With ``smooth``, one problem (scalar ``lo`` and ``hi``) is solved by
+    ``_guided``, and ``count_fn`` returns a pair: the counts and a smooth
+    function of the energy that changes sign where the count moves by one
+    (``_floquet_count``). Where the count is monotone the edges are those
+    of the halvings above bit for bit, in far fewer counts.
     """
     reject_nan(lo, hi)
     if not how_many:
         return np.empty(np.shape(lo) + (0,))
+    if smooth:
+        return _guided(count_fn, how_many, float(lo), float(hi))
     ks = np.arange(1, how_many + 1)[:, None]
     # Axes (..., bracket, end): one bracket per problem before the first call.
     lo_a = np.asarray(lo, dtype=float)[..., None, None]
@@ -351,30 +373,158 @@ def bisect_eigenvalues(count_fn, how_many: int, lo, hi) -> np.ndarray:
     while done < BISECTION_HALVINGS:
         depth = (_BISECTION_LANES // max(1, lo_a.size) + 1).bit_length() - 1
         depth = min(max(1, depth), BISECTION_HALVINGS - done)
-        n = 1 << depth
-        # tree[..., i] is the i-th of the n + 1 points the halvings can reach;
-        # each is formed from the two points of the coarser level around it.
-        # Halves before the sum, which cannot overflow near the float limit;
-        # in range the result is the same float as 0.5 * (lo + hi).
-        tree = np.empty(lo_a.shape[:-1] + (n + 1,))
-        tree[..., :1], tree[..., n:] = lo_a, hi_a
-        step = n
-        while step > 1:
-            tree[..., step // 2::step] = 0.5 * tree[..., :-1:step] + 0.5 * tree[..., step::step]
-            step //= 2
+        tree = _tree(lo_a[..., 0], hi_a[..., 0], depth)
         inner = tree[..., 1:-1]
         flat = inner.shape[:-2] + (inner.shape[-2] * inner.shape[-1],)
         counts = np.reshape(count_fn(inner.reshape(flat)), inner.shape)
-        a = np.zeros(np.shape(lo) + (how_many, 1), dtype=np.intp)
-        b = np.full(a.shape, n)
-        for _ in range(depth):
-            mid = (a + b) >> 1
-            ge = np.take_along_axis(counts, mid - 1, axis=-1) >= ks
-            a, b = np.where(ge, a, mid), np.where(ge, mid, b)
+        a, b = _walk(counts, ks, depth)
         lo_a = np.take_along_axis(tree, a, axis=-1)
         hi_a = np.take_along_axis(tree, b, axis=-1)
         done += depth
     return (0.5 * lo_a + 0.5 * hi_a)[..., 0]
+
+
+def _tree(lo, hi, depth: int) -> np.ndarray:
+    """The 2^depth + 1 points that ``depth`` halvings of [lo, hi] can reach,
+    on a new last axis; each is formed from the two points of the coarser
+    level around it. Halves before the sum, which cannot overflow near the
+    float limit; in range the result is the same float as 0.5 * (lo + hi)."""
+    n = 1 << depth
+    tree = np.empty(np.broadcast(lo, hi).shape + (n + 1,))
+    tree[..., 0], tree[..., n] = lo, hi
+    step = n
+    while step > 1:
+        tree[..., step // 2::step] = 0.5 * tree[..., :-1:step] + 0.5 * tree[..., step::step]
+        step //= 2
+    return tree
+
+
+def _walk(counts: np.ndarray, ks, depth: int):
+    """The cell (a, b) of a ``depth``-level tree, its inner points counted in
+    ``counts`` (last axis), that each bracket of eigenvalue k walks down to,
+    one node at a time: to the lower half where the count at the node is at
+    least k, else to the upper half."""
+    a = np.zeros(np.broadcast(counts[..., :1], ks).shape, dtype=np.intp)
+    b = np.full(a.shape, 1 << depth)
+    for _ in range(depth):
+        mid = (a + b) >> 1
+        ge = np.take_along_axis(counts, mid - 1, axis=-1) >= ks
+        a, b = np.where(ge, a, mid), np.where(ge, mid, b)
+    return a, b
+
+
+def _guided(count_fn, how_many: int, lo: float, hi: float) -> np.ndarray:
+    """``bisect_eigenvalues`` of one problem whose ``count_fn`` also returns a
+    smooth function s of the energy (``_floquet_count``).
+
+    The first call is the multisection's: one tree of every bracket. Then a
+    bracket whose ends' counts are k - 1 and k, so that it holds one
+    transition, and whose ends' s have opposite signs, takes a regula falsi
+    point from s, with the Anderson-Bjorck scaling of an end kept twice in a
+    row (an Illinois-type method, superlinear at a simple root); every other
+    bracket keeps the tree, the brackets of one cell sharing it, at the
+    depth that the energies left by the regula falsi points allow. A
+    bracket also takes the tree where neither end's |s| exceeds _FLAT (s is
+    rounding there, as at the double edges of closed gaps), or where it is
+    wider than 2^_SLACK times the width that one halving per regula falsi
+    point and d per tree of depth d would have left it; so it retires within
+    _SLACK + 2 calls of what halvings from its first bracket would take. The
+    brackets still move only on the count (count(x) >= k moves hi to x), and
+    one retires once 0.5 lo + 0.5 hi equals an end, a fixed point of every
+    further halving, or once it is narrower than the last halving's bracket.
+
+    Where the count is monotone, a count below k at lo and at least k at hi
+    decide every halving point outside (lo, hi); ``_replay`` takes the
+    BISECTION_HALVINGS halvings from the first brackets with them, counting
+    the rare point that falls inside, so the edges are those of one halving
+    per count bit for bit. Where it is not, they are those of another
+    transition in the same last bracket.
+    """
+    ks = np.arange(1, how_many + 1)
+    depth = min(max(1, (_BISECTION_LANES + 1).bit_length() - 1), BISECTION_HALVINGS)
+    tree = _tree(lo, hi, depth)
+    counts, s = count_fn(tree[1:-1])
+    a, b = (x[:, 0] for x in _walk(counts[None], ks[:, None], depth))
+    # The counts and s at the first brackets' ends, unknown (-1, NaN) at lo and hi.
+    c, s = np.concatenate(([-1], counts, [-1])), np.concatenate(([np.nan], s, [np.nan]))
+    lo_k, hi_k, c_lo, c_hi, s_lo, s_hi = tree[a], tree[b], c[a], c[b], s[a], s[b]
+    moved = np.zeros(how_many, dtype=np.int8)  # +1 / -1: hi / lo moved by the last point
+    last = np.ldexp(0.5 * hi - 0.5 * lo, 1 - BISECTION_HALVINGS)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        allow = np.ldexp(hi_k - lo_k, _SLACK)
+        while True:
+            mid = 0.5 * lo_k + 0.5 * hi_k
+            live = (mid != lo_k) & (mid != hi_k) & (hi_k - lo_k >= last)
+            if not live.any():
+                break
+            rf = (live & (c_lo == ks - 1) & (c_hi == ks) & (s_lo * s_hi < 0)
+                  & (np.fmax(np.abs(s_lo), np.abs(s_hi)) > _FLAT) & (hi_k - lo_k <= allow))
+            i, j = np.flatnonzero(rf), np.flatnonzero(live & ~rf)
+            x = lo_k[i] + (hi_k[i] - lo_k[i]) * (s_lo[i] / (s_lo[i] - s_hi[i]))
+            x = np.clip(np.where(np.isfinite(x), x, mid[i]),
+                        np.nextafter(lo_k[i], hi_k[i]), np.nextafter(hi_k[i], lo_k[i]))
+            # Brackets of one cell (neighbours in k) share its tree, at the
+            # depth that the energies left by the regula falsi points allow.
+            first = np.ones(j.size, dtype=bool)
+            first[1:] = (lo_k[j[1:]] != lo_k[j[:-1]]) | (hi_k[j[1:]] != hi_k[j[:-1]])
+            cell, cells = np.cumsum(first) - 1, max(1, int(np.count_nonzero(first)))
+            depth = (max(_BISECTION_LANES - i.size, cells) // cells + 1).bit_length() - 1
+            depth = min(depth, BISECTION_HALVINGS)
+            trees = _tree(lo_k[j][first], hi_k[j][first], depth)
+            counts, s = count_fn(np.concatenate((x, trees[:, 1:-1].ravel())))
+
+            m = i.size
+            up = counts[:m] >= ks[i]  # the point becomes the bracket's hi
+            scale = 1.0 - s[:m] / np.where(up, s_hi[i], s_lo[i])
+            scale = np.where((scale > 0) & (scale < 1), scale, 0.5)
+            kept = moved[i] == np.where(up, 1, -1)
+            s_lo[i[up & kept]] *= scale[up & kept]
+            s_hi[i[~up & kept]] *= scale[~up & kept]
+            for side, ends in ((up, (hi_k, c_hi, s_hi)), (~up, (lo_k, c_lo, s_lo))):
+                for out, row in zip(ends, (x, counts[:m], s[:m])):
+                    out[i[side]] = row[side]
+            moved[i] = np.where(up, 1, -1)
+            allow[i] *= 0.5
+
+            if j.size:
+                rows = (trees[cell],
+                        np.concatenate((c_lo[j, None], counts[m:].reshape(cells, -1)[cell],
+                                        c_hi[j, None]), axis=1),
+                        np.concatenate((s_lo[j, None], s[m:].reshape(cells, -1)[cell],
+                                        s_hi[j, None]), axis=1))
+                a, b = _walk(rows[1][:, 1:-1], ks[j, None], depth)
+                for ends, at in (((lo_k, c_lo, s_lo), a), ((hi_k, c_hi, s_hi), b)):
+                    for out, row in zip(ends, rows):
+                        out[j] = np.take_along_axis(row, at, axis=1)[:, 0]
+                moved[j] = 0
+                allow[j] = np.ldexp(allow[j], -depth)
+    return _replay(count_fn, lo, hi, lo_k, hi_k, ks)
+
+
+def _replay(count_fn, lo: float, hi: float, below, above, ks) -> np.ndarray:
+    """The edges of BISECTION_HALVINGS halvings of [lo, hi], one count per
+    halving, for counts that are below k up to ``below`` and at least k from
+    ``above`` on (k = ``ks``): a halving point outside (below, above) is
+    decided without a count, and the ones inside, at most about one per
+    bracket narrower than the last halving's, are counted, all of a pass in
+    one call."""
+    below, above = below.copy(), above.copy()
+    while True:
+        lo_a, hi_a = np.full(ks.shape, lo), np.full(ks.shape, hi)
+        open_at = np.full(ks.shape, np.nan)  # the first point each bracket cannot decide
+        for _ in range(BISECTION_HALVINGS):
+            mid = 0.5 * lo_a + 0.5 * hi_a
+            ge, lt = mid >= above, mid <= below
+            new = ~(ge | lt) & np.isnan(open_at)
+            open_at[new] = mid[new]
+            go = np.isnan(open_at)
+            hi_a = np.where(go & ge, mid, hi_a)
+            lo_a = np.where(go & lt & ~ge, mid, lo_a)
+        i = np.flatnonzero(~np.isnan(open_at))
+        if not i.size:
+            return 0.5 * lo_a + 0.5 * hi_a
+        ge = count_fn(open_at[i])[0] >= ks[i]
+        above[i[ge]], below[i[~ge]] = open_at[i[ge]], open_at[i[~ge]]
 
 
 def floquet_count(word: LevelWord, energies) -> np.ndarray:
@@ -390,19 +540,32 @@ def floquet_count(word: LevelWord, energies) -> np.ndarray:
     values were checked once.
     """
     reject_nan(energies, list(word.letter_values.values()))
-    return _floquet_count(word, energies)
+    return _floquet_count(word, energies)[0]
 
 
-def _floquet_count(word: LevelWord, energies) -> np.ndarray:
-    """``floquet_count`` without its NaN check."""
+def _floquet_count(word: LevelWord, energies):
+    """``floquet_count`` without its NaN check, and a smooth function of the
+    energy whose zeros are the band edges: ln(|tr M| / 2) where |tr M| >= 2
+    and |tr M| / 2 - 1 inside the bands. It is negative in the bands,
+    continuous with its derivative at |tr M| = 2 and free of the
+    logarithm's pole at tr M = 0. It is formed in floats from the mantissa
+    and exponent of the long-double trace and the exponent of M, so it
+    cannot overflow. Returns (counts, values).
+    """
     def count(p, n):
         a, _, c, d, e = p
         L, tr = word.sites, a + d
         # |2^e tr| < 2, with e >= 0, compared without overflow.
         inside = np.abs(tr) < np.ldexp(np.longdouble(2.0), -e.astype(np.int64))
-        return np.where(inside, 2 * (L - n) - 1, 2 * (L - n - (np.sign(c) * np.sign(tr) < 0)))
+        counts = np.where(inside, 2 * (L - n) - 1, 2 * (L - n - (np.sign(c) * np.sign(tr) < 0)))
+        m, k = np.frexp(tr)
+        with np.errstate(divide="ignore"):
+            g = np.log(np.abs(m.astype(float))) + (k + e.astype(float) - 1.0) * transfer._LN2
+        np.expm1(g, out=g, where=inside)
+        return np.stack((counts, g))
 
-    return block_product(word, energies, count)
+    out = block_product(word, energies, count)
+    return out[0].astype(np.int64), out[1]
 
 
 def dirichlet_count(word: LevelWord, energies) -> np.ndarray:

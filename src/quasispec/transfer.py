@@ -91,6 +91,13 @@ TRACE_POLY_DEGREE_CAP = 64
 # sites x 200 energies / golden Sturmian 10^4 sites x 240 energies: 512 lanes
 # 27 / 12 ms, 1024 17 / 10, 2048 19 / 9.5, 4096 17 / 8.6, 8192 16 / 11. 8192
 # lanes are no faster on the golden chain and double the lanes' memory.
+# Widths (same script, best of 9, the machine above, 10^4 sites, us per
+# energy narrow / wide, almost-Mathieu; golden alike): M = 257 41 / 101, 512
+# 40 / 61, 1024 42 / 65, 1280 34 / 43, 1536 39 / 33, 2048 34 / 36, 2560 37 /
+# 26. The narrow path would pay up to about 1024 energies, but its segment
+# joins lose up to 2e-10 relative in ln||P|| in gaps (ROADMAP item 3), where
+# the wide path is the sequential oracle of the lifted products' tests at 300
+# energies; so the threshold stays until the joins are guarded.
 _NARROW = 256
 _LANES = 4096
 _SEGMENT = 256
@@ -584,13 +591,14 @@ def _chain(mats: np.ndarray, lifts: np.ndarray, bits: float, lower: np.ndarray,
     f, *rest = word
     p, n, s, b = mats[:, f], lifts[f].copy(), lower[f], bits
     for f in rest:
-        a, bb, c, d, e = mats[:, f]
-        q = np.empty_like(p)
-        np.multiply(a, p[:2], out=q[:2])
-        q[:2] += bb * p[2:4]
-        np.multiply(c, p[:2], out=q[2:4])
-        q[2:4] += d * p[2:4]
-        np.add(e, p[4], out=q[4])
+        # One sum of products per entry, in the order of the four products
+        # it replaced: the same bits, but for the sign of an exact zero
+        # ((-0) + (-0) may come out +0), which no lift or count reads
+        # (``_lower`` tests c < 0 and c == 0).
+        q = np.empty(p.shape, dtype=p.dtype)
+        np.einsum("ijm,jkm->ikm", mats[:4, f].reshape(2, 2, -1), p[:4].reshape(2, 2, -1),
+                  out=q[:4].reshape(2, 2, -1))
+        np.add(mats[4, f], p[4], out=q[4])
         t = _lower(q[0], q[2])
         n += lifts[f]
         n += lower[f] ^ s ^ t

@@ -25,7 +25,7 @@ from quasispec.bands import (CLOSED_GAP_TOL, _bisection_steps, _lifted_steps,
                              _wraparound_edges, phase_union_spectrum)
 from quasispec.potentials import (FIBONACCI_RULE, MAX_FLOQUET_STEPS, NAMED_RULES,
                                   periodic_approximant)
-from quasispec.ids import bisect_eigenvalues, count_below_periodic, floquet_count
+from quasispec.ids import _floquet_count, bisect_eigenvalues, count_below_periodic
 
 SQ5 = math.sqrt(5.0)
 
@@ -176,10 +176,12 @@ class TestBandSpectrum:
 
 
 def lifted_edges(pot):
+    """The raw edges ``band_spectrum`` takes for a level block: the guided
+    bisection of the lifted count."""
     vals = np.asarray(pot.values)
     L = len(vals)
-    return np.sort(bisect_eigenvalues(lambda E: floquet_count(pot.level_word, E), 2 * L,
-                                      vals.min() - 4.0, vals.max() + 4.0))
+    return np.sort(bisect_eigenvalues(lambda E: _floquet_count(pot.level_word, E), 2 * L,
+                                      vals.min() - 4.0, vals.max() + 4.0, smooth=True))
 
 
 def sturm_edges(pot):

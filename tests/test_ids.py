@@ -25,8 +25,8 @@ from quasispec import (
 from quasispec import ids
 from quasispec import transfer
 from quasispec.ids import bisect_eigenvalues, dirichlet_count, floquet_count
-from quasispec.potentials import (LevelWord, fixed_point_window, periodic_approximant,
-                                  sample_potential)
+from quasispec.potentials import (LevelWord, approximant_by_denominator, fixed_point_window,
+                                  periodic_approximant, sample_potential)
 
 from conftest import RULES, primitive_rules
 
@@ -540,6 +540,158 @@ class TestMultisection:
 
         bisect_eigenvalues(counted, 42, -5.0, 5.0)
         assert sizes == [(1023,)] + [(42 * 15,)] * 12 + [(42 * 3,)]
+
+
+@st.composite
+def guided_problems(draw):
+    """A monotone count (the roots below E of a sorted set with clusters,
+    double roots, roots at or near zero and outside the bracket) with smooth
+    values of any kind beside it, how_many and a bracket, the brackets of
+    ``bisection_problems``. The values change sign at every simple root
+    ("signed"), are noise, lie below ``ids._FLAT`` or are NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roots = rng.uniform(-4.0, 4.0, draw(st.integers(1, 40)))
+    if draw(st.booleans()):
+        gaps = rng.choice([0.0, 1e-300, 1e-15, 1e-9, 1e-4], roots.size)
+        roots = np.concatenate((roots, roots + gaps))
+    if draw(st.booleans()):
+        roots = np.concatenate((roots, [0.0, 5e-324, -1e-17, 6.0]))
+    roots = np.sort(roots)
+    kind = draw(st.sampled_from(["signed", "noise", "flat", "nan"]))
+    noise = np.random.default_rng(int(rng.integers(2**32)))
+
+    def count_fn(E):
+        counts = np.searchsorted(roots, E, side="left")
+        if kind == "signed":
+            gap = np.abs(np.asarray(E)[..., None] - roots).min(axis=-1)
+            values = np.where(counts % 2, -gap, gap)
+        elif kind == "noise":
+            values = noise.uniform(-1.0, 1.0, np.shape(E))
+        else:
+            values = np.full(np.shape(E), 1e-14 if kind == "flat" else np.nan)
+        return counts, values
+
+    how_many = draw(st.sampled_from([1, 2, roots.size, roots.size + 1]))
+    bracket = draw(st.sampled_from([(-5.0, 5.0), (-3.0, -3.0), (-1e300, 1e300), (1e308, 1.7e308)]))
+    return count_fn, how_many, *bracket
+
+
+class TestGuided:
+    """``bisect_eigenvalues`` with smooth values: on a monotone count the
+    edges of one count call per halving, bit for bit, whatever the smooth
+    values, in at most _SLACK + 4 calls more than the halvings, none holding
+    more energies than the budget or one per bracket."""
+
+    @settings(max_examples=150)
+    @given(guided_problems(), st.sampled_from([1, 3, ids._BISECTION_LANES]))
+    def test_equals_plain_bisection(self, problem, budget):
+        count_fn, how_many, lo, hi = problem
+        sizes = []
+
+        def counted(E):
+            sizes.append(E.size)
+            return count_fn(E)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ids, "_BISECTION_LANES", budget)
+            got = bisect_eigenvalues(counted, how_many, lo, hi, smooth=True)
+        want = plain_bisection(lambda E: count_fn(E)[0], how_many, lo, hi)
+        np.testing.assert_array_equal(got, want)
+        assert len(sizes) <= ids.BISECTION_HALVINGS + ids._SLACK + 4
+        assert max(sizes) <= max(budget, how_many)
+
+
+def _lifted(word, vals, smooth):
+    """The lifted edges of ``word`` and the energies of each count call."""
+    sizes = []
+
+    def counted(E):
+        sizes.append(E.size)
+        return ids._floquet_count(word, E) if smooth else floquet_count(word, E)
+
+    edges = bisect_eigenvalues(counted, 2 * len(vals), vals.min() - 4.0, vals.max() + 4.0,
+                               smooth=smooth)
+    return np.sort(edges), sizes
+
+
+def _level_period(name, lv, order):
+    return periodic_approximant(PotentialSpec.substitution(RULES[name], lv), order)
+
+
+def _golden(lam, q, omega=0.0):
+    return approximant_by_denominator(PotentialSpec.sturmian(GOLDEN_MEAN, lam, omega), q)
+
+
+class TestGuidedLiftedEdges:
+    """The lifted edges of ``band_spectrum``, from the guided bisection of
+    ``_floquet_count``, against one count call per halving."""
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("omega", [0.0, 0.3])
+    @pytest.mark.parametrize("q", [55, 89, 144, 233, 377])
+    def test_golden_equal_plain_bisection(self, lam, omega, q):
+        period = _golden(lam, q, omega)
+        vals = np.asarray(period.values)
+        got, _ = _lifted(period.level_word, vals, True)
+        want = plain_bisection(lambda E: floquet_count(period.level_word, E), 2 * len(vals),
+                               vals.min() - 4.0, vals.max() + 4.0)
+        np.testing.assert_array_equal(got, np.sort(want))
+
+    @pytest.mark.parametrize("name, order", [("period-doubling", 5), ("fibonacci", 9)])
+    @pytest.mark.parametrize("lv", [{"a": 1.0, "b": 0.0}, {"a": 1.3, "b": -0.7}])
+    def test_level_words_equal_plain_bisection(self, name, order, lv):
+        period = _level_period(name, lv, order)
+        vals = np.asarray(period.values)
+        got, _ = _lifted(period.level_word, vals, True)
+        want = plain_bisection(lambda E: floquet_count(period.level_word, E), 2 * len(vals),
+                               vals.min() - 4.0, vals.max() + 4.0)
+        np.testing.assert_array_equal(got, np.sort(want))
+
+    @pytest.mark.parametrize("period", [
+        pytest.param(_level_period("thue-morse", {"a": 1.0, "b": 0.0}, 6), id="thue-morse-6"),
+        pytest.param(_golden(16.0, 377), id="golden-16-377"),
+    ])
+    def test_no_farther_from_dense(self, period):
+        # The lifted count is not monotone here (ROADMAP item 3), so the
+        # edges may differ from the halvings'; they lie no farther from the
+        # dense eigenvalues.
+        vals = np.asarray(period.values)
+        L = len(vals)
+        H = np.diag(vals) + np.eye(L, k=1) + np.eye(L, k=-1)
+        corners = np.eye(L, k=L - 1) + np.eye(L, k=1 - L)
+        dense = np.sort(np.concatenate([np.linalg.eigvalsh(H + c * corners) for c in (1.0, -1.0)]))
+        got, _ = _lifted(period.level_word, vals, True)
+        want, _ = _lifted(period.level_word, vals, False)
+        assert np.abs(got - dense).max() <= np.abs(want - dense).max()
+
+    @pytest.mark.parametrize("period", [
+        pytest.param(_golden(2.0, 55), id="golden-55"),
+        pytest.param(_golden(2.0, 89), id="golden-89"),
+        pytest.param(_golden(2.0, 377), id="golden-377"),
+        pytest.param(_golden(16.0, 377), id="golden-16-377"),
+        pytest.param(_level_period("thue-morse", {"a": 1.0, "b": 0.0}, 6), id="thue-morse-6"),
+        pytest.param(_level_period("thue-morse", {"a": 1.3, "b": -0.7}, 6), id="thue-morse-6-b"),
+        pytest.param(_level_period("period-doubling", {"a": 1.3, "b": -0.7}, 5),
+                     id="period-doubling-5"),
+        pytest.param(_level_period("fibonacci", {"a": 1.3, "b": -0.7}, 9), id="fibonacci-9"),
+        pytest.param(_level_period("thue-morse", {"a": 1.0, "b": 0.0}, 10), id="thue-morse-10"),
+    ])
+    def test_fewer_calls_within_the_step_budget(self, period):
+        # No level word takes more count calls or energies than the
+        # multisection, and where 2L passes a third of the budget the
+        # energies stay within the BISECTION_HALVINGS halvings of 2L edges
+        # that ``bands._lifted_steps`` charges.
+        vals = np.asarray(period.values)
+        _, guided = _lifted(period.level_word, vals, True)
+        _, multisection = _lifted(period.level_word, vals, False)
+        assert len(guided) <= len(multisection)
+        assert sum(guided) <= sum(multisection)
+        if 6 * len(vals) > ids._BISECTION_LANES:
+            assert sum(guided) <= ids.BISECTION_HALVINGS * 2 * len(vals)
+
+    def test_golden_377_calls(self):
+        _, sizes = _lifted(_golden(2.0, 377).level_word, np.asarray(_golden(2.0, 377).values), True)
+        assert len(sizes) <= 25
 
 
 @st.composite

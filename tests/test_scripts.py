@@ -36,12 +36,19 @@ def test_bandwidth_shrinkage(monkeypatch, capsys):
 
 
 def test_lane_sweep(monkeypatch, capsys):
-    args = ["--lanes", "512,1024", "--scale", "0.02", "--repeats", "1"]
+    args = ["--lanes", "512,1024", "--widths", "3,4097", "--scale", "0.02", "--repeats", "1"]
     lines = run_script("lane_sweep.py", args, monkeypatch, capsys)
     assert lines[0].split() == ["lanes", "almost-mathieu", "ms", "golden", "ms"]
-    rows = [line.split() for line in lines[1:]]
+    rows = [line.split() for line in lines[1:3]]
     assert [int(row[0]) for row in rows] == [512, 1024]
     assert all(float(x) > 0.0 for row in rows for x in row[1:])
+    assert lines[3].split() == ["M", "almost-mathieu", "narrow", "us", "wide", "us", "rel",
+                                "golden", "narrow", "us", "wide", "us", "rel", "pick"]
+    rows = [line.split() for line in lines[4:6]]
+    assert [int(row[0]) for row in rows] == [3, 4097]
+    # Above _LANES energies there is no narrow path.
+    assert rows[1][1] == "-" and rows[1][-1] == "wide"
+    assert lines[6].startswith("crossover")
 
 
 def test_few_lane_sweep(monkeypatch, capsys):
@@ -78,11 +85,16 @@ def test_few_lane_sweep(monkeypatch, capsys):
 def test_bisection_sweep(monkeypatch, capsys):
     args = ["--budgets", "1,1024", "--scale", "0.05", "--repeats", "1"]
     lines = run_script("bisection_sweep.py", args, monkeypatch, capsys)
-    assert lines[0].split() == ["budget", "am-q89", "ms", "am-q144", "ms", "random-300", "ms",
-                                "golden-q377", "ms", "butterfly-10", "ms"]
-    rows = [line.split() for line in lines[1:]]
+    names = ["am-q89", "am-q144", "random-300", "golden-q377", "golden16-q377",
+             "thue-morse-10", "butterfly-10"]
+    assert lines[0].split() == ["budget"] + [x for name in names for x in (name, "ms")]
+    rows = [line.split() for line in lines[1:3]]
     assert [int(row[0]) for row in rows] == [1, 1024]
     assert all(float(x) > 0.0 for row in rows for x in row[1:])
+    assert lines[3].split() == ["case", "calls", "energies"]
+    rows = [line.split() for line in lines[4:]]
+    assert [row[0] for row in rows] == names
+    assert all(int(row[1]) > 0 and int(row[2]) >= int(row[1]) for row in rows)
 
 
 def test_rescale_census(monkeypatch, capsys):
