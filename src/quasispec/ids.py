@@ -73,12 +73,20 @@ BISECTION_HALVINGS = 60
 # q = 144 / a random 300-site period / golden q = 377 (lifted) / butterfly
 # qmax 10: one halving per call 30 / 68 / 159 / 70 / 87, budget 256 27 / 65 /
 # 139 / 63 / 52, 512 28 / 63 / 138 / 63 / 46, 1024 23 / 49 / 141 / 63 / 43,
-# 2048 26 / 57 / 158 / 62 / 45, 4096 38 / 63 / 155 / 74 / 47.
+# 2048 26 / 57 / 158 / 62 / 45, 4096 38 / 63 / 155 / 74 / 47. The guided
+# lifted edges (same script, best of 3, one run), golden q = 377 / the same
+# at lambda = 16 / Thue-Morse order 10: one halving per call 84 / 98 / 214,
+# 256 45 / 65 / 188, 512 45 / 64 / 190, 1024 40 / 67 / 194, 2048 51 / 75 /
+# 204, 4096 74 / 94 / 226.
 _BISECTION_LANES = 1024
 # The guided edges of ``_guided``: a bracket takes a regula falsi point only
-# where one of its ends' smooth values exceeds _FLAT in magnitude, and only
-# while it is at most 2^_SLACK times as wide as the halvings at its trees'
-# pace would have left it.
+# where one of its ends' smooth values exceeds _FLAT in magnitude (closer to
+# zero they are rounding), and only while it is at most 2^_SLACK times as wide
+# as one halving per point and d per tree of depth d would have left it.
+# Chosen on golden q = 55 to 377, Thue-Morse order 6, period doubling order 5
+# and Fibonacci order 9: without the _FLAT test Thue-Morse order 6 took 23
+# calls, with _SLACK 1 or 2 golden q = 377 took 28 or 16, at 4 to 8 it took
+# 15 (the multisection: 18 and 51).
 _FLAT = 1e-13
 _SLACK = 4
 

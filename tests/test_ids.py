@@ -690,7 +690,8 @@ class TestGuidedLiftedEdges:
             assert sum(guided) <= ids.BISECTION_HALVINGS * 2 * len(vals)
 
     def test_golden_377_calls(self):
-        _, sizes = _lifted(_golden(2.0, 377).level_word, np.asarray(_golden(2.0, 377).values), True)
+        period = _golden(2.0, 377)
+        _, sizes = _lifted(period.level_word, np.asarray(period.values), True)
         assert len(sizes) <= 25
 
 
